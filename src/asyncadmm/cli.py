@@ -7,7 +7,9 @@ mode and writes four artifacts into the output directory: the event trace
 (``trace.log``), the per-iteration convergence table (``convergence.csv``),
 the diagnostic report (``diagnostics.json``) and the per-worker
 compute/wait split (``timing.json``). Exit codes: 0 converged, 2 a cap was
-exhausted, 1 any error.
+exhausted, 1 any error. An error after the solve (trace analysis or the
+centralized baseline) prints one ``error:`` line and keeps the trace and the
+convergence table already written.
 
 Config keys (defaults in parentheses):
 
@@ -51,7 +53,7 @@ import numpy as np
 
 from . import analysis, caseio, engine, opf
 from .kernel import AdmmParams
-from .localsolver import SolverConfig
+from .localsolver import SolveError, SolverConfig
 from .problem import PartitionedProblem, flat_start, make_nonconvex_toy, make_toy_consensus
 
 log = logging.getLogger("asyncadmm")
@@ -382,12 +384,21 @@ def cmd_run(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     caseio.write_trace(result.trace, outdir / "trace.log")
     caseio.write_results(result.iteration_log, outdir / "convergence.csv")
-    report = analysis.analyze_trace(result.trace, problem=problem, kkt_tol=config.tol)
+    # from here on a failure leaves trace.log and convergence.csv in place
+    try:
+        report = analysis.analyze_trace(result.trace, problem=problem, kkt_tol=config.tol)
+    except analysis.TraceError as err:
+        print(f"error: trace analysis failed: {err}", file=sys.stderr)
+        return 1
     # virtual time is the primary axis everywhere; wall time alongside
     report["wall_time_s"] = wall_s
     if config.baseline:
         if layout is not None:
-            central = opf.centralized_reference_solve(layout.case)
+            try:
+                central = opf.centralized_reference_solve(layout.case)
+            except SolveError as err:
+                print(f"error: centralized baseline solve failed: {err}", file=sys.stderr)
+                return 1
             gap = analysis.objective_gap(
                 problem.total_objective(result.x), central.objective
             )

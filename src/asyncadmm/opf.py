@@ -379,7 +379,8 @@ class OpfLayout:
 
 
 def _region_functions(case: OpfCase, layout: RegionLayout, Y: Array):
-    """Objective/gradient and power-balance equality closures for one region."""
+    """Objective/gradient, power-balance equality, Jacobian, objective
+    curvature and weighted constraint curvature closures for one region."""
     base = case.base_mva
     idx = case.bus_index()
     own = layout.own_bus_ids
@@ -432,6 +433,34 @@ def _region_functions(case: OpfCase, layout: RegionLayout, Y: Array):
         u_gap = x[e_sl] ** 2 + x[f_sl] ** 2 - x[u_sl]
         return np.concatenate([mism.real, mism.imag, u_gap])
 
+    # Every equality row is quadratic in the rectangular voltages, so the
+    # weighted constraint curvature sum_i w_i Hessian(h_i) is constant in x
+    # and linear in w. With w~ = w_re + j w_im on the owned balance rows,
+    # sum_i Re(conj(w~_i) mism_i) has network part -Re(V^H N^T V), where
+    # N[i, m] = conj(w~_i) conj(Yloc[i, m]) (zero rows for duplicates); with
+    # C the Hermitian part of N^T that is -[e; f]^T [[Re C, -Im C],
+    # [Im C, Re C]] [e; f]. The u rows add 2 w_u on the owned e and f.
+    n_loc = n_own + n_dup
+    ef_cols = np.r_[np.arange(e_sl.start, e_sl.stop), np.arange(ed_sl.start, ed_sl.stop),
+                    np.arange(f_sl.start, f_sl.stop), np.arange(fd_sl.start, fd_sl.stop)]
+    own_e = np.arange(e_sl.start, e_sl.stop)
+    own_f = np.arange(f_sl.start, f_sl.stop)
+    Yconj = np.conj(Yloc)
+
+    def equality_hessian(x, w) -> Array:
+        w = np.asarray(w, dtype=float)
+        wt = w[:n_own] + 1j * w[n_own:2 * n_own]
+        N = np.zeros((n_loc, n_loc), dtype=complex)
+        N[:n_own] = np.conj(wt)[:, None] * Yconj
+        C = 0.5 * (N.T + np.conj(N))
+        H = np.zeros((layout.dim, layout.dim))
+        H[np.ix_(ef_cols, ef_cols)] = -2.0 * np.block([[C.real, -C.imag],
+                                                       [C.imag, C.real]])
+        w_u = 2.0 * w[2 * n_own:]
+        H[own_e, own_e] += w_u
+        H[own_f, own_f] += w_u
+        return H
+
     def jacobian(x) -> Array:
         V = local_voltage(x)
         I = Yloc @ V
@@ -461,7 +490,7 @@ def _region_functions(case: OpfCase, layout: RegionLayout, Y: Array):
         J[uu.start + rng, u_sl.start + rng] = -1.0
         return J
 
-    return objective, gradient, equality, jacobian, hessian_diag
+    return objective, gradient, equality, jacobian, hessian_diag, equality_hessian
 
 
 def _region_bounds(case: OpfCase, layout: RegionLayout, ref_bus: int):
@@ -509,6 +538,7 @@ def build_regional_subproblems(
     partition: Partition,
     beta_minus: float = DEFAULT_BETA_MINUS,
     beta_plus: float = DEFAULT_BETA_PLUS,
+    exact_curvature: bool = False,
 ) -> tuple[PartitionedProblem, OpfLayout]:
     """Compile the case under the partition into a partitioned problem.
 
@@ -517,8 +547,11 @@ def build_regional_subproblems(
     voltages for the far ends of its tie lines. The boundary map carries the
     beta-scaled difference/sum rows per tie line; regional equalities are
     the power-balance equations at owned buses (tie-line flows expressed
-    through the duplicates) and the u definition. Rebuilding is
-    deterministic.
+    through the duplicates) and the u definition. ``exact_curvature``
+    attaches the analytic constraint curvature
+    (:attr:`~asyncadmm.problem.RegionSpec.equality_hessian`) to every region,
+    so the local solver uses an exact Newton model instead of Gauss-Newton.
+    Rebuilding is deterministic.
     """
     partition.validate(case)
     if beta_minus <= 0 or beta_plus <= 0:
@@ -582,7 +615,8 @@ def build_regional_subproblems(
     regions = []
     for k in range(1, R + 1):
         lay = layouts[k - 1]
-        objective, gradient, equality, jacobian, hessian_diag = _region_functions(case, lay, Y)
+        (objective, gradient, equality, jacobian, hessian_diag,
+         equality_hessian) = _region_functions(case, lay, Y)
         lo, hi = _region_bounds(case, lay, ref)
         A = (np.vstack(a_rows[k]) if a_rows[k] else np.zeros((0, lay.dim)))
         regions.append(RegionSpec(
@@ -597,6 +631,7 @@ def build_regional_subproblems(
             eq_dim=3 * lay.n_own,
             name=f"region-{k}",
             hessian_diag=hessian_diag,
+            equality_hessian=equality_hessian if exact_curvature else None,
         ))
     problem = PartitionedProblem(regions=tuple(regions), edges=tuple(edges))
     layout = OpfLayout(case=case, partition=partition, beta_minus=beta_minus,
@@ -624,8 +659,11 @@ def centralized_reference_solve(
     case: OpfCase, config: SolverConfig | None = None, x0: Array | None = None
 ) -> CentralizedResult:
     """Solve the undecomposed problem (single region, no coupling); used as
-    the baseline for objective-gap reporting. Solver failures propagate."""
-    problem, layout = build_regional_subproblems(case, single_region_partition(case))
+    the baseline for objective-gap reporting. The region carries the exact
+    constraint curvature, so the local solver takes full Newton steps on the
+    augmented Lagrangian. Solver failures propagate."""
+    problem, layout = build_regional_subproblems(case, single_region_partition(case),
+                                                 exact_curvature=True)
     region = problem.region(1)
     start = flat_start(region) if x0 is None else np.asarray(x0, dtype=float)
     result = solve_local(region, None, start, config or SolverConfig())

@@ -95,6 +95,11 @@ class RegionSpec:
     # optional per-coordinate curvature estimate of the objective; used only
     # to precondition the local solver, never in any optimality condition
     hessian_diag: Callable[[Array], Array] | None = None
+    # optional exact constraint curvature: equality_hessian(x, w) is
+    # sum_i w_i * Hessian(equality_i)(x), an (dim_x, dim_x) matrix. When set,
+    # the local solver's Newton model is the exact augmented-Lagrangian
+    # Hessian on the constraint side; without it the model is Gauss-Newton
+    equality_hessian: Callable[[Array, Array], Array] | None = None
 
     def __post_init__(self):
         A = np.asarray(self.boundary_map, dtype=float)
@@ -111,6 +116,8 @@ class RegionSpec:
         object.__setattr__(self, "upper", hi)
         if (self.equality is None) != (self.equality_jacobian is None):
             raise ValueError("equality and equality_jacobian must be supplied together")
+        if self.equality_hessian is not None and self.equality is None:
+            raise ValueError("equality_hessian needs equality constraints")
         if self.equality is None and self.eq_dim != 0:
             raise ValueError("eq_dim must be 0 when there are no equality constraints")
 

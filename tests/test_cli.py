@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from asyncadmm import caseio
+from asyncadmm import analysis, caseio, opf
 from asyncadmm.cli import ConfigError, build_run_config, main, parse_config_text
+from asyncadmm.localsolver import SolveError
 
 TOY_CONFIG = """
 problem = toy_consensus
@@ -175,6 +176,43 @@ outdir = {tmp_path / 'opf'}
         report = json.loads((tmp_path / "opf" / "diagnostics.json").read_text())
         assert report["baseline"]["gap_percent"] < 1.0
         assert report["objective"] > 0
+
+    def test_failed_baseline_solve_exits_one(self, tmp_path, capsys, monkeypatch):
+        def fail(case, *args, **kwargs):
+            raise SolveError("forced failure", np.zeros(1), 1.0, 1.0)
+
+        monkeypatch.setattr(opf, "centralized_reference_solve", fail)
+        cfg = write_config(tmp_path, f"""
+problem = opf
+case = cases/chain3.case
+partition = cases/chain3.part
+mode = sync
+rho = 1e5
+tol = 1e-3
+max_local_iters = 400
+baseline = true
+outdir = {tmp_path / 'opf'}
+""")
+        assert main(["run", str(cfg)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:") and "forced failure" in err[0]
+        assert (tmp_path / "opf" / "trace.log").exists()
+        assert (tmp_path / "opf" / "convergence.csv").exists()
+
+    def test_failed_trace_analysis_exits_one(self, tmp_path, capsys, monkeypatch):
+        def fail(trace, *args, **kwargs):
+            raise analysis.TraceError("forced failure")
+
+        monkeypatch.setattr(analysis, "analyze_trace", fail)
+        cfg = write_config(tmp_path, TOY_CONFIG + f"outdir = {tmp_path / 'out'}\n")
+        assert main(["run", str(cfg)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:") and "forced failure" in err[0]
+        assert (tmp_path / "out" / "trace.log").exists()
+        assert (tmp_path / "out" / "convergence.csv").exists()
+        assert not (tmp_path / "out" / "diagnostics.json").exists()
 
 
 class TestBoundsCommand:

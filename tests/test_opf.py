@@ -3,6 +3,7 @@ import cmath
 import numpy as np
 import pytest
 
+from asyncadmm import caseio
 from asyncadmm.opf import (
     Branch,
     Bus,
@@ -20,6 +21,13 @@ from asyncadmm.opf import (
     warm_start,
 )
 from asyncadmm.problem import flat_start
+
+from conftest import CASES_DIR
+
+
+def shipped_case(name):
+    case = caseio.parse_case((CASES_DIR / f"{name}.case").read_text())
+    return case, caseio.parse_partition((CASES_DIR / f"{name}.part").read_text(), case)
 
 
 def two_bus_case(cost=(0.0, 1.0, 0.0), load=(50.0, 10.0)):
@@ -234,6 +242,29 @@ class TestBuild:
                 col = (region.equality(xp) - region.equality(xm)) / (2 * h)
                 assert np.max(np.abs(J[:, i] - col)) < 1e-6
 
+    @pytest.mark.parametrize("name", ["ring5", "nine", "chain3"])
+    def test_equality_hessian_matches_jacobian_differences(self, name):
+        # every equality row is quadratic, so J(x) is affine in x and a unit
+        # central difference of J(x)^T w is exact up to rounding
+        case, partition = shipped_case(name)
+        rng = np.random.default_rng(5)
+        plain, _ = build_regional_subproblems(case, partition)
+        assert all(region.equality_hessian is None for region in plain.regions)
+        for part in (partition, single_region_partition(case)):
+            problem, _ = build_regional_subproblems(case, part, exact_curvature=True)
+            for region in problem.regions:
+                x = rng.standard_normal(region.dim_x)
+                w = rng.standard_normal(region.eq_dim)
+                H = region.equality_hessian(x, w)
+                fd = np.empty_like(H)
+                for i in range(region.dim_x):
+                    step = np.zeros(region.dim_x)
+                    step[i] = 1.0
+                    dJ = region.equality_jacobian(x + step) - region.equality_jacobian(x - step)
+                    fd[:, i] = 0.5 * (dJ.T @ w)
+                scale = max(1.0, float(np.max(np.abs(H))))
+                assert np.max(np.abs(H - fd)) <= 1e-12 * scale, region.name
+
     def test_regional_residuals_compose_to_network_residual(self, ring5_case):
         # solve the network flow once, copy true voltages into each region's
         # duplicates; the stacked regional equality residuals must equal the
@@ -314,3 +345,15 @@ class TestCentralized:
         # magnitude limits hold to the equality tolerance of the u-slack rows
         vm = np.abs(result.V)
         assert np.all(vm >= 0.95 - 1e-6) and np.all(vm <= 1.05 + 1e-6)
+
+    @pytest.mark.parametrize("name, gauss_newton_objective",
+                             [("ring5", 3768.1043), ("nine", 1974.36069)])
+    def test_exact_curvature_reference(self, name, gauss_newton_objective):
+        # the Gauss-Newton model needed 5,160 (ring5) and 10,509 (nine) inner
+        # iterations to reach the objectives given here
+        case, _ = shipped_case(name)
+        result = centralized_reference_solve(case)
+        assert result.diagnostics.inner_iters <= 200
+        resid = power_flow_residual(case, result.V, result.P, result.Q)
+        assert np.max(np.abs(resid)) < 1e-6
+        assert result.objective <= gauss_newton_objective * (1 + 1e-6)
