@@ -14,13 +14,20 @@ receives new information inside the slot that contains its update's start
 is an addition to the first four: without it a maximal slicing can place an
 update's start and finish in one slot, which would break the guarantee
 nu_bar < nu that the delay-window bookkeeping relies on.
+
+The maximal slicing is built greedily in one sweep over the sorted start
+times, with every rule reduced to (key, time) pairs under a suffix minimum;
+omega is the largest gap between a worker's appearance slots and the rules
+are checked by bisection, so the analysis costs O(E log E) for E events.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -63,6 +70,7 @@ class GlobalIterationAssignment:
     num_workers: int
     updates: list[UpdateRecord]
     membership: dict[int, set] = field(default_factory=dict)
+    receives: list[tuple] | None = None  # from _worker_updates; None: re-read the trace
 
     @property
     def num_slots(self) -> int:
@@ -103,6 +111,40 @@ def _worker_updates(trace: EventTrace) -> tuple[list[UpdateRecord], list[tuple]]
     return updates, receives
 
 
+def _maximal_boundaries(starts: list[float], updates, receives) -> list[float]:
+    """The greedy maximal slicing as one sweep over the sorted start times.
+
+    Every rule becomes (key, t): a window (cur, c] with cur < key breaks
+    once c >= t. From each boundary, a suffix minimum over the rules sorted
+    by key gives the first breaking time T, and the next boundary is the
+    last start before T, or the first start after the boundary if none is.
+    """
+    # an update inside the window must span its left end; keying on
+    # min(start, end) keeps this exact for out-of-order timestamps
+    rules = [(min(u.start_time, u.end_time), u.end_time) for u in updates]
+    # no receive after a start within the start's slot
+    rules += [(s, t) for _, t, _, s in receives if s is not None and s < t]
+    ends_of: dict[int, list[float]] = {}
+    for u in updates:
+        ends_of.setdefault(u.worker, []).append(u.end_time)
+    for ends in ends_of.values():
+        ends.sort()
+        rules += zip(ends, ends[1:])  # one finish per worker and slot
+    rules.sort()
+    keys = [key for key, _ in rules]
+    first_break = list(accumulate(reversed([t for _, t in rules]), min, initial=math.inf))
+    first_break.reverse()
+
+    boundaries = [starts[0]]
+    while True:
+        t_break = first_break[bisect_right(keys, boundaries[-1])]
+        nxt = bisect_right(starts, boundaries[-1])
+        if t_break == math.inf or nxt == len(starts):
+            return boundaries
+        last = bisect_left(starts, t_break) - 1
+        boundaries.append(starts[max(last, nxt)])  # the shortest extension if none fits
+
+
 def assign_global_iterations(trace: EventTrace) -> GlobalIterationAssignment:
     """Greedy maximal slicing of the trace into global iterations."""
     updates, receives = _worker_updates(trace)
@@ -110,52 +152,17 @@ def assign_global_iterations(trace: EventTrace) -> GlobalIterationAssignment:
     end_time = trace.end_time or max((e.time for e in trace.events), default=0.0)
     workers = sorted({e.worker for e in trace.events if e.kind == "compute_start"})
     if not starts:
-        return GlobalIterationAssignment([], end_time, len(workers), [])
-
-    boundaries = [starts[0]]
-    cur = starts[0]
-    while not _window_valid((cur, math.inf), updates, receives):
-        candidates = [t for t in starts if t > cur]
-        best = None
-        for c in candidates:
-            if _window_valid((cur, c), updates, receives):
-                best = c
-            else:
-                break  # longer candidates only add more events to the window
-        if best is None:
-            # the shortest extension is always valid; guard anyway
-            best = candidates[0] if candidates else math.inf
-            if best is math.inf:
-                break
-        boundaries.append(best)
-        cur = best
+        return GlobalIterationAssignment([], end_time, len(workers), [], receives=receives)
 
     assignment = GlobalIterationAssignment(
-        boundaries=boundaries, end_time=end_time,
-        num_workers=len(workers), updates=updates,
+        boundaries=_maximal_boundaries(starts, updates, receives), end_time=end_time,
+        num_workers=len(workers), updates=updates, receives=receives,
     )
     for u in updates:
         u.start_slot = assignment.slot_of(u.start_time)
         u.finish_slot = assignment.slot_of(u.end_time)
         assignment.membership.setdefault(u.finish_slot, set()).add(u.worker)
     return assignment
-
-
-def _window_valid(window: tuple, updates, receives) -> bool:
-    cur, c = window
-    finishes: dict[int, int] = {}
-    for u in updates:
-        inside_end = cur < u.end_time <= c
-        if inside_end:
-            finishes[u.worker] = finishes.get(u.worker, 0) + 1
-            if finishes[u.worker] > 1:
-                return False  # one finish per worker per slot
-            if u.start_time > cur:
-                return False  # an update must span a boundary
-    for _, t_r, _, start_t in receives:
-        if cur < t_r <= c and start_t is not None and cur < start_t < t_r:
-            return False  # no new information after a start inside one slot
-    return True
 
 
 def verify_slicing_rules(assignment: GlobalIterationAssignment, trace: EventTrace) -> dict:
@@ -165,80 +172,70 @@ def verify_slicing_rules(assignment: GlobalIterationAssignment, trace: EventTrac
     slot holding that start, and every update's start and finish straddle a
     boundary."""
     starts = {e.time for e in trace.events if e.kind == "compute_start"}
-    on_starts = all(b in starts for b in assignment.boundaries)
-    spans = all(u.start_slot < u.finish_slot for u in assignment.updates)
-    one_finish = True
-    for nu in range(1, assignment.num_slots + 1):
-        seen: set = set()
-        for u in assignment.updates:
-            if u.finish_slot == nu:
-                if u.worker in seen:
-                    one_finish = False
-                seen.add(u.worker)
-    _, receives = _worker_updates(trace)
-    quiet_after_start = True
-    for _, t_r, _, start_t in receives:
-        if start_t is None or not start_t < t_r:
-            continue
-        # a boundary must separate the start from the receive; a boundary
-        # placed exactly at the start time counts
-        if not any(start_t <= b < t_r for b in assignment.boundaries):
-            quiet_after_start = False
+    bounds = assignment.boundaries
+    finishes = Counter((u.finish_slot, u.worker) for u in assignment.updates
+                       if 1 <= u.finish_slot <= assignment.num_slots)
+    receives = assignment.receives
+    if receives is None:
+        receives = _worker_updates(trace)[1]
+    # a boundary must separate a start from its worker's later receives; a
+    # boundary placed exactly at the start time counts
+    after = [*bounds, math.inf]
+    quiet_after_start = all(after[bisect_left(bounds, s)] < t_r
+                            for _, t_r, _, s in receives if s is not None and s < t_r)
     return {
-        "boundaries_on_start_times": on_starts,
-        "one_finish_per_slot": one_finish,
+        "boundaries_on_start_times": all(b in starts for b in bounds),
+        "one_finish_per_slot": max(finishes.values(), default=1) <= 1,
         "no_receive_after_start_within_slot": quiet_after_start,
-        "updates_span_a_boundary": spans,
+        "updates_span_a_boundary": all(u.start_slot < u.finish_slot
+                                       for u in assignment.updates),
     }
 
 
 def measure_omega(assignment: GlobalIterationAssignment) -> int:
     """Smallest window omega such that every worker appears in every run of
     omega consecutive slots (the initial states count as slot-0 updates for
-    all workers)."""
+    all workers): the largest gap between consecutive slots in which one
+    worker appears, with slots 0 and S+1 counted as appearances."""
     S = assignment.num_slots
-    if S == 0:
-        return 1
-    workers = set(range(1, assignment.num_workers + 1)) or {
-        u.worker for u in assignment.updates
-    }
-    slots_of: dict[int, set] = {k: {0} for k in workers}
+    slots_of: dict[int, list[int]] = {k: [] for k in range(1, assignment.num_workers + 1)}
     for u in assignment.updates:
-        slots_of.setdefault(u.worker, {0}).add(u.finish_slot)
-    for omega in range(1, S + 2):
-        ok = True
-        for nu in range(1, S + 1):
-            lo = max(nu - omega + 1, 0)
-            window = set(range(lo, nu + 1))
-            for k, present in slots_of.items():
-                if not (present & window):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return omega
-    return S + 1
+        slots_of.setdefault(u.worker, []).append(u.finish_slot)
+    omega = 1
+    for slots in slots_of.values():
+        present = sorted({0, S + 1, *(nu for nu in slots if 0 < nu <= S)})
+        omega = max(omega, *(b - a for a, b in zip(present, present[1:])))
+    return omega
 
 
 # --------------------------------------------------------------------------
 # snapshots along the slot boundaries
 
 
-def _trace_dims(trace: EventTrace) -> tuple[int, list[dict]]:
+def _trace_dims(trace: EventTrace):
+    """Start vectors x0 and z0, the z slice of each edge and each worker's z
+    slices (in edge order) from the trace metadata, checked for consistency."""
     meta = trace.meta
+    if not isinstance(meta, dict):
+        raise TraceError("trace metadata is not a JSON object")
     try:
-        return int(meta["k"]), list(meta["edges"])
-    except (KeyError, TypeError) as err:
+        K = int(meta["k"])
+        edges = [(int(em["k"]), int(em["l"]), int(em["dim"])) for em in meta["edges"]]
+        x0 = [np.array(v, dtype=float) for v in meta["x0"]]
+        z0 = np.array(meta["z0"], dtype=float)
+    except (KeyError, TypeError, ValueError) as err:
         raise TraceError(f"trace metadata lacks problem dimensions: {err}") from None
-
-
-def _edge_slices(edges_meta: list[dict]) -> list[slice]:
-    out, cursor = [], 0
-    for em in edges_meta:
-        out.append(slice(cursor, cursor + int(em["dim"])))
-        cursor += int(em["dim"])
-    return out
+    dims = [dim for _, _, dim in edges]
+    if min(dims, default=0) < 0 or len(x0) != K or z0.shape != (sum(dims),):
+        raise TraceError(f"trace metadata is inconsistent: k = {K} with {len(x0)} start "
+                         f"vectors, z0 of shape {z0.shape} for edge blocks of {sum(dims)}")
+    cuts = np.cumsum([0, *dims]).tolist()
+    slices = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+    blocks: dict[int, list[slice]] = {}
+    for (k, l, _), sl in zip(edges, slices):
+        for worker in {k, l}:
+            blocks.setdefault(worker, []).append(sl)
+    return x0, z0, slices, blocks
 
 
 def slot_snapshots(trace: EventTrace, assignment: GlobalIterationAssignment):
@@ -248,41 +245,37 @@ def slot_snapshots(trace: EventTrace, assignment: GlobalIterationAssignment):
     Returns (z_at, x_at, lam_at) where ``z_at[phi]`` is the global consensus
     vector z^phi for phi = 1..S+1 (index 0 unused), i.e. the value at time
     boundaries[phi-1], with z^{S+1} taken at the end of the trace; x_at and
-    lam_at hold per-worker dictionaries at the same instants.
+    lam_at hold per-worker dictionaries at the same instants. Slots share
+    the x and lam arrays that did not change between them: read-only.
     """
-    K, edges_meta = _trace_dims(trace)
-    slices = _edge_slices(edges_meta)
-    z = np.asarray(trace.meta["z0"], dtype=float).copy()
-    x = {k: np.asarray(trace.meta["x0"][k - 1], dtype=float).copy() for k in range(1, K + 1)}
-    lam = {k: None for k in range(1, K + 1)}
+    x0, z, slices, _ = _trace_dims(trace)
+    x = dict(enumerate(x0, start=1))
+    lam = {k: None for k in x}
     times = list(assignment.boundaries) + [assignment.end_time]
-    z_at: list = [None] * (len(times) + 1)
-    x_at: list = [None] * (len(times) + 1)
-    lam_at: list = [None] * (len(times) + 1)
+    z_at, x_at, lam_at = ([None] * (len(times) + 1) for _ in range(3))
     events = [e for e in trace.events if e.kind in ("z_update", "compute_end")]
     pos = 0
     for phi, t in enumerate(times, start=1):
         while pos < len(events) and events[pos].time <= t:
             ev = events[pos]
-            if ev.kind == "z_update":
-                z[slices[int(ev.payload["edge"])]] = np.asarray(ev.payload["z"], dtype=float)
-            else:
-                x[ev.worker] = np.asarray(ev.payload["x"], dtype=float)
-                lam[ev.worker] = np.asarray(ev.payload["lam"], dtype=float)
+            try:
+                if ev.kind == "z_update":
+                    edge, value = ev.payload["edge"], np.asarray(ev.payload["z"], dtype=float)
+                    if edge not in range(len(slices)) or value.shape != z[slices[int(edge)]].shape:
+                        raise IndexError(f"edge {edge!r} of {len(slices)}, z of shape {value.shape}")
+                    z[slices[int(edge)]] = value
+                elif ev.worker not in x:
+                    raise IndexError(f"worker {ev.worker} is not one of {len(x)}")
+                else:
+                    x[ev.worker] = np.asarray(ev.payload["x"], dtype=float)
+                    lam[ev.worker] = np.asarray(ev.payload["lam"], dtype=float)
+            except (KeyError, TypeError, ValueError, IndexError) as err:
+                raise TraceError(f"malformed {ev.kind} event at t={ev.time}: {err}") from None
             pos += 1
         z_at[phi] = z.copy()
-        x_at[phi] = {k: v.copy() for k, v in x.items()}
-        lam_at[phi] = {k: (v.copy() if v is not None else None) for k, v in lam.items()}
+        x_at[phi] = dict(x)
+        lam_at[phi] = dict(lam)
     return z_at, x_at, lam_at
-
-
-def _region_block_norm2(z_a: Array, z_b: Array, worker: int, edges_meta, slices) -> float:
-    total = 0.0
-    for em, sl in zip(edges_meta, slices):
-        if worker in (int(em["k"]), int(em["l"])):
-            d = z_a[sl] - z_b[sl]
-            total += float(d @ d)
-    return total
 
 
 @dataclass
@@ -295,7 +288,9 @@ class StalenessBoundReport:
     holds_tight: bool
 
 
-def check_staleness_bound(trace: EventTrace, assignment: GlobalIterationAssignment) -> StalenessBoundReport:
+def check_staleness_bound(trace: EventTrace, assignment: GlobalIterationAssignment,
+                          snapshots: tuple | None = None,
+                          omega: int | None = None) -> StalenessBoundReport:
     """Consensus-staleness inequality over the whole trace.
 
     The staleness each updater saw, summed over all updates,
@@ -306,24 +301,28 @@ def check_staleness_bound(trace: EventTrace, assignment: GlobalIterationAssignme
     sum_phi ||z^{phi+1} - z^phi||^2. A tighter variant with factor
     (omega-1)^2 is also evaluated and reported alongside; the verdict uses
     the looser guaranteed factor. With omega = 1 the left side must vanish.
+    The :func:`slot_snapshots` and :func:`measure_omega` results are
+    computed here unless the caller passes them in.
     """
-    K, edges_meta = _trace_dims(trace)
-    slices = _edge_slices(edges_meta)
-    z_at, _, _ = slot_snapshots(trace, assignment)
+    *_, blocks = _trace_dims(trace)
+    z_at = (snapshots or slot_snapshots(trace, assignment))[0]
     S = assignment.num_slots
     lhs = 0.0
     for u in assignment.updates:
         nu, nu_bar = u.finish_slot, u.start_slot
         if nu < 1:
             continue
-        lhs += _region_block_norm2(
-            z_at[nu_bar + 1], z_at[nu], u.worker, edges_meta, slices
-        )
+        total = 0.0
+        for sl in blocks.get(u.worker, ()):
+            d = z_at[nu_bar + 1][sl] - z_at[nu][sl]
+            total += float(d @ d)
+        lhs += total
     movement = 0.0
     for phi in range(1, S + 1):
         d = z_at[phi + 1] - z_at[phi]
         movement += float(d @ d)
-    omega = measure_omega(assignment)
+    if omega is None:
+        omega = measure_omega(assignment)
     rhs_stated = 2.0 * (omega - 1) ** 2 * movement
     rhs_tight = 1.0 * (omega - 1) ** 2 * movement
     slack = 1e-9 * max(1.0, movement)
@@ -349,6 +348,7 @@ def check_lambda_bound(
     assignment: GlobalIterationAssignment,
     c_const: float,
     m1: float,
+    snapshots: tuple | None = None,
 ) -> list[LambdaBoundViolation]:
     """Per-slot multiplier movement bound ||lam^{nu+1} - lam^nu||^2 <=
     c m1^2 ||x^{nu+1} - x^nu||^2, checked for every updater of every slot.
@@ -359,24 +359,19 @@ def check_lambda_bound(
     relative slack because the bound is tight for quadratic objectives and
     the local solver leaves a stationarity residual of its own. Constants
     are user estimates, so violations are reported for inspection rather
-    than raised."""
-    _, x_at, lam_at = slot_snapshots(trace, assignment)
+    than raised. ``snapshots`` as for :func:`check_staleness_bound`."""
+    _, x_at, lam_at = snapshots or slot_snapshots(trace, assignment)
     out: list[LambdaBoundViolation] = []
     for u in assignment.updates:
         nu = u.finish_slot
         if nu < 1 or u.cycle == 0:
             continue
         k = u.worker
-        lam_after = lam_at[nu + 1][k]
-        lam_before = lam_at[nu][k]
-        x_after = x_at[nu + 1][k]
-        x_before = x_at[nu][k]
+        lam_after, lam_before = lam_at[nu + 1][k], lam_at[nu][k]
         if lam_after is None:
             continue
-        if lam_before is None:
-            lam_before = np.zeros_like(lam_after)
-        dl = lam_after - lam_before
-        dx = x_after - x_before
+        dl = lam_after - (lam_before if lam_before is not None else 0.0)
+        dx = x_at[nu + 1][k] - x_at[nu][k]
         lhs = float(dl @ dl)
         rhs = float(c_const * m1 * m1 * (dx @ dx))
         if lhs > rhs + 1e-5 * max(1.0, rhs):
@@ -539,10 +534,13 @@ def objective_gap(distributed_objective: float, centralized_objective: float) ->
 # trace well-formedness and the aggregate report
 
 
-def verify_trace_wellformed(trace: EventTrace) -> dict:
+def verify_trace_wellformed(trace: EventTrace,
+                            assignment: GlobalIterationAssignment | None = None) -> dict:
     """Structural checks: per-worker start/end alternation, every receive
-    matching an earlier send (same digest), causal timestamps."""
-    _worker_updates(trace)  # raises TraceError on broken alternation
+    matching an earlier send (same digest), causal timestamps. An assignment
+    built from the trace has already checked the alternation."""
+    if assignment is None:
+        _worker_updates(trace)  # raises TraceError on broken alternation
     sends: dict[str, TraceEvent] = {}
     receive_ok = True
     causal = True
@@ -602,8 +600,8 @@ def analyze_trace(
 ) -> dict:
     """Full diagnostic report over one trace, JSON-serialisable."""
     report: dict = {"status": trace.status, "end_time_ms": trace.end_time}
-    report["wellformed"] = verify_trace_wellformed(trace)
     assignment = assign_global_iterations(trace)
+    report["wellformed"] = verify_trace_wellformed(trace, assignment)
     omega = measure_omega(assignment)
     report["global_iterations"] = {
         "boundaries": assignment.boundaries,
@@ -614,7 +612,8 @@ def analyze_trace(
         "rules": verify_slicing_rules(assignment, trace),
     }
     report["omega"] = omega
-    staleness = check_staleness_bound(trace, assignment)
+    snapshots = slot_snapshots(trace, assignment)
+    staleness = check_staleness_bound(trace, assignment, snapshots, omega)
     report["staleness_bound"] = {
         "lhs": staleness.lhs,
         "rhs_stated": staleness.rhs_stated,
@@ -624,18 +623,19 @@ def analyze_trace(
         "omega": staleness.omega,
     }
     if constants is not None:
-        violations = check_lambda_bound(trace, assignment, constants.c, constants.m1)
-        rho = float(trace.meta.get("params", {}).get("rho", 0.0)) or 1.0
+        violations = check_lambda_bound(trace, assignment, constants.c, constants.m1,
+                                        snapshots)
+        try:
+            rho = float(trace.meta.get("params", {}).get("rho", 0.0)) or 1.0
+        except (AttributeError, TypeError, ValueError):
+            raise TraceError("trace metadata holds a malformed params.rho") from None
         consts_here = DiagnosticConstants(
             gamma=constants.gamma, m1=constants.m1, m2=constants.m2,
             c=constants.c, omega=omega,
         )
         rho_min, alpha_min = parameter_bounds(consts_here, rho)
         report["lambda_bound"] = {
-            "violations": [
-                {"slot": v.slot, "worker": v.worker, "lhs": v.lhs, "rhs": v.rhs}
-                for v in violations
-            ],
+            "violations": [vars(v) for v in violations],
             "num_violations": len(violations),
         }
         report["parameter_bounds"] = {

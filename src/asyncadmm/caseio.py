@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -258,56 +259,76 @@ def write_trace(trace: EventTrace, path) -> None:
             )
 
 
+def _interned_keys(pairs: list[tuple]) -> dict:
+    return {sys.intern(key): value for key, value in pairs}
+
+
+_decode_payload = json.JSONDecoder(object_pairs_hook=_interned_keys).decode
+
+
 def read_trace(path) -> EventTrace:
     """Inverse of :func:`write_trace`; corrupt input raises a located
-    :class:`ParseError` (line and byte offset)."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as err:
-        raise ParseError("trace is not valid UTF-8", offset=err.start) from None
-    offset = 0
-    lines = text.splitlines(keepends=True)
-    if not lines or not lines[0].startswith(_TRACE_HEADER + " "):
-        raise ParseError("missing trace header", line=1, offset=0)
-    try:
-        meta = json.loads(lines[0][len(_TRACE_HEADER) + 1:])
-    except json.JSONDecodeError as err:
-        raise ParseError(f"bad trace metadata: {err.msg}", line=1, offset=err.pos) from None
-    trace = EventTrace(meta=meta)
-    offset += len(lines[0].encode("utf-8"))
+    :class:`ParseError` (line and byte offset). The file is read one line at
+    a time and the payloads share their key strings, so a trace held in
+    memory costs little beyond its events."""
+    trace = None
     saw_end = False
-    for line_no, raw in enumerate(lines[1:], start=2):
-        line = raw.rstrip("\n")
-        if not line:
-            offset += len(raw.encode("utf-8"))
-            continue
-        parts = line.split(" ", 5)
-        if len(parts) != 6:
-            raise ParseError("malformed event record", line=line_no, offset=offset)
-        kind, worker_s, iter_s, time_s, digest, payload_s = parts
-        try:
-            worker = int(worker_s)
-            local_iter = int(iter_s)
-            time = float(time_s)
-            payload = json.loads(payload_s)
-        except (ValueError, json.JSONDecodeError):
-            raise ParseError("malformed event record", line=line_no, offset=offset) from None
-        trace.events.append(TraceEvent(kind, worker, local_iter, time, payload, digest))
-        if kind == "end":
-            saw_end = True
-            trace.status = payload.get("status", "incomplete")
-            trace.end_time = time
-        elif kind == "final":
+    offset = line_no = 0
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").rstrip("\n")
+            except UnicodeDecodeError as err:
+                raise ParseError("trace is not valid UTF-8", offset=offset + err.start) from None
+            if trace is None:
+                if not line.startswith(_TRACE_HEADER + " "):
+                    raise ParseError("missing trace header", line=1, offset=0)
+                try:
+                    trace = EventTrace(meta=json.loads(line[len(_TRACE_HEADER) + 1:]))
+                except json.JSONDecodeError as err:
+                    raise ParseError(f"bad trace metadata: {err.msg}", line=1,
+                                     offset=err.pos) from None
+            elif line:
+                saw_end |= _read_event(trace, line, line_no, offset)
+            offset += len(raw)
+    if trace is None:
+        raise ParseError("missing trace header", line=1, offset=0)
+    if not saw_end:
+        raise ParseError("truncated trace: no end record", line=line_no, offset=offset)
+    return trace
+
+
+def _read_event(trace: EventTrace, line: str, line_no: int, offset: int) -> bool:
+    """Append one event record to ``trace``; True for the end record."""
+    parts = line.split(" ", 5)
+    if len(parts) != 6:
+        raise ParseError("malformed event record", line=line_no, offset=offset)
+    kind, worker_s, iter_s, time_s, digest, payload_s = parts
+    try:
+        worker = int(worker_s)
+        local_iter = int(iter_s)
+        time = float(time_s)
+        payload = _decode_payload(payload_s)
+    except (ValueError, json.JSONDecodeError):
+        raise ParseError("malformed event record", line=line_no, offset=offset) from None
+    if not math.isfinite(time):
+        raise ParseError(f"non-finite event time {time_s!r}", line=line_no, offset=offset)
+    if not isinstance(payload, dict):
+        raise ParseError("event payload is not a JSON object", line=line_no, offset=offset)
+    kind = sys.intern(kind)
+    trace.events.append(TraceEvent(kind, worker, local_iter, time, payload, digest))
+    if kind == "end":
+        trace.status = payload.get("status", "incomplete")
+        trace.end_time = time
+    try:
+        if kind == "final":
             trace.final_x.append(payload["x"])
             trace.final_lam.append(payload["lam"])
         elif kind == "final_z":
             trace.final_z = np.asarray(payload["z"], dtype=float)
-        offset += len(raw.encode("utf-8"))
-    if not saw_end:
-        raise ParseError("truncated trace: no end record", line=len(lines), offset=offset)
-    return trace
+    except (KeyError, TypeError, ValueError):
+        raise ParseError(f"malformed {kind} record", line=line_no, offset=offset) from None
+    return kind == "end"
 
 
 def write_results(rows, path) -> None:

@@ -309,6 +309,8 @@ def _resolve_problem(config: RunConfig):
 
 def problem_from_descriptor(descriptor: dict):
     """Rebuild the problem a trace was produced from, if it is embedded."""
+    if not isinstance(descriptor, dict):
+        raise ValueError(f"problem descriptor is a {type(descriptor).__name__}, not an object")
     kind = descriptor.get("kind")
     if kind == "toy_consensus":
         return make_toy_consensus(descriptor["targets"]), None
@@ -478,9 +480,11 @@ def cmd_analyze(args) -> int:
         except ValueError as err:
             print(f"error: {err}", file=sys.stderr)
             return 1
+    # malformed metadata other than the descriptor is reported by the analysis
+    meta = trace.meta if isinstance(trace.meta, dict) else {}
     try:
-        problem, _ = problem_from_descriptor(trace.meta.get("problem", {}))
-    except (caseio.ParseError, opf.BuildError, ValueError) as err:
+        problem, _ = problem_from_descriptor(meta.get("problem", {}))
+    except (caseio.ParseError, opf.BuildError, KeyError, TypeError, ValueError) as err:
         print(f"error: embedded problem does not rebuild: {err}", file=sys.stderr)
         return 1
     try:

@@ -138,7 +138,7 @@ def payload_digest(payload: dict) -> str:
     return hashlib.sha256(_canonical(payload).encode()).hexdigest()[:12]
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceEvent:
     """One simulator event: kind, worker, the worker's local iteration at the
     time, the virtual timestamp, a digest of the payload, and the payload."""

@@ -2,8 +2,10 @@ from pathlib import Path
 
 import pytest
 
-from asyncadmm import caseio
+from asyncadmm import analysis, caseio
 from asyncadmm.engine import EventTrace, TraceEvent
+
+import reference_analysis as reference
 
 CASES_DIR = Path(__file__).resolve().parent.parent / "cases"
 
@@ -94,3 +96,17 @@ def staggered_trace() -> EventTrace:
 STAGGERED_BOUNDARIES = [0.0, 5.0, 6.0, 9.0]
 STAGGERED_MEMBERSHIP = {1: {1, 2, 3}, 2: {1, 2}, 3: {1, 2}, 4: {1, 3}}
 STAGGERED_OMEGA = 3
+
+
+def assert_slicing_matches_reference(trace: EventTrace) -> None:
+    """The slicing, omega and rule verdicts of ``asyncadmm.analysis`` equal
+    those of the quadratic reference implementation on ``trace``."""
+    new = analysis.assign_global_iterations(trace)
+    old = reference.assign_global_iterations(trace)
+    assert new.boundaries == old.boundaries
+    assert [(u.worker, u.cycle, u.start_slot, u.finish_slot) for u in new.updates] == \
+        [(u.worker, u.cycle, u.start_slot, u.finish_slot) for u in old.updates]
+    assert new.membership == old.membership
+    assert analysis.measure_omega(new) == reference.measure_omega(old)
+    assert analysis.verify_slicing_rules(new, trace) == \
+        reference.verify_slicing_rules(old, trace)

@@ -221,3 +221,53 @@ class TestFuzz:
             parse_partition(text, case)
         except ParseError:
             pass
+
+
+class TestTraceRecords:
+    def rewrite(self, tmp_path, edit, kind=None):
+        """Write a short trace with one record edited: the third event, or
+        the first of ``kind``; returns the path, the line and its offset."""
+        result = run(make_toy_consensus([0.0, 2.0]), AdmmParams(rho=5.0), DelayModel(seed=0),
+                     StoppingRule(tol=1e-3, max_local_iters=50))
+        path = tmp_path / "trace.log"
+        caseio.write_trace(result.trace, path)
+        lines = path.read_text().splitlines(keepends=True)
+        i = 3 if kind is None else next(i for i, line in enumerate(lines)
+                                         if line.startswith(kind + " "))
+        lines[i] = edit(lines[i])
+        path.write_text("".join(lines))
+        return path, i + 1, sum(len(line.encode()) for line in lines[:i])
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_event_time_located(self, tmp_path, value):
+        def set_time(line):
+            fields = line.split(" ", 5)
+            fields[3] = value
+            return " ".join(fields)
+
+        path, line, offset = self.rewrite(tmp_path, set_time)
+        with pytest.raises(ParseError, match="non-finite") as err:
+            caseio.read_trace(path)
+        assert (err.value.line, err.value.offset) == (line, offset)
+
+    def test_payload_must_be_an_object(self, tmp_path):
+        path, line, offset = self.rewrite(tmp_path, lambda s: s.split(" {", 1)[0] + " [1]\n")
+        with pytest.raises(ParseError, match="not a JSON object") as err:
+            caseio.read_trace(path)
+        assert (err.value.line, err.value.offset) == (line, offset)
+
+    def test_invalid_utf8_located(self, tmp_path):
+        path, _, offset = self.rewrite(tmp_path, lambda s: s)
+        data = path.read_bytes()
+        path.write_bytes(data[:offset + 5] + b"\xff" + data[offset + 5:])
+        with pytest.raises(ParseError, match="UTF-8") as err:
+            caseio.read_trace(path)
+        assert err.value.offset == offset + 5
+
+    @pytest.mark.parametrize("kind", ["final", "final_z"])
+    def test_final_record_without_state_located(self, tmp_path, kind):
+        path, line, offset = self.rewrite(tmp_path, lambda s: s.split(" {", 1)[0] + " {}\n",
+                                          kind=kind)
+        with pytest.raises(ParseError, match=f"malformed {kind} record") as err:
+            caseio.read_trace(path)
+        assert (err.value.line, err.value.offset) == (line, offset)

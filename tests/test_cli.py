@@ -7,6 +7,8 @@ from asyncadmm import analysis, caseio, opf
 from asyncadmm.cli import ConfigError, build_run_config, main, parse_config_text
 from asyncadmm.localsolver import SolveError
 
+from conftest import CASES_DIR
+
 TOY_CONFIG = """
 problem = toy_consensus
 targets = 0, 2
@@ -299,3 +301,65 @@ outdir = {tmp_path / 'net'}
         report = json.loads(out.read_text())
         assert "kkt" in report and len(report["kkt"]["primal"]) == 2
         assert report["staleness_bound"]["holds"] is True
+
+
+def _drop_meta_key(key):
+    def edit(meta, events):
+        del meta[key]
+        return meta, events
+    return edit
+
+
+def _set_meta_key(key, value):
+    def edit(meta, events):
+        meta[key] = value
+        return meta, events
+    return edit
+
+
+def _edge_out_of_range(meta, events):
+    return meta, [line.replace('"edge": 0,', '"edge": 7,') for line in events]
+
+
+class TestMalformedTraceAnalysis:
+    """A trace that parses but cannot be analysed ends ``analyze`` with
+    exit code 1 and one ``error:`` line, never a traceback."""
+
+    @pytest.mark.parametrize("edit", [
+        lambda meta, events: ([meta], events),  # metadata is a JSON list
+        _set_meta_key("problem", "toy_consensus"),
+        _drop_meta_key("x0"),
+        _set_meta_key("z0", []),  # shorter than the edge dimensions
+        _edge_out_of_range,
+        _set_meta_key("params", ["rho", 5.0]),
+    ], ids=["list-metadata", "string-problem", "missing-x0", "short-z0", "edge-out-of-range",
+            "list-params"])
+    def test_one_error_line(self, tmp_path, capsys, edit):
+        cfg = write_config(tmp_path, TOY_CONFIG + f"outdir = {tmp_path / 'out'}\n")
+        assert main(["run", str(cfg)]) == 0
+        header, *events = (tmp_path / "out" / "trace.log").read_text().splitlines(keepends=True)
+        tag, meta_text = header.split(" ", 1)
+        meta, events = edit(json.loads(meta_text), events)
+        bad = tmp_path / "bad.log"
+        bad.write_text(f"{tag} {json.dumps(meta)}\n" + "".join(events))
+        capsys.readouterr()
+        assert main(["analyze", str(bad), "--gamma", "2", "--m1", "2", "--m2", "1",
+                     "--c", "1"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize("config", ["toy_sync", "ring5_async", "nine_sync"])
+def test_analyze_reproduces_run_report(tmp_path, config):
+    # diagnostics.json adds the wall time and the baseline to the report
+    # that analyze recomputes from trace.log alone
+    out = tmp_path / config
+    cfg = CASES_DIR / f"{config}.cfg"
+    assert main(["run", str(cfg), "--set", f"outdir={out}"]) == 0
+    tol = build_run_config(parse_config_text(cfg.read_text())).tol
+    assert main(["analyze", str(out / "trace.log"), "--tol", repr(tol),
+                 "--out", str(out / "analyze.json")]) == 0
+    run_report = json.loads((out / "diagnostics.json").read_text())
+    for key in ("wall_time_s", "baseline"):
+        run_report.pop(key, None)
+    assert json.loads((out / "analyze.json").read_text()) == run_report

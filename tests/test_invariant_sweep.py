@@ -2,7 +2,8 @@
 topology, threshold, proximal weight or delay pattern (including heavy
 timestamp ties and message reordering), must produce a well-formed trace
 whose slicing rules, delay-window bookkeeping and staleness bound all hold,
-and must reach the consensus optimum."""
+must reach the consensus optimum, and whose slicing must equal that of the
+quadratic reference implementation."""
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from asyncadmm.analysis import (
 from asyncadmm.engine import DelayModel, DelaySpec, StoppingRule, run
 from asyncadmm.kernel import AdmmParams
 from asyncadmm.problem import make_toy_consensus
+
+from conftest import assert_slicing_matches_reference
 
 DELAY_PATTERNS = {
     "tied": DelayModel(compute=DelaySpec.constant(1.0), link=DelaySpec.constant(1.0), seed=1),
@@ -46,6 +49,7 @@ def test_invariants_hold(num_regions, p, alpha, pattern):
     for u in assignment.updates:
         assert max(u.finish_slot - omega, 0) <= u.start_slot < u.finish_slot
     assert check_staleness_bound(res.trace, assignment).holds
+    assert_slicing_matches_reference(res.trace)
     mean = float(np.mean(targets))
     for s in res.states:
         assert abs(float(s.x[0]) - mean) < 5e-2
