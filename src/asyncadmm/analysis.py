@@ -592,6 +592,29 @@ def timing_from_trace(trace: EventTrace) -> dict[int, dict]:
     return out
 
 
+def _final_state(trace: EventTrace, problem: PartitionedProblem):
+    """The final x, lam per region and z from the trace's ``final`` and
+    ``final_z`` records, checked against the problem's dimensions."""
+    K = problem.num_regions
+    if len(trace.final_x) != K or len(trace.final_lam) != K:
+        raise TraceError(f"trace holds {len(trace.final_x)} final records for {K} regions")
+    try:
+        x_all = [np.asarray(v, dtype=float) for v in trace.final_x]
+        lam_all = [np.asarray(v, dtype=float) for v in trace.final_lam]
+        z = np.asarray(trace.final_z, dtype=float)
+    except (TypeError, ValueError) as err:
+        raise TraceError(f"trace holds a non-numeric final state: {err}") from None
+    for k, region, x, lam in zip(range(1, K + 1), problem.regions, x_all, lam_all):
+        if x.shape != (region.dim_x,) or lam.shape != (region.boundary_rows,):
+            raise TraceError(f"final record {k} holds x of shape {x.shape} and lam of shape "
+                             f"{lam.shape}, region {k} needs ({region.dim_x},) and "
+                             f"({region.boundary_rows},)")
+    if z.shape != (problem.boundary_dim,):
+        raise TraceError(f"final z has shape {z.shape}, the problem needs "
+                         f"({problem.boundary_dim},)")
+    return x_all, lam_all, z
+
+
 def analyze_trace(
     trace: EventTrace,
     problem: PartitionedProblem | None = None,
@@ -646,10 +669,8 @@ def analyze_trace(
             "alpha_zero_admissible": alpha_min <= 0.0,
         }
     if problem is not None and trace.final_z is not None and trace.final_x:
-        x_all = [np.asarray(v, dtype=float) for v in trace.final_x]
-        lam_all = [np.asarray(v, dtype=float) for v in trace.final_lam]
-        kkt = check_kkt(problem, x_all, np.asarray(trace.final_z, dtype=float),
-                        lam_all, tol=kkt_tol)
+        x_all, lam_all, z_final = _final_state(trace, problem)
+        kkt = check_kkt(problem, x_all, z_final, lam_all, tol=kkt_tol)
         report["kkt"] = {
             "stationarity": kkt.stationarity,
             "multiplier_consistency": kkt.multiplier,

@@ -43,10 +43,11 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +55,13 @@ import numpy as np
 from . import analysis, caseio, engine, opf
 from .kernel import AdmmParams
 from .localsolver import SolveError, SolverConfig
-from .problem import PartitionedProblem, flat_start, make_nonconvex_toy, make_toy_consensus
+from .problem import (
+    NONCONVEX_TOY_BOUND,
+    PartitionedProblem,
+    flat_start,
+    make_nonconvex_toy,
+    make_toy_consensus,
+)
 
 log = logging.getLogger("asyncadmm")
 
@@ -248,32 +255,25 @@ def build_run_config(entries: dict[str, tuple[str, int]]) -> RunConfig:
 # problem resolution
 
 
-def toy_centralized_optimum(problem: PartitionedProblem) -> tuple[float, float]:
-    """Scalar consensus optimum of a toy instance by grid search plus a
-    parabolic refinement; returns (argmin, value)."""
-    lo = max(float(r.lower[0]) for r in problem.regions)
-    hi = min(float(r.upper[0]) for r in problem.regions)
-    if not np.isfinite(lo):
-        lo = -10.0
-    if not np.isfinite(hi):
-        hi = 10.0
-    xs = np.linspace(lo, hi, 200001)
-    vals = np.zeros_like(xs)
-    for r in problem.regions:
-        vals += np.array([r.objective(np.array([v])) for v in xs])
-    i = int(np.argmin(vals))
-    step = xs[1] - xs[0]
-    a, b = max(xs[i] - step, lo), min(xs[i] + step, hi)
-    for _ in range(60):  # golden-free ternary refinement
-        m1, m2 = a + (b - a) / 3, b - (b - a) / 3
-        f1 = sum(r.objective(np.array([m1])) for r in problem.regions)
-        f2 = sum(r.objective(np.array([m2])) for r in problem.regions)
-        if f1 < f2:
-            b = m2
-        else:
-            a = m1
-    v = 0.5 * (a + b)
-    return float(v), float(sum(r.objective(np.array([v])) for r in problem.regions))
+def toy_centralized_optimum(problem: PartitionedProblem, descriptor: dict) -> tuple[float, float]:
+    """Consensus optimum of a toy instance in closed form; returns (argmin,
+    value).
+
+    The consensus toy's sum of (x - c_k)^2 is least at the mean of the
+    targets. The non-convex toy's (x^2 - 1)^2 + (x - 0.5)^2 is least at a real
+    root of its derivative 4x^3 - 2x - 1 inside the box or at a box end.
+    """
+    if descriptor["kind"] == "toy_consensus":
+        targets = [float(c) for c in descriptor["targets"]]
+        candidates = [math.fsum(targets) / len(targets)]
+    else:
+        b = NONCONVEX_TOY_BOUND
+        roots = np.roots([4.0, 0.0, -2.0, -1.0])
+        candidates = [float(r.real) for r in roots
+                      if abs(r.imag) <= 1e-12 and -b <= r.real <= b] + [-b, b]
+    K = problem.num_regions
+    value, best = min((problem.total_objective([np.array([v])] * K), v) for v in candidates)
+    return best, value
 
 
 def _resolve_problem(config: RunConfig):
@@ -328,13 +328,13 @@ def problem_from_descriptor(descriptor: dict):
     return None, None
 
 
-def _start_vectors(config: RunConfig, problem, layout):
+def _start_vectors(config: RunConfig, problem, layout, descriptor):
     if config.start == "flat":
         return [flat_start(problem.region(k)) for k in range(1, problem.num_regions + 1)]
     if layout is not None:
         return opf.warm_start(layout.case, layout)
     # toy warm start: centralized optimum nudged by ten percent
-    v, _ = toy_centralized_optimum(problem)
+    v, _ = toy_centralized_optimum(problem, descriptor)
     nudge = v * 1.1 if v != 0.0 else 0.1
     return [np.array([nudge]) for _ in range(problem.num_regions)]
 
@@ -358,7 +358,7 @@ def cmd_run(args) -> int:
             entries[key.strip()] = (value.strip(), None)
         config = build_run_config(entries)
         problem, layout, descriptor = _resolve_problem(config)
-        x0 = _start_vectors(config, problem, layout)
+        x0 = _start_vectors(config, problem, layout, descriptor)
     except (ConfigError, caseio.ParseError, opf.BuildError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
@@ -411,7 +411,7 @@ def cmd_run(args) -> int:
                 "gap_absolute": gap.absolute,
             }
         else:
-            _, best = toy_centralized_optimum(problem)
+            _, best = toy_centralized_optimum(problem, descriptor)
             gap = analysis.objective_gap(problem.total_objective(result.x), best)
             report["baseline"] = {
                 "centralized_objective": best,

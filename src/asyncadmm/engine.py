@@ -426,7 +426,6 @@ class _Simulator:
         self.snapshot_prev[k - 1] = state.z.copy()
         state.local_iter += 1
         self.cycles_closed += 1
-        state.last_update_global_iter = self.cycles_closed
         self._record_iteration(t)
         if self._global_stop():
             self.status = "converged"

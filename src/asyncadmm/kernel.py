@@ -61,7 +61,6 @@ class WorkerState:
     z: Array
     ax: Array
     local_iter: int = 0
-    last_update_global_iter: int = -1
     residue: float | None = None
     constraint_violation: float = 0.0
 

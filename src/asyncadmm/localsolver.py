@@ -9,8 +9,11 @@ f + y^T h + (mu/2)|h|^2 is the clamped objective curvature plus
 mu J^T J (Gauss-Newton). A region that supplies
 ``RegionSpec.equality_hessian`` also gets the constraint curvature
 sum_i w_i Hessian(h_i) at w = y + mu h, which makes the model the exact
-Hessian on the constraint side. Everything is deterministic: identical
-inputs produce bitwise-identical outputs.
+Hessian on the constraint side. The equality residual h and its Jacobian J
+are evaluated once per iterate: the line search's h at the accepted trial
+point is reused by the gradient, the Newton model and the stage-end
+residual. Everything is deterministic: identical inputs produce
+bitwise-identical outputs.
 """
 
 from __future__ import annotations
@@ -80,6 +83,33 @@ class SolveError(RuntimeError):
         self.best_x = best_x
         self.grad_norm = grad_norm
         self.constraint_norm = constraint_norm
+
+
+class _LastPoint:
+    """h(x) and J(x) at the most recently asked-for x, keyed on the exact
+    bytes of x (so -0.0 and 0.0 are different points)."""
+
+    def __init__(self, h_fun, jac):
+        self._h_fun, self._jac = h_fun, jac
+        self._key = None
+        self._h = self._J = None
+
+    def _move_to(self, x: Array) -> None:
+        key = x.tobytes()
+        if key != self._key:
+            self._key, self._h, self._J = key, None, None
+
+    def h(self, x: Array) -> Array:
+        self._move_to(x)
+        if self._h is None:
+            self._h = np.asarray(self._h_fun(x), dtype=float)
+        return self._h
+
+    def J(self, x: Array) -> Array:
+        self._move_to(x)
+        if self._J is None:
+            self._J = np.asarray(self._jac(x), dtype=float)
+        return self._J
 
 
 def _projected_gradient_norm(x: Array, g: Array, lo: Array, hi: Array) -> float:
@@ -279,8 +309,7 @@ def solve_local(
         return SolveResult(x, pgn, 0.0, 1, it, np.zeros(0),
                            penalty=0.0, at_numeric_floor=stalled)
 
-    h_fun = region.equality
-    jac = region.equality_jacobian
+    at = _LastPoint(region.equality, region.equality_jacobian)
     eq_hess = region.equality_hessian
     y = (np.asarray(eq_multipliers, dtype=float).copy()
          if eq_multipliers is not None else np.zeros(region.eq_dim))
@@ -295,24 +324,23 @@ def solve_local(
     for outer in range(1, config.max_iters + 1):
 
         def al_value(xv, y=y, mu=mu):
-            h = np.asarray(h_fun(xv), dtype=float)
+            h = at.h(xv)
             return phi(xv) + float(y @ h) + 0.5 * mu * float(h @ h)
 
         def al_grad(xv, y=y, mu=mu):
-            h = np.asarray(h_fun(xv), dtype=float)
-            return phi_grad(xv) + np.asarray(jac(xv), dtype=float).T @ (y + mu * h)
+            return phi_grad(xv) + at.J(xv).T @ (y + mu * at.h(xv))
 
         def al_hess(xv, y=y, mu=mu):
             # Gauss-Newton part mu J^T J, plus the constraint curvature at the
             # first-order multiplier estimate y + mu h when the region has it
-            J = np.asarray(jac(xv), dtype=float)
+            J = at.J(xv)
             H = phi_hess(xv) + mu * (J.T @ J)
             if eq_hess is not None:
-                w = y + mu * np.asarray(h_fun(xv), dtype=float)
+                w = y + mu * at.h(xv)
                 H = H + np.asarray(eq_hess(xv, w), dtype=float)
             return H
 
-        J0 = np.asarray(jac(x), dtype=float)
+        J0 = at.J(x)
         metric = phi_hess_diag(x) + mu * np.sum(J0 * J0, axis=0)
         start_val = al_value(x)
         x, end_val, g, pgn, it, stalled = _pg_minimize(
@@ -321,7 +349,7 @@ def solve_local(
         )
         merit_path.append((start_val, end_val))
         total_inner += it
-        h = np.asarray(h_fun(x), dtype=float)
+        h = at.h(x)
         hnorm = float(np.max(np.abs(h), initial=0.0))
         if hnorm < best[0]:
             best = (hnorm, x.copy(), pgn)

@@ -397,37 +397,42 @@ def _region_functions(case: OpfCase, layout: RegionLayout, Y: Array):
     a = np.array([case.generators[g].cost_a for g in layout.gen_indices])
     b_lin = np.array([case.generators[g].cost_b for g in layout.gen_indices])
     c_const = float(sum(case.generators[g].cost_c for g in layout.gen_indices))
+    dim = layout.dim
     e_sl, f_sl, u_sl = layout.e_slice(), layout.f_slice(), layout.u_slice()
     p_sl, q_sl = layout.p_slice(), layout.q_slice()
     ed_sl, fd_sl = layout.e_dup_slice(), layout.f_dup_slice()
 
+    # local bus order is [own | dup]; ef_cols lists the e then the f columns
+    own = np.arange(n_own)
+    own_e, own_f = e_sl.start + own, f_sl.start + own
+    e_loc = np.concatenate([own_e, np.arange(ed_sl.start, ed_sl.stop)])
+    f_loc = np.concatenate([own_f, np.arange(fd_sl.start, fd_sl.stop)])
+    ef_cols = np.concatenate([e_loc, f_loc])
+    Yconj = np.conj(Yloc)
+
     def local_voltage(x):
-        e = np.concatenate([x[e_sl], x[ed_sl]])
-        f = np.concatenate([x[f_sl], x[fd_sl]])
-        return e + 1j * f
+        return x[e_loc] + 1j * x[f_loc]
 
     def objective(x) -> float:
         p_mw = x[p_sl] * base
         return float(np.sum(a * p_mw * p_mw + b_lin * p_mw) + c_const)
 
     def gradient(x) -> Array:
-        g = np.zeros(layout.dim)
+        g = np.zeros(dim)
         p_mw = x[p_sl] * base
         g[p_sl] = (2.0 * a * p_mw + b_lin) * base
         return g
 
     def hessian_diag(x) -> Array:
-        d = np.zeros(layout.dim)
+        d = np.zeros(dim)
         d[p_sl] = 2.0 * a * base * base
         return d
 
     def equality(x) -> Array:
         V = local_voltage(x)
         I = Yloc @ V
-        p_bus = np.zeros(n_own)
-        q_bus = np.zeros(n_own)
-        np.add.at(p_bus, gen_pos, x[p_sl])
-        np.add.at(q_bus, gen_pos, x[q_sl])
+        p_bus = np.bincount(gen_pos, weights=x[p_sl], minlength=n_own)
+        q_bus = np.bincount(gen_pos, weights=x[q_sl], minlength=n_own)
         S = (p_bus - p_load) + 1j * (q_bus - q_load)
         mism = S - V[:n_own] * np.conj(I)
         u_gap = x[e_sl] ** 2 + x[f_sl] ** 2 - x[u_sl]
@@ -441,11 +446,6 @@ def _region_functions(case: OpfCase, layout: RegionLayout, Y: Array):
     # C the Hermitian part of N^T that is -[e; f]^T [[Re C, -Im C],
     # [Im C, Re C]] [e; f]. The u rows add 2 w_u on the owned e and f.
     n_loc = n_own + n_dup
-    ef_cols = np.r_[np.arange(e_sl.start, e_sl.stop), np.arange(ed_sl.start, ed_sl.stop),
-                    np.arange(f_sl.start, f_sl.stop), np.arange(fd_sl.start, fd_sl.stop)]
-    own_e = np.arange(e_sl.start, e_sl.stop)
-    own_f = np.arange(f_sl.start, f_sl.stop)
-    Yconj = np.conj(Yloc)
 
     def equality_hessian(x, w) -> Array:
         w = np.asarray(w, dtype=float)
@@ -453,7 +453,7 @@ def _region_functions(case: OpfCase, layout: RegionLayout, Y: Array):
         N = np.zeros((n_loc, n_loc), dtype=complex)
         N[:n_own] = np.conj(wt)[:, None] * Yconj
         C = 0.5 * (N.T + np.conj(N))
-        H = np.zeros((layout.dim, layout.dim))
+        H = np.zeros((dim, dim))
         H[np.ix_(ef_cols, ef_cols)] = -2.0 * np.block([[C.real, -C.imag],
                                                        [C.imag, C.real]])
         w_u = 2.0 * w[2 * n_own:]
@@ -461,33 +461,34 @@ def _region_functions(case: OpfCase, layout: RegionLayout, Y: Array):
         H[own_f, own_f] += w_u
         return H
 
+    # the x-independent part of the Jacobian: the generator P and Q entries
+    # of the balance rows and the -1 on u in the u rows
+    diag = (own, own)
+    u_rows = 2 * n_own + own
+    J_const = np.zeros((3 * n_own, dim))
+    for j, pos in enumerate(gen_pos):
+        J_const[pos, p_sl.start + j] = 1.0
+        J_const[n_own + pos, q_sl.start + j] = 1.0
+    J_const[u_rows, u_sl.start + own] = -1.0
+    re, im = slice(0, n_own), slice(n_own, 2 * n_own)
+
     def jacobian(x) -> Array:
         V = local_voltage(x)
         I = Yloc @ V
         Vown = V[:n_own]
         # d(V_i conj(I_i))/de_m = delta_im conj(I_i) + V_i conj(Y_im)
-        dV = np.conj(Yloc) * Vown[:, None]
+        dV = Yconj * Vown[:, None]
+        conj_I = np.conj(I)
         dSdE = dV.copy()
-        dSdE[np.arange(n_own), np.arange(n_own)] += np.conj(I)
+        dSdE[diag] += conj_I
         dSdF = -1j * dV
-        dSdF[np.arange(n_own), np.arange(n_own)] += 1j * np.conj(I)
-        J = np.zeros((3 * n_own, layout.dim))
-        re, im, uu = slice(0, n_own), slice(n_own, 2 * n_own), slice(2 * n_own, 3 * n_own)
-        J[re, e_sl] = -dSdE.real[:, :n_own]
-        J[re, ed_sl] = -dSdE.real[:, n_own:]
-        J[re, f_sl] = -dSdF.real[:, :n_own]
-        J[re, fd_sl] = -dSdF.real[:, n_own:]
-        J[im, e_sl] = -dSdE.imag[:, :n_own]
-        J[im, ed_sl] = -dSdE.imag[:, n_own:]
-        J[im, f_sl] = -dSdF.imag[:, :n_own]
-        J[im, fd_sl] = -dSdF.imag[:, n_own:]
-        for j, pos in enumerate(gen_pos):
-            J[pos, p_sl.start + j] = 1.0
-            J[n_own + pos, q_sl.start + j] = 1.0
-        rng = np.arange(n_own)
-        J[uu.start + rng, e_sl.start + rng] = 2.0 * x[e_sl]
-        J[uu.start + rng, f_sl.start + rng] = 2.0 * x[f_sl]
-        J[uu.start + rng, u_sl.start + rng] = -1.0
+        dSdF[diag] += 1j * conj_I
+        J = J_const.copy()
+        dS = np.concatenate([dSdE, dSdF], axis=1)
+        J[re, ef_cols] = -dS.real
+        J[im, ef_cols] = -dS.imag
+        J[u_rows, own_e] = 2.0 * x[e_sl]
+        J[u_rows, own_f] = 2.0 * x[f_sl]
         return J
 
     return objective, gradient, equality, jacobian, hessian_diag, equality_hessian

@@ -1,11 +1,19 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from asyncadmm import analysis, caseio, opf
-from asyncadmm.cli import ConfigError, build_run_config, main, parse_config_text
+from asyncadmm.cli import (
+    ConfigError,
+    build_run_config,
+    main,
+    parse_config_text,
+    toy_centralized_optimum,
+)
 from asyncadmm.localsolver import SolveError
+from asyncadmm.problem import make_nonconvex_toy, make_toy_consensus, nonconvex_toy_minimum
 
 from conftest import CASES_DIR
 
@@ -138,9 +146,9 @@ class TestRunCommand:
         )
         assert main(["run", str(cfg)]) == 0
         trace = caseio.read_trace(tmp_path / "warm" / "trace.log")
-        # centralized optimum 1.0 nudged by ten percent
+        # centralized optimum 1.0 (exact) nudged by ten percent
         for x0 in trace.meta["x0"]:
-            assert x0[0] == pytest.approx(1.1, abs=1e-3)
+            assert x0[0] == 1.1
 
     def test_opf_warm_start(self, tmp_path):
         cfg = write_config(tmp_path, f"""
@@ -215,6 +223,27 @@ outdir = {tmp_path / 'opf'}
         assert (tmp_path / "out" / "trace.log").exists()
         assert (tmp_path / "out" / "convergence.csv").exists()
         assert not (tmp_path / "out" / "diagnostics.json").exists()
+
+
+class TestToyReference:
+    def test_consensus_optimum_is_the_mean_of_unbounded_targets(self, tmp_path):
+        problem = make_toy_consensus([20.0, 30.0])
+        descriptor = {"kind": "toy_consensus", "targets": [20.0, 30.0]}
+        assert toy_centralized_optimum(problem, descriptor) == (25.0, 50.0)
+        cfg = write_config(tmp_path, TOY_CONFIG.replace("targets = 0, 2", "targets = 20, 30")
+                           + f"baseline = true\noutdir = {tmp_path / 'out'}\n")
+        assert main(["run", str(cfg)]) == 0
+        report = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
+        assert report["baseline"]["centralized_objective"] == 50.0
+
+    def test_nonconvex_optimum_agrees_with_grid_search(self):
+        step = 1e-4
+        grid_x, grid_value = nonconvex_toy_minimum(step)
+        x, value = toy_centralized_optimum(make_nonconvex_toy(), {"kind": "nonconvex_toy"})
+        assert abs(x - grid_x) <= step
+        assert value <= grid_value
+        # a stationary point of (x^2 - 1)^2 + (x - 0.5)^2
+        assert abs(4.0 * x**3 - 2.0 * x - 1.0) <= 1e-12
 
 
 class TestBoundsCommand:
@@ -317,6 +346,26 @@ def _set_meta_key(key, value):
     return edit
 
 
+def _set_final_key(worker, key, value):
+    def edit(meta, events):
+        out = []
+        for line in events:
+            if line.startswith(f"final {worker} "):
+                *head, payload = line.split(" ", 5)
+                payload = json.loads(payload)
+                payload[key] = value
+                line = " ".join(head) + " " + json.dumps(payload) + "\n"
+            out.append(line)
+        return meta, out
+    return edit
+
+
+def _drop_final_record(worker):
+    def edit(meta, events):
+        return meta, [line for line in events if not line.startswith(f"final {worker} ")]
+    return edit
+
+
 def _edge_out_of_range(meta, events):
     return meta, [line.replace('"edge": 0,', '"edge": 7,') for line in events]
 
@@ -332,8 +381,11 @@ class TestMalformedTraceAnalysis:
         _set_meta_key("z0", []),  # shorter than the edge dimensions
         _edge_out_of_range,
         _set_meta_key("params", ["rho", 5.0]),
+        _set_final_key(2, "x", [1.0, 2.0]),  # x longer than region 2's
+        _set_final_key(2, "lam", []),  # lam shorter than region 2's boundary
+        _drop_final_record(2),  # fewer final records than regions
     ], ids=["list-metadata", "string-problem", "missing-x0", "short-z0", "edge-out-of-range",
-            "list-params"])
+            "list-params", "long-final-x", "short-final-lam", "missing-final"])
     def test_one_error_line(self, tmp_path, capsys, edit):
         cfg = write_config(tmp_path, TOY_CONFIG + f"outdir = {tmp_path / 'out'}\n")
         assert main(["run", str(cfg)]) == 0
@@ -363,3 +415,17 @@ def test_analyze_reproduces_run_report(tmp_path, config):
     for key in ("wall_time_s", "baseline"):
         run_report.pop(key, None)
     assert json.loads((out / "analyze.json").read_text()) == run_report
+
+
+@pytest.mark.parametrize("config, prefix", [
+    ("toy_sync", "120e1b2a8e395db5"),
+    ("ring5_async", "0e5ca57bd9260967"),
+    ("nine_sync", "108b091d9aad04d5"),
+])
+def test_shipped_trace_hashes(tmp_path, config, prefix):
+    # a change that claims to preserve behaviour keeps these traces byte for
+    # byte; the prefixes were recorded with Python 3.11.7 and numpy 2.4.6
+    out = tmp_path / config
+    assert main(["run", str(CASES_DIR / f"{config}.cfg"), "--set", f"outdir={out}",
+                 "--set", "baseline=false"]) == 0
+    assert hashlib.sha256((out / "trace.log").read_bytes()).hexdigest()[:16] == prefix

@@ -1,8 +1,16 @@
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from asyncadmm import caseio
+from asyncadmm.kernel import BoundaryPenalty
 from asyncadmm.localsolver import SolveError, SolverConfig, solve_local
-from asyncadmm.problem import RegionSpec
+from asyncadmm.opf import build_regional_subproblems
+from asyncadmm.problem import RegionSpec, flat_start
+
+from conftest import CASES_DIR
 
 
 def box_quadratic():
@@ -146,3 +154,34 @@ def test_failure_carries_best_iterate():
         solve_local(region, None, np.array([0.5]), SolverConfig(max_iters=8))
     assert err.value.best_x[0] == pytest.approx(1.0, abs=1e-6)  # pushed to the bound
     assert err.value.constraint_norm == pytest.approx(4.0, abs=1e-6)
+
+
+def test_equality_and_jacobian_evaluated_once_per_iterate():
+    # a nine-bus region's first ADMM x-update from a flat start; every
+    # point (by its bytes) reaches h and J at most once within the solve
+    case = caseio.parse_case((CASES_DIR / "nine.case").read_text())
+    partition = caseio.parse_partition((CASES_DIR / "nine.part").read_text(), case)
+    problem, _ = build_regional_subproblems(case, partition)
+    region = problem.region(1)
+    x0 = flat_start(region)
+    A = region.boundary_map
+    extra = BoundaryPenalty(A=A, lam=np.zeros(A.shape[0]), z=A @ x0 + 0.01, rho=1e5)
+    seen = {"h": Counter(), "J": Counter()}
+
+    def counted(name, fn):
+        def wrapper(x):
+            seen[name][x.tobytes()] += 1
+            return fn(x)
+        return wrapper
+
+    counting = replace(region, equality=counted("h", region.equality),
+                       equality_jacobian=counted("J", region.equality_jacobian))
+    plain = solve_local(region, extra, x0, SolverConfig())
+    result = solve_local(counting, extra, x0, SolverConfig())
+    assert result.inner_iters > 0
+    for name in ("h", "J"):
+        assert seen[name] and max(seen[name].values()) == 1, name
+    assert result.x.tobytes() == plain.x.tobytes()
+    assert result.eq_multipliers.tobytes() == plain.eq_multipliers.tobytes()
+    assert (result.inner_iters, result.outer_iters, result.merit_path) == \
+        (plain.inner_iters, plain.outer_iters, plain.merit_path)

@@ -227,20 +227,24 @@ class TestBuild:
         assert problem.region(1).upper[f_col] == 0.0
 
     def test_derivatives_match_finite_differences(self, ring5_case):
-        part = Partition({1: 1, 2: 1, 3: 2, 4: 2, 5: 2})
-        problem, _ = build_regional_subproblems(ring5_case, part)
+        # every region of every shipped case (and a two-region ring5), so each
+        # entry of the precomputed Jacobian template is checked against h
         rng = np.random.default_rng(3)
-        for k in (1, 2):
-            region = problem.region(k)
-            x = flat_start(region) + 0.01 * rng.standard_normal(region.dim_x)
-            h = 1e-6
-            J = region.equality_jacobian(x)
-            for i in range(region.dim_x):
-                xp, xm = x.copy(), x.copy()
-                xp[i] += h
-                xm[i] -= h
-                col = (region.equality(xp) - region.equality(xm)) / (2 * h)
-                assert np.max(np.abs(J[:, i] - col)) < 1e-6
+        builds = [(name, *shipped_case(name)) for name in ("ring5", "nine", "chain3")]
+        builds.append(("ring5", ring5_case, Partition({1: 1, 2: 1, 3: 2, 4: 2, 5: 2})))
+        for name, case, partition in builds:
+            problem, _ = build_regional_subproblems(case, partition)
+            for region in problem.regions:
+                x = flat_start(region) + 0.01 * rng.standard_normal(region.dim_x)
+                h = 1e-6
+                J = region.equality_jacobian(x)
+                assert J.shape == (region.eq_dim, region.dim_x)
+                for i in range(region.dim_x):
+                    xp, xm = x.copy(), x.copy()
+                    xp[i] += h
+                    xm[i] -= h
+                    col = (region.equality(xp) - region.equality(xm)) / (2 * h)
+                    assert np.max(np.abs(J[:, i] - col)) < 1e-6, (name, region.name, i)
 
     @pytest.mark.parametrize("name", ["ring5", "nine", "chain3"])
     def test_equality_hessian_matches_jacobian_differences(self, name):
