@@ -10,6 +10,15 @@ threshold p = 1 yields lockstep synchronous execution.
 The simulation is deterministic: delays are drawn from per-worker and
 per-link substreams of a single seed, and events at equal times are ordered
 by creation. Two runs with the same configuration produce identical traces.
+
+No event scans the edge list or re-evaluates an objective. Each worker's
+outgoing links (edge, neighbour, row block, delay spec and stream) are
+tabulated once, and the problem's topology tables serve the consensus
+update. Each region's objective value is kept from its last
+``compute_end``, so the per-cycle objective in ``iteration_log`` is the sum
+of that cache in region order: the same float as
+``PartitionedProblem.total_objective`` of the current iterates. Payload
+vectors come from float64 arrays through ``tolist()``.
 """
 
 from __future__ import annotations
@@ -134,8 +143,32 @@ def _canonical(value) -> str:
     return repr(value)
 
 
+_FLOAT_ONLY = {float}
+_REPR_SCALARS = {float, int, str, bool, type(None)}
+
+
 def payload_digest(payload: dict) -> str:
-    return hashlib.sha256(_canonical(payload).encode()).hexdigest()[:12]
+    """First 12 hex digits of the sha256 of the payload's canonical string.
+
+    A payload with ``str`` keys is rendered here directly: an exact
+    ``float``, ``int``, ``str``, ``bool`` or ``None`` value becomes its
+    repr, and a list whose items are all exactly ``float`` its joined reprs,
+    without a call per item. Any other value (a nested container, an array,
+    a float subclass such as ``np.float64``), and any payload with a
+    non-``str`` key, goes through :func:`_canonical`; both give the same
+    string."""
+    parts = []
+    for key, value in sorted(payload.items()):
+        if type(key) is not str:
+            return hashlib.sha256(_canonical(payload).encode()).hexdigest()[:12]
+        kind = type(value)
+        if kind in _REPR_SCALARS:
+            parts.append(f"{key}:{value!r}")
+        elif kind is list and set(map(type, value)) <= _FLOAT_ONLY:
+            parts.append(f"{key}:[{','.join(map(repr, value))}]")
+        else:
+            parts.append(f"{key}:{_canonical(value)}")
+    return hashlib.sha256(("{" + ",".join(parts) + "}").encode()).hexdigest()[:12]
 
 
 @dataclass(slots=True)
@@ -186,9 +219,6 @@ class EventTrace:
     final_z: Array | None = None
     status: str = "incomplete"
     end_time: float = 0.0
-
-    def of_kind(self, kind: str) -> list[TraceEvent]:
-        return [e for e in self.events if e.kind == kind]
 
 
 @dataclass(frozen=True)
@@ -282,10 +312,18 @@ class _Simulator:
         ss = np.random.SeedSequence(delays.seed)
         children = ss.spawn(K + 2 * len(problem.edges))
         self.compute_rng = {k: np.random.default_rng(children[k - 1]) for k in range(1, K + 1)}
-        self.link_rng = {}
+        link_rng = {}
         for i, e in enumerate(problem.edges):
-            self.link_rng[(i, e.k)] = np.random.default_rng(children[K + 2 * i])
-            self.link_rng[(i, e.l)] = np.random.default_rng(children[K + 2 * i + 1])
+            link_rng[(i, e.k)] = np.random.default_rng(children[K + 2 * i])
+            link_rng[(i, e.l)] = np.random.default_rng(children[K + 2 * i + 1])
+        # per worker, its outgoing links in edge order:
+        # (edge index, neighbour, own row block, link delay spec, stream)
+        self.links = {
+            k: [(i, e.other(k), e.block_of(k), delays.link_spec(k, e.other(k)),
+                 link_rng[(i, k)]) for i, e in problem.edges_of(k)]
+            for k in range(1, K + 1)
+        }
+        self.objectives = [r.objective(s.x) for r, s in zip(problem.regions, self.states)]
         self.heap: list = []
         self.seq = 0
         self.timing = {k: WorkerTiming() for k in range(1, K + 1)}
@@ -342,8 +380,7 @@ class _Simulator:
 
     def _start_compute(self, k: int, t: float):
         state = self.states[k - 1]
-        self._log("compute_start", k, state.local_iter, t,
-                  {"z": [float(v) for v in state.z]})
+        self._log("compute_start", k, state.local_iter, t, {"z": state.z.tolist()})
         self._set_phase(k, "computing", t)
         delay = self.delays.compute_spec(k).sample(self.compute_rng[k])
         self._push(t + delay, "done", k)
@@ -370,16 +407,15 @@ class _Simulator:
         state.ax = region.boundary_map @ result.x
         state.lam = lambda_update(state, state.ax, state.z, self.params)
         state.constraint_violation = result.constraint_norm
+        self.objectives[k - 1] = region.objective(state.x)
         self._log("compute_end", k, state.local_iter, t, {
-            "x": [float(v) for v in state.x],
-            "lam": [float(v) for v in state.lam],
-            "ax": [float(v) for v in state.ax],
+            "x": state.x.tolist(),
+            "lam": state.lam.tolist(),
+            "ax": state.ax.tolist(),
             "feas": float(result.constraint_norm),
         })
-        for i, e in self.problem.edges_of(k):
-            neighbor = e.other(k)
-            blk = e.block_of(k)
-            link_delay = self.delays.link_spec(k, neighbor).sample(self.link_rng[(i, k)])
+        for i, neighbor, blk, spec, rng in self.links[k]:
+            link_delay = spec.sample(rng)
             msg = BoundaryMessage(
                 sender=k, receiver=neighbor, edge_index=i,
                 ax_block=state.ax[blk].copy(), lam_block=state.lam[blk].copy(),
@@ -387,8 +423,8 @@ class _Simulator:
             )
             payload = {
                 "to": neighbor, "edge": i, "sender_iter": state.local_iter,
-                "ax": [float(v) for v in msg.ax_block],
-                "lam": [float(v) for v in msg.lam_block],
+                "ax": msg.ax_block.tolist(),
+                "lam": msg.lam_block.tolist(),
             }
             msg.digest = payload_digest(payload)
             self._log("send", k, state.local_iter, t, payload, digest=msg.digest)
@@ -418,7 +454,7 @@ class _Simulator:
             self.z_global[self.problem.edge_slice(i)] = z_new
             self._log("z_update", k, state.local_iter, t, {
                 "edge": i, "with": msg.sender, "sender_iter": msg.sender_iter,
-                "z": [float(v) for v in z_new],
+                "z": z_new.tolist(),
             })
         prev = self.snapshot_prev[k - 1]
         state.z = self.problem.region_z(self.z_global, k)
@@ -437,11 +473,9 @@ class _Simulator:
 
     def _record_iteration(self, t: float):
         residues = [s.residue for s in self.states]
-        max_res = max((r for r in residues if r is not None), default=math.inf)
-        if any(r is None for r in residues):
-            max_res = math.inf
-        mismatch = max(s.constraint_violation for s in self.states)
-        objective = self.problem.total_objective([s.x for s in self.states])
+        max_res = math.inf if None in residues else max(residues)
+        mismatch = max([s.constraint_violation for s in self.states])
+        objective = float(sum(self.objectives))
         self.iteration_log.append(
             (self.cycles_closed, t, float(max_res), objective, float(mismatch))
         )
@@ -487,19 +521,19 @@ class _Simulator:
             self._set_phase(k, "ended", end)
         for s in self.states:
             self._log("final", s.region_index, s.local_iter, end, {
-                "x": [float(v) for v in s.x],
-                "lam": [float(v) for v in s.lam],
-                "z": [float(v) for v in s.z],
+                "x": s.x.tolist(),
+                "lam": s.lam.tolist(),
+                "z": s.z.tolist(),
                 "residue": float(s.residue) if s.residue is not None else math.inf,
                 "feas": float(s.constraint_violation),
             })
-        self._log("final_z", 0, 0, end, {"z": [float(v) for v in self.z_global]})
+        self._log("final_z", 0, 0, end, {"z": self.z_global.tolist()})
         converged = self.status == "converged"
         self._log("end", 0, 0, end, {"status": self.status, "converged": converged})
         self.trace.status = self.status
         self.trace.end_time = end
-        self.trace.final_x = [[float(v) for v in s.x] for s in self.states]
-        self.trace.final_lam = [[float(v) for v in s.lam] for s in self.states]
+        self.trace.final_x = [s.x.tolist() for s in self.states]
+        self.trace.final_lam = [s.lam.tolist() for s in self.states]
         self.trace.final_z = self.z_global.copy()
         return RunResult(
             trace=self.trace, states=self.states, z=self.z_global,

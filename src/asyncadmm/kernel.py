@@ -84,13 +84,20 @@ class BoundaryPenalty:
 
         g(x) = lam . (A x) + (rho / 2) ||A x - z||^2
 
-    with gradient A^T lam + rho A^T (A x - z).
+    with gradient A^T lam + rho A^T (A x - z) and the constant Hessian
+    rho A^T A, which is built once with its diagonal when the penalty is
+    made (one penalty per local solve). Callers must not modify the
+    returned Hessian arrays.
     """
 
     A: Array
     lam: Array
     z: Array
     rho: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hess", self.rho * (self.A.T @ self.A))
+        object.__setattr__(self, "_hess_diag", self.rho * (self.A * self.A).sum(axis=0))
 
     def value(self, x: Array) -> float:
         ax = self.A @ x
@@ -102,10 +109,10 @@ class BoundaryPenalty:
         return self.A.T @ (self.lam + self.rho * r)
 
     def hess_diag(self, x: Array) -> Array:
-        return self.rho * np.sum(self.A * self.A, axis=0)
+        return self._hess_diag
 
     def hess(self, x: Array) -> Array:
-        return self.rho * (self.A.T @ self.A)
+        return self._hess
 
 
 def project_lambda(lam: Array, lower, upper) -> Array:
@@ -185,7 +192,7 @@ def residue(state: WorkerState, z_prev: Array) -> float:
         return 0.0
     primal = state.ax - state.z
     dual = state.z - z_prev
-    return float(max(np.max(np.abs(primal)), np.max(np.abs(dual))))
+    return float(max(np.abs(primal).max(), np.abs(dual).max()))
 
 
 @dataclass(frozen=True)

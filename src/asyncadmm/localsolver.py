@@ -3,17 +3,23 @@ constraints by an augmented-Lagrangian outer loop.
 
 The inner loop is monotone projected descent along the box-projection arc
 with Armijo backtracking: a two-metric Newton direction on the free
-coordinates where available, a Barzilai-Borwein scaled gradient step
-otherwise. The Newton model of the augmented objective
-f + y^T h + (mu/2)|h|^2 is the clamped objective curvature plus
-mu J^T J (Gauss-Newton). A region that supplies
+coordinates, and a Barzilai-Borwein scaled gradient step when the Newton
+system is unusable or its line search fails. The Newton model of the
+augmented objective f + y^T h + (mu/2)|h|^2 is the clamped objective
+curvature plus mu J^T J (Gauss-Newton). A region that supplies
 ``RegionSpec.equality_hessian`` also gets the constraint curvature
 sum_i w_i Hessian(h_i) at w = y + mu h, which makes the model the exact
-Hessian on the constraint side. The equality residual h and its Jacobian J
-are evaluated once per iterate: the line search's h at the accepted trial
-point is reused by the gradient, the Newton model and the stage-end
-residual. Everything is deterministic: identical inputs produce
-bitwise-identical outputs.
+Hessian on the constraint side.
+
+The equality residual h and its Jacobian J are evaluated once per iterate:
+the line search's h at the accepted trial point is reused by the gradient,
+the Newton model and the stage-end residual. Each stage hands its start
+value and gradient to the inner loop instead of having them recomputed
+there, and the ADMM penalty's constant curvature rho A^T A is built once
+per penalty. The loops are bounded by ``SolverConfig.max_iters`` outer
+stages of at most ``inner_max_iters`` inner iterations each.
+Everything is deterministic: identical inputs produce bitwise-identical
+outputs.
 """
 
 from __future__ import annotations
@@ -29,7 +35,6 @@ _ARMIJO = 1e-4
 _STEP_MIN = 1e-14
 _STEP_MAX = 1e12
 _PENALTY_MAX = 1e12
-_PROGRESS_WINDOW = 50
 
 
 @dataclass(frozen=True)
@@ -76,7 +81,8 @@ class SolveResult:
 
 class SolveError(RuntimeError):
     """Raised when the solver exhausts its caps with residuals above
-    tolerance; carries the best iterate found so the caller may retry."""
+    tolerance. Carries the most nearly feasible iterate found and its
+    residuals for the error report; no caller retries from it."""
 
     def __init__(self, message: str, best_x: Array, grad_norm: float, constraint_norm: float):
         super().__init__(message)
@@ -113,17 +119,14 @@ class _LastPoint:
 
 
 def _projected_gradient_norm(x: Array, g: Array, lo: Array, hi: Array) -> float:
-    return float(np.max(np.abs(x - np.clip(x - g, lo, hi)), initial=0.0))
+    return float(np.abs(x - (x - g).clip(lo, hi)).max(initial=0.0))
 
 
-def _safe_metric(raw: Array | None, n: int) -> Array:
+def _safe_metric(raw: Array) -> Array:
     """Positive diagonal metric from a raw curvature estimate."""
-    if raw is None:
-        return np.ones(n)
-    raw = np.asarray(raw, dtype=float)
-    top = float(np.max(raw, initial=0.0))
+    top = float(raw.max(initial=0.0))
     if top <= 0.0:
-        return np.ones(n)
+        return np.ones(raw.size)
     return np.maximum(raw, 1e-8 * top)
 
 
@@ -133,61 +136,59 @@ def _newton_direction(H, g, x, lo, hi, D):
     active bound; returns None when the Newton system is unusable."""
     eps = 1e-10
     free = ~(((x <= lo + eps) & (g > 0)) | ((x >= hi - eps) & (g < 0)))
-    d = -g / D
-    if not np.any(free):
-        return d
-    Hf = H[np.ix_(free, free)]
-    reg = 1e-9 * max(float(np.trace(Hf)) / Hf.shape[0], 1.0)
+    if not free.any():
+        return -g / D
+    all_free = free.all()
+    Hf, gf = (H, g) if all_free else (H[np.ix_(free, free)], g[free])
+    n = gf.size
+    reg = 1e-9 * max(float(Hf.trace()) / n, 1.0)
+    eye = np.eye(n)
     for _ in range(6):
         try:
-            step = np.linalg.solve(Hf + reg * np.eye(Hf.shape[0]), -g[free])
+            step = np.linalg.solve(Hf + reg * eye, -gf)
         except np.linalg.LinAlgError:
             step = None
-        if step is not None and np.all(np.isfinite(step)) and float(g[free] @ step) < 0:
-            d = d.copy()
+        if step is not None and np.isfinite(step).all() and float(gf @ step) < 0:
+            if all_free:
+                return step
+            d = -g / D
             d[free] = step
             return d
         reg *= 100.0
     return None
 
 
-def _pg_minimize(value, grad, x, lo, hi, tol, max_iters, metric=None, hess=None):
+def _pg_minimize(value, grad, x, v, g, lo, hi, tol, max_iters, metric, hess):
     """Monotone projected descent with backtracking Armijo line search along
-    the box-projection arc.
+    the box-projection arc, from ``x`` (inside the box) with value ``v`` and
+    gradient ``g`` there.
 
     The search direction is a two-metric Newton step (free coordinates take
     a damped Newton step from ``hess``, bound-pinned coordinates a scaled
-    gradient step) when a Hessian model is available, otherwise a
-    Barzilai-Borwein scaled gradient step under the diagonal ``metric``.
-    The stopping norm is the plain (unscaled) projected gradient. Returns
-    (x, value, grad, pg_norm, iterations, stalled) where ``stalled`` means
-    the line search could not certify any further decrease."""
-    x = np.clip(x, lo, hi)
-    D = _safe_metric(metric, x.size)
-    v = value(x)
-    g = grad(x)
-    t = 1.0 if metric is not None else 1.0 / max(float(np.max(np.abs(g), initial=0.0)), 1.0)
+    gradient step); when the Newton system is unusable or its line search
+    fails, a Barzilai-Borwein scaled gradient step under the diagonal
+    ``metric``. The stopping norm is the plain (unscaled) projected
+    gradient. Returns (x, value, grad, pg_norm, iterations, stalled) where
+    ``stalled`` means the line search could not certify any further
+    decrease."""
+    D = _safe_metric(metric)
+    t = 1.0
     prev_x = prev_g = None
     it = 0
     stalled = False
-    checkpoint = (0, v)  # (iteration, value) for progress tracking
-    while it < max_iters:
-        pgn = _projected_gradient_norm(x, g, lo, hi)
-        if pgn <= tol:
-            break
-        direction = None
-        if hess is not None:
-            direction = _newton_direction(np.asarray(hess(x), dtype=float), g, x, lo, hi, D)
+    pgn = _projected_gradient_norm(x, g, lo, hi)
+    while pgn > tol and it < max_iters:
+        direction = _newton_direction(hess(x), g, x, lo, hi, D)
         accepted = False
         if direction is not None:
             step = 1.0
             for _ in range(30):
-                xn = np.clip(x + step * direction, lo, hi)
+                xn = (x + step * direction).clip(lo, hi)
                 d = xn - x
-                if not np.any(d):
+                if not d.any():
                     break
                 vn = value(xn)
-                if np.isfinite(vn) and vn <= v + _ARMIJO * float(g @ d):
+                if math.isfinite(vn) and vn <= v + _ARMIJO * float(g @ d):
                     accepted = True
                     break
                 step *= 0.5
@@ -204,12 +205,12 @@ def _pg_minimize(value, grad, x, lo, hi, tol, max_iters, metric=None, hess=None)
             t = min(max(t, _STEP_MIN), _STEP_MAX)
             step = t
             for _ in range(60):
-                xn = np.clip(x - (step / D) * g, lo, hi)
+                xn = (x - (step / D) * g).clip(lo, hi)
                 d = xn - x
-                if not np.any(d):
+                if not d.any():
                     break
                 vn = value(xn)
-                if np.isfinite(vn) and vn <= v + _ARMIJO * float(g @ d):
+                if math.isfinite(vn) and vn <= v + _ARMIJO * float(g @ d):
                     accepted = True
                     break
                 step *= 0.5
@@ -220,13 +221,8 @@ def _pg_minimize(value, grad, x, lo, hi, tol, max_iters, metric=None, hess=None)
         x, v = xn, vn
         g = grad(x)
         it += 1
-        if it - checkpoint[0] >= _PROGRESS_WINDOW:
-            if checkpoint[1] - v <= 1e-12 * max(1.0, abs(v)):
-                stalled = True
-                break  # descent continues only below value resolution
-            checkpoint = (it, v)
-    pgn = _projected_gradient_norm(x, g, lo, hi)
-    return x, v, g, pgn, it, stalled and pgn > tol
+        pgn = _projected_gradient_norm(x, g, lo, hi)
+    return x, v, g, pgn, it, stalled
 
 
 def solve_local(
@@ -261,7 +257,9 @@ def solve_local(
     exhaustion raises :class:`SolveError` carrying the best iterate.
     """
     lo, hi = region.lower, region.upper
-    x = np.clip(np.asarray(x_start, dtype=float), lo, hi)
+    x = np.asarray(x_start, dtype=float).clip(lo, hi)
+    extra_hess_diag = getattr(extra, "hess_diag", None)
+    extra_hess = getattr(extra, "hess", None)
 
     def phi(xv):
         val = region.objective(xv)
@@ -282,25 +280,25 @@ def solve_local(
 
     def phi_hess_diag(xv):
         d = region_hess_diag(xv)
-        if extra is not None and hasattr(extra, "hess_diag"):
-            d = d + np.asarray(extra.hess_diag(xv), dtype=float)
+        if extra_hess_diag is not None:
+            d = d + np.asarray(extra_hess_diag(xv), dtype=float)
         return d
 
     def phi_hess(xv):
         # negative objective curvature is clamped out of the Newton model
         H = np.diag(np.maximum(region_hess_diag(xv), 0.0))
-        if extra is not None and hasattr(extra, "hess"):
-            H = H + np.asarray(extra.hess(xv), dtype=float)
+        if extra_hess is not None:
+            H = H + np.asarray(extra_hess(xv), dtype=float)
         return H
 
-    grad_scale = max(1.0, float(np.max(np.abs(phi_grad(x)), initial=0.0)))
+    g0 = phi_grad(x)
+    grad_scale = max(1.0, float(np.abs(g0).max(initial=0.0)))
     grad_tol = config.grad_tol * grad_scale
 
     if region.equality is None:
-        x, _, g, pgn, it, stalled = _pg_minimize(phi, phi_grad, x, lo, hi, grad_tol,
-                                                 config.inner_max_iters,
-                                                 metric=phi_hess_diag(x),
-                                                 hess=phi_hess)
+        x, _, g, pgn, it, stalled = _pg_minimize(phi, phi_grad, x, phi(x), g0, lo, hi,
+                                                 grad_tol, config.inner_max_iters,
+                                                 phi_hess_diag(x), phi_hess)
         if pgn > grad_tol and not stalled:
             raise SolveError(
                 f"projected gradient stopped at |pg|={pgn:.3e} > {grad_tol:.1e}",
@@ -316,10 +314,8 @@ def solve_local(
     mu = float(penalty_start) if penalty_start else config.penalty_init
     merit_path: list[tuple[float, float]] = []
     total_inner = 0
-    inner_budget = 4 * config.inner_max_iters
     best = (np.inf, x, np.inf)  # (constraint norm, x, pg norm)
     prev_hnorm = math.inf
-    stalls = 0
 
     for outer in range(1, config.max_iters + 1):
 
@@ -341,31 +337,27 @@ def solve_local(
             return H
 
         J0 = at.J(x)
-        metric = phi_hess_diag(x) + mu * np.sum(J0 * J0, axis=0)
+        metric = phi_hess_diag(x) + mu * (J0 * J0).sum(axis=0)
         start_val = al_value(x)
         x, end_val, g, pgn, it, stalled = _pg_minimize(
-            al_value, al_grad, x, lo, hi, grad_tol,
-            config.inner_max_iters, metric=metric, hess=al_hess,
+            al_value, al_grad, x, start_val, al_grad(x), lo, hi, grad_tol,
+            config.inner_max_iters, metric, al_hess,
         )
         merit_path.append((start_val, end_val))
         total_inner += it
         h = at.h(x)
-        hnorm = float(np.max(np.abs(h), initial=0.0))
+        hnorm = float(np.abs(h).max(initial=0.0))
         if hnorm < best[0]:
             best = (hnorm, x.copy(), pgn)
         if hnorm <= config.constraint_tol and pgn <= grad_tol:
             return SolveResult(x, pgn, hnorm, outer, total_inner, y + mu * h,
                                penalty=mu, merit_path=merit_path)
-        if hnorm <= config.constraint_tol and (stalled or total_inner >= inner_budget):
+        if hnorm <= config.constraint_tol and stalled:
             # feasible, and descent is no longer certifiable at this
-            # precision (or the iteration budget is spent): report the
-            # achieved floor instead of spinning
+            # precision: report the achieved floor instead of spinning
             return SolveResult(x, pgn, hnorm, outer, total_inner, y + mu * h,
                                penalty=mu, merit_path=merit_path,
                                at_numeric_floor=True)
-        stalls = stalls + 1 if stalled else 0
-        if stalls >= 4 or total_inner >= inner_budget:
-            break
         # first-order multiplier step every stage; grow the penalty when
         # feasibility is not improving fast enough, and always out of a
         # stall (a sharper feasibility valley restores resolvable descent)

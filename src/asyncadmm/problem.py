@@ -140,6 +140,14 @@ class PartitionedProblem:
     regions: tuple[RegionSpec, ...]
     edges: tuple[CouplingEdge, ...]
     boundary_dim: int = field(init=False)
+    # topology tables, built once: z slice per edge; per region its
+    # neighbours, its (edge index, edge) pairs and (row block, z slice) pairs
+    _edge_slices: tuple[slice, ...] = field(init=False, repr=False, compare=False)
+    _neighbors: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _edges_of: tuple[tuple[tuple[int, CouplingEdge], ...], ...] = field(
+        init=False, repr=False, compare=False)
+    _z_blocks: tuple[tuple[tuple[slice, slice], ...], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         regions = tuple(self.regions)
@@ -150,19 +158,27 @@ class PartitionedProblem:
         if K == 0:
             raise ValueError("a problem needs at least one region")
         seen = set()
-        for e in edges:
+        slices, z_start = [], 0
+        edges_of = [[] for _ in range(K)]
+        neighbors = [[] for _ in range(K)]
+        blocks = [[] for _ in range(K)]
+        for i, e in enumerate(edges):
             if not (1 <= e.k <= K and 1 <= e.l <= K):
                 raise ValueError(f"edge ({e.k},{e.l}) references an unknown region")
             if (e.k, e.l) in seen:
                 raise ValueError(f"edge ({e.k},{e.l}) appears more than once")
             seen.add((e.k, e.l))
+            z_slice = slice(z_start, z_start + e.dim)
+            z_start = z_slice.stop
+            slices.append(z_slice)
+            for k, other, (a, b) in ((e.k, e.l, e.block_k), (e.l, e.k, e.block_l)):
+                edges_of[k - 1].append((i, e))
+                neighbors[k - 1].append(other)
+                blocks[k - 1].append((a, b, z_slice))
         # every region's boundary rows must be exactly tiled by its edge blocks
-        for k in range(1, K + 1):
-            blocks = sorted(
-                (e.block_of(k).start, e.block_of(k).stop) for e in edges if k in (e.k, e.l)
-            )
+        for k, region_blocks in enumerate(blocks, 1):
             cursor = 0
-            for a, b in blocks:
+            for a, b in sorted((a, b) for a, b, _ in region_blocks):
                 if a != cursor:
                     raise ValueError(
                         f"region {k}: boundary rows not contiguously covered at row {cursor}"
@@ -173,7 +189,14 @@ class PartitionedProblem:
                     f"region {k}: edge blocks cover {cursor} rows, "
                     f"boundary map has {regions[k - 1].boundary_rows}"
                 )
-        object.__setattr__(self, "boundary_dim", sum(e.dim for e in edges))
+        object.__setattr__(self, "boundary_dim", z_start)
+        object.__setattr__(self, "_edge_slices", tuple(slices))
+        object.__setattr__(self, "_edges_of", tuple(map(tuple, edges_of)))
+        object.__setattr__(self, "_neighbors", tuple(tuple(sorted(n)) for n in neighbors))
+        object.__setattr__(self, "_z_blocks", tuple(
+            tuple((slice(a, b), z_slice) for a, b, z_slice in region_blocks)
+            for region_blocks in blocks
+        ))
 
     @property
     def num_regions(self) -> int:
@@ -183,21 +206,21 @@ class PartitionedProblem:
         return self.regions[k - 1]
 
     def neighbors(self, k: int) -> tuple[int, ...]:
-        return tuple(sorted(e.other(k) for e in self.edges if k in (e.k, e.l)))
+        return self._neighbors[k - 1]
 
-    def edges_of(self, k: int) -> list[tuple[int, CouplingEdge]]:
-        return [(i, e) for i, e in enumerate(self.edges) if k in (e.k, e.l)]
+    def edges_of(self, k: int) -> tuple[tuple[int, CouplingEdge], ...]:
+        """(edge index, edge) for every edge of region k, in edge order."""
+        return self._edges_of[k - 1]
 
     def edge_slice(self, edge_index: int) -> slice:
         """Slice of edge ``edge_index`` inside the global z vector."""
-        start = sum(e.dim for e in self.edges[:edge_index])
-        return slice(start, start + self.edges[edge_index].dim)
+        return self._edge_slices[edge_index]
 
     def region_z(self, z_global: Array, k: int) -> Array:
         """Assemble region k's boundary vector from the global edge blocks."""
         out = np.zeros(self.region(k).boundary_rows)
-        for i, e in self.edges_of(k):
-            out[e.block_of(k)] = z_global[self.edge_slice(i)]
+        for block, z_slice in self._z_blocks[k - 1]:
+            out[block] = z_global[z_slice]
         return out
 
     def total_objective(self, x_all: list[Array]) -> float:

@@ -44,6 +44,11 @@ def event(kind, worker, local_iter, time, **payload) -> TraceEvent:
     return TraceEvent(kind, worker, local_iter, float(time), payload)
 
 
+def events_of(trace: EventTrace, kind: str) -> list[TraceEvent]:
+    """The events of one kind, in trace order."""
+    return [e for e in trace.events if e.kind == kind]
+
+
 def staggered_trace() -> EventTrace:
     """Three fully-connected workers with staggered compute times (2, 3 and
     5 ms) and 0.5 ms links, traced for 10 ms.

@@ -29,7 +29,7 @@ from asyncadmm.problem import (
     nonconvex_toy_constants,
 )
 
-from conftest import STAGGERED_BOUNDARIES, STAGGERED_OMEGA, staggered_trace
+from conftest import STAGGERED_BOUNDARIES, STAGGERED_OMEGA, events_of, staggered_trace
 
 LOCKSTEP = DelayModel(compute=DelaySpec.constant(1.0), link=DelaySpec.constant(0.0), seed=0)
 
@@ -57,8 +57,8 @@ def compare_engine_to_reference(problem, params, iters):
     with zero link delays and the straight-line synchronous loop."""
     ref = run_sync_reference(problem, params, tol=0.0, max_iters=iters)
     res = run(problem, params, LOCKSTEP, StoppingRule(tol=1e-16, max_local_iters=iters))
-    starts = res.trace.of_kind("compute_start")
-    ends = res.trace.of_kind("compute_end")
+    starts = events_of(res.trace, "compute_start")
+    ends = events_of(res.trace, "compute_end")
     worst = 0.0
     compared = iters
     for k in range(1, problem.num_regions + 1):

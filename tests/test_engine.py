@@ -14,6 +14,8 @@ from asyncadmm.engine import (
 from asyncadmm.kernel import AdmmParams
 from asyncadmm.problem import PartitionedProblem, RegionSpec, make_toy_consensus
 
+from conftest import events_of
+
 ZERO_LINK = DelayModel(compute=DelaySpec.constant(1.0), link=DelaySpec.constant(0.0), seed=0)
 
 
@@ -62,8 +64,8 @@ class TestSyncEquivalence:
         params = AdmmParams(rho=5.0, p=1.0, alpha=alpha)
         ref = run_sync_reference(problem, params, tol=0.0, max_iters=60)
         res = run(problem, params, ZERO_LINK, StoppingRule(tol=1e-15, max_local_iters=60))
-        starts = res.trace.of_kind("compute_start")
-        ends = res.trace.of_kind("compute_end")
+        starts = events_of(res.trace, "compute_start")
+        ends = events_of(res.trace, "compute_end")
         for k in range(1, 4):
             zs = [e.payload["z"] for e in starts if e.worker == k]
             xs = [e.payload["x"] for e in ends if e.worker == k]
@@ -198,8 +200,8 @@ class TestTraceInvariants:
         # every cycle after the first is closed by at least one consensus
         # update fed by a neighbour's message
         _, res = self.run_async()
-        z_updates = {(e.worker, e.local_iter) for e in res.trace.of_kind("z_update")}
-        for ev in res.trace.of_kind("compute_start"):
+        z_updates = {(e.worker, e.local_iter) for e in events_of(res.trace, "z_update")}
+        for ev in events_of(res.trace, "compute_start"):
             if ev.local_iter >= 1:
                 assert (ev.worker, ev.local_iter - 1) in z_updates
 
@@ -208,7 +210,7 @@ class TestTraceInvariants:
         # strictly increases
         _, res = self.run_async()
         last: dict = {}
-        for ev in res.trace.of_kind("z_update"):
+        for ev in events_of(res.trace, "z_update"):
             key = (ev.worker, ev.payload["edge"])
             if key in last:
                 assert ev.payload["sender_iter"] > last[key]

@@ -128,9 +128,18 @@ def test_matches_grid_oracle_2d():
     )
     grid = np.arange(0.0, 1.0 + 5e-5, 1e-4)
     gy = np.arange(-1.0, 0.0 + 5e-5, 1e-4)
-    X, Y = np.meshgrid(grid, gy, indexing="ij")
-    V = 0.5 * (Q[0, 0] * X * X + 2 * Q[0, 1] * X * Y + Q[1, 1] * Y * Y) + b[0] * X + b[1] * Y
-    i, j = np.unravel_index(np.argmin(V), V.shape)
+    # argmin over the grid x gy mesh, 256 rows of it at a time (the whole
+    # mesh would take several GB); a strictly smaller value is needed to
+    # replace the best, so ties keep the first minimum in row-major order
+    best = (np.inf, 0, 0)
+    for start in range(0, grid.size, 256):
+        X = grid[start:start + 256, None]
+        V = 0.5 * (Q[0, 0] * X * X + 2 * Q[0, 1] * X * gy + Q[1, 1] * gy * gy) \
+            + b[0] * X + b[1] * gy
+        r, c = np.unravel_index(np.argmin(V), V.shape)
+        if V[r, c] < best[0]:
+            best = (V[r, c], start + r, c)
+    _, i, j = best
     result = solve_local(region, None, np.array([0.5, -0.5]), SolverConfig())
     assert result.x[0] == pytest.approx(grid[i], abs=1e-3)
     assert result.x[1] == pytest.approx(gy[j], abs=1e-3)
