@@ -168,17 +168,20 @@ class PartitionedProblem:
             if (e.k, e.l) in seen:
                 raise ValueError(f"edge ({e.k},{e.l}) appears more than once")
             seen.add((e.k, e.l))
-            z_slice = slice(z_start, z_start + e.dim)
+            (ak, bk), (al, bl) = e.block_k, e.block_l
+            z_slice = slice(z_start, z_start + bk - ak)
             z_start = z_slice.stop
             slices.append(z_slice)
-            for k, other, (a, b) in ((e.k, e.l, e.block_k), (e.l, e.k, e.block_l)):
-                edges_of[k - 1].append((i, e))
-                neighbors[k - 1].append(other)
-                blocks[k - 1].append((a, b, z_slice))
+            edges_of[e.k - 1].append((i, e))
+            edges_of[e.l - 1].append((i, e))
+            neighbors[e.k - 1].append(e.l)
+            neighbors[e.l - 1].append(e.k)
+            blocks[e.k - 1].append((ak, bk, z_slice))
+            blocks[e.l - 1].append((al, bl, z_slice))
         # every region's boundary rows must be exactly tiled by its edge blocks
         for k, region_blocks in enumerate(blocks, 1):
             cursor = 0
-            for a, b in sorted((a, b) for a, b, _ in region_blocks):
+            for a, b in sorted([(a, b) for a, b, _ in region_blocks]):
                 if a != cursor:
                     raise ValueError(
                         f"region {k}: boundary rows not contiguously covered at row {cursor}"
