@@ -131,44 +131,37 @@ class DelayModel:
 # trace structures
 
 
+_REPR_SCALARS = {float, int, str, bool, type(None)}
+_FLOAT_ONLY = {float}
+
+
 def _canonical(value) -> str:
+    if isinstance(value, dict):
+        # a value of an exact scalar type, or a list whose items are all
+        # exactly float, is rendered here by repr without a call per item;
+        # any other value recurses
+        parts = []
+        for k, v in sorted(value.items()):
+            kind = type(v)
+            if kind in _REPR_SCALARS:
+                parts.append(f"{k}:{v!r}")
+            elif kind is list and set(map(type, v)) <= _FLOAT_ONLY:
+                parts.append(f"{k}:[{','.join(map(repr, v))}]")
+            else:
+                parts.append(f"{k}:{_canonical(v)}")
+        return "{" + ",".join(parts) + "}"
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, (list, tuple)):
         return "[" + ",".join(_canonical(v) for v in value) + "]"
     if isinstance(value, np.ndarray):
         return _canonical([float(v) for v in value])
-    if isinstance(value, dict):
-        return "{" + ",".join(f"{k}:{_canonical(v)}" for k, v in sorted(value.items())) + "}"
     return repr(value)
 
 
-_FLOAT_ONLY = {float}
-_REPR_SCALARS = {float, int, str, bool, type(None)}
-
-
 def payload_digest(payload: dict) -> str:
-    """First 12 hex digits of the sha256 of the payload's canonical string.
-
-    A payload with ``str`` keys is rendered here directly: an exact
-    ``float``, ``int``, ``str``, ``bool`` or ``None`` value becomes its
-    repr, and a list whose items are all exactly ``float`` its joined reprs,
-    without a call per item. Any other value (a nested container, an array,
-    a float subclass such as ``np.float64``), and any payload with a
-    non-``str`` key, goes through :func:`_canonical`; both give the same
-    string."""
-    parts = []
-    for key, value in sorted(payload.items()):
-        if type(key) is not str:
-            return hashlib.sha256(_canonical(payload).encode()).hexdigest()[:12]
-        kind = type(value)
-        if kind in _REPR_SCALARS:
-            parts.append(f"{key}:{value!r}")
-        elif kind is list and set(map(type, value)) <= _FLOAT_ONLY:
-            parts.append(f"{key}:[{','.join(map(repr, value))}]")
-        else:
-            parts.append(f"{key}:{_canonical(value)}")
-    return hashlib.sha256(("{" + ",".join(parts) + "}").encode()).hexdigest()[:12]
+    """First 12 hex digits of the sha256 of the payload's canonical string."""
+    return hashlib.sha256(_canonical(payload).encode()).hexdigest()[:12]
 
 
 @dataclass(slots=True)

@@ -255,6 +255,14 @@ def solve_local(
     the start point (floored at 1), so problems stated in large units are
     not held to an absolute cutoff below floating-point resolution. Cap
     exhaustion raises :class:`SolveError` carrying the best iterate.
+
+    The only early exit short of the tolerances is the numeric floor: a
+    feasible stage whose line search can certify no further decrease
+    returns with ``at_numeric_floor`` set. Otherwise a failing solve runs
+    to the caps: ``max_iters`` stages of ``inner_max_iters`` inner
+    iterations each (180,000 at the defaults), every inner iteration with
+    one Newton model and up to 90 trial values. A box-only solve has one
+    stage, so at most ``inner_max_iters`` iterations.
     """
     lo, hi = region.lower, region.upper
     x = np.asarray(x_start, dtype=float).clip(lo, hi)

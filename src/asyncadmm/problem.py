@@ -141,11 +141,9 @@ class PartitionedProblem:
     edges: tuple[CouplingEdge, ...]
     boundary_dim: int = field(init=False)
     # topology tables, built once: z slice per edge; per region its
-    # neighbours, its (edge index, edge) pairs and (row block, z slice) pairs
+    # neighbours and its (row block, z slice) pairs
     _edge_slices: tuple[slice, ...] = field(init=False, repr=False, compare=False)
     _neighbors: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    _edges_of: tuple[tuple[tuple[int, CouplingEdge], ...], ...] = field(
-        init=False, repr=False, compare=False)
     _z_blocks: tuple[tuple[tuple[slice, slice], ...], ...] = field(
         init=False, repr=False, compare=False)
 
@@ -159,10 +157,9 @@ class PartitionedProblem:
             raise ValueError("a problem needs at least one region")
         seen = set()
         slices, z_start = [], 0
-        edges_of = [[] for _ in range(K)]
         neighbors = [[] for _ in range(K)]
         blocks = [[] for _ in range(K)]
-        for i, e in enumerate(edges):
+        for e in edges:
             if not (1 <= e.k <= K and 1 <= e.l <= K):
                 raise ValueError(f"edge ({e.k},{e.l}) references an unknown region")
             if (e.k, e.l) in seen:
@@ -172,8 +169,6 @@ class PartitionedProblem:
             z_slice = slice(z_start, z_start + bk - ak)
             z_start = z_slice.stop
             slices.append(z_slice)
-            edges_of[e.k - 1].append((i, e))
-            edges_of[e.l - 1].append((i, e))
             neighbors[e.k - 1].append(e.l)
             neighbors[e.l - 1].append(e.k)
             blocks[e.k - 1].append((ak, bk, z_slice))
@@ -194,7 +189,6 @@ class PartitionedProblem:
                 )
         object.__setattr__(self, "boundary_dim", z_start)
         object.__setattr__(self, "_edge_slices", tuple(slices))
-        object.__setattr__(self, "_edges_of", tuple(map(tuple, edges_of)))
         object.__setattr__(self, "_neighbors", tuple(tuple(sorted(n)) for n in neighbors))
         object.__setattr__(self, "_z_blocks", tuple(
             tuple((slice(a, b), z_slice) for a, b, z_slice in region_blocks)
@@ -208,12 +202,17 @@ class PartitionedProblem:
     def region(self, k: int) -> RegionSpec:
         return self.regions[k - 1]
 
-    def neighbors(self, k: int) -> tuple[int, ...]:
-        return self._neighbors[k - 1]
+    def _row(self, k: int) -> int:
+        """Row of region k in the per-region tables; k must be in 1..K."""
+        if not 1 <= k <= len(self.regions):
+            raise IndexError(f"region {k} is not in 1..{len(self.regions)}")
+        return k - 1
 
-    def edges_of(self, k: int) -> tuple[tuple[int, CouplingEdge], ...]:
-        """(edge index, edge) for every edge of region k, in edge order."""
-        return self._edges_of[k - 1]
+    def neighbors(self, k: int) -> tuple[int, ...]:
+        return self._neighbors[self._row(k)]
+
+    def edges_of(self, k: int) -> list[tuple[int, CouplingEdge]]:
+        return [(i, e) for i, e in enumerate(self.edges) if k in (e.k, e.l)]
 
     def edge_slice(self, edge_index: int) -> slice:
         """Slice of edge ``edge_index`` inside the global z vector."""
@@ -221,8 +220,9 @@ class PartitionedProblem:
 
     def region_z(self, z_global: Array, k: int) -> Array:
         """Assemble region k's boundary vector from the global edge blocks."""
-        out = np.zeros(self.region(k).boundary_rows)
-        for block, z_slice in self._z_blocks[k - 1]:
+        row = self._row(k)
+        out = np.zeros(self.regions[row].boundary_rows)
+        for block, z_slice in self._z_blocks[row]:
             out[block] = z_global[z_slice]
         return out
 

@@ -156,6 +156,12 @@ def test_topology_tables_equal_edge_scans(name):
         assert list(problem.edges_of(k)) == _scan_edges_of(problem, k)
         got, want = problem.region_z(z, k), _scan_region_z(problem, z, k)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # a region index outside 1..K is an error, not another region's row
+    for k in (0, -1, problem.num_regions + 1):
+        with pytest.raises(IndexError):
+            problem.neighbors(k)
+        with pytest.raises(IndexError):
+            problem.region_z(z, k)
 
 
 # --------------------------------------------------------------------------

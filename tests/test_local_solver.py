@@ -4,7 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from asyncadmm import caseio
+from asyncadmm import caseio, kernel
+from asyncadmm.cli import main
 from asyncadmm.kernel import BoundaryPenalty
 from asyncadmm.localsolver import SolveError, SolverConfig, solve_local
 from asyncadmm.opf import build_regional_subproblems
@@ -163,6 +164,31 @@ def test_failure_carries_best_iterate():
         solve_local(region, None, np.array([0.5]), SolverConfig(max_iters=8))
     assert err.value.best_x[0] == pytest.approx(1.0, abs=1e-6)  # pushed to the bound
     assert err.value.constraint_norm == pytest.approx(4.0, abs=1e-6)
+
+
+def test_numeric_floor_return_on_ring5_async(tmp_path, monkeypatch):
+    # the one exit short of the tolerances: a feasible stage whose line
+    # search can certify no further decrease reports its point as the
+    # achieved floor. The ring5_async run reaches it in one x-update.
+    floors = []
+    real_solve = kernel.solve_local
+
+    def recording(region, extra, x_start, config, **kwargs):
+        result = real_solve(region, extra, x_start, config, **kwargs)
+        if result.at_numeric_floor:
+            floors.append((region, config, result))
+        return result
+
+    monkeypatch.setattr(kernel, "solve_local", recording)
+    assert main(["run", str(CASES_DIR / "ring5_async.cfg"), "--set", f"outdir={tmp_path}",
+                 "--set", "baseline=false"]) == 0
+    assert len(floors) == 1
+    region, config, result = floors[0]
+    assert result.constraint_norm <= config.constraint_tol
+    assert result.grad_norm > config.grad_tol  # stopped short of the tolerance
+    assert result.outer_iters == len(result.merit_path) < config.max_iters
+    assert all(end <= start for start, end in result.merit_path)
+    assert np.all((region.lower <= result.x) & (result.x <= region.upper))
 
 
 def test_equality_and_jacobian_evaluated_once_per_iterate():
