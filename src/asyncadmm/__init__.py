@@ -25,7 +25,6 @@ from .engine import (
 from .kernel import (
     AdmmParams,
     WorkerState,
-    augmented_lagrangian,
     initial_z,
     lambda_update,
     project_lambda,
@@ -45,8 +44,6 @@ from .problem import (
     CouplingEdge,
     PartitionedProblem,
     RegionSpec,
-    evaluate_boundary_map,
-    evaluate_objective,
     make_nonconvex_toy,
     make_toy_consensus,
 )

@@ -425,24 +425,6 @@ def parameter_bounds(consts: DiagnosticConstants, rho: float) -> tuple[float, fl
     return rho_min, alpha_min
 
 
-def boundary_conditioning(problem: PartitionedProblem) -> tuple[float, bool]:
-    """The constant c = max_k sigma_max(B_k^T B_k) with
-    B_k = (A_k A_k^T)^+ A_k; exact when every A_k A_k^T is invertible, the
-    flag is False when a pseudo-inverse had to stand in."""
-    worst = 0.0
-    exact = True
-    for region in problem.regions:
-        A = region.boundary_map
-        if A.shape[0] == 0:
-            continue
-        gram = A @ A.T
-        if np.linalg.matrix_rank(gram) < gram.shape[0]:
-            exact = False
-        B = np.linalg.pinv(gram) @ A
-        worst = max(worst, float(np.linalg.eigvalsh(B.T @ B)[-1]))
-    return worst, exact
-
-
 @dataclass
 class KktReport:
     stationarity: list[float]
@@ -592,16 +574,17 @@ def timing_from_trace(trace: EventTrace) -> dict[int, dict]:
     return out
 
 
-def _final_state(trace: EventTrace, problem: PartitionedProblem):
-    """The final x, lam per region and z from the trace's ``final`` and
-    ``final_z`` records, checked against the problem's dimensions."""
+def _final_state(finals: list[dict], final_z: dict, problem: PartitionedProblem):
+    """The final x, lam per region and z from the payloads of the trace's
+    ``final`` and ``final_z`` records, checked against the problem's
+    dimensions."""
     K = problem.num_regions
-    if len(trace.final_x) != K or len(trace.final_lam) != K:
-        raise TraceError(f"trace holds {len(trace.final_x)} final records for {K} regions")
+    if len(finals) != K:
+        raise TraceError(f"trace holds {len(finals)} final records for {K} regions")
     try:
-        x_all = [np.asarray(v, dtype=float) for v in trace.final_x]
-        lam_all = [np.asarray(v, dtype=float) for v in trace.final_lam]
-        z = np.asarray(trace.final_z, dtype=float)
+        x_all = [np.asarray(f["x"], dtype=float) for f in finals]
+        lam_all = [np.asarray(f["lam"], dtype=float) for f in finals]
+        z = np.asarray(final_z["z"], dtype=float)
     except (TypeError, ValueError) as err:
         raise TraceError(f"trace holds a non-numeric final state: {err}") from None
     for k, region, x, lam in zip(range(1, K + 1), problem.regions, x_all, lam_all):
@@ -668,8 +651,10 @@ def analyze_trace(
             "rho_admissible": rho > rho_min,
             "alpha_zero_admissible": alpha_min <= 0.0,
         }
-    if problem is not None and trace.final_z is not None and trace.final_x:
-        x_all, lam_all, z_final = _final_state(trace, problem)
+    finals = [e.payload for e in trace.events if e.kind == "final"]
+    final_z = [e.payload for e in trace.events if e.kind == "final_z"]
+    if problem is not None and final_z and finals:
+        x_all, lam_all, z_final = _final_state(finals, final_z[-1], problem)
         kkt = check_kkt(problem, x_all, z_final, lam_all, tol=kkt_tol)
         report["kkt"] = {
             "stationarity": kkt.stationarity,

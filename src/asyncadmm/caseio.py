@@ -320,12 +320,12 @@ def _read_event(trace: EventTrace, line: str, line_no: int, offset: int) -> bool
     if kind == "end":
         trace.status = payload.get("status", "incomplete")
         trace.end_time = time
+    # the analysis reads the final state from these records
     try:
-        if kind == "final":
-            trace.final_x.append(payload["x"])
-            trace.final_lam.append(payload["lam"])
-        elif kind == "final_z":
-            trace.final_z = np.asarray(payload["z"], dtype=float)
+        if kind == "final" and not {"x", "lam"} <= payload.keys():
+            raise KeyError("x, lam")
+        if kind == "final_z":
+            np.asarray(payload["z"], dtype=float)
     except (KeyError, TypeError, ValueError):
         raise ParseError(f"malformed {kind} record", line=line_no, offset=offset) from None
     return kind == "end"
@@ -338,24 +338,3 @@ def write_results(rows, path) -> None:
         for it, time_ms, max_residue, objective, mismatch in rows:
             fh.write(f"{int(it)},{float(time_ms)!r},{float(max_residue)!r},"
                      f"{float(objective)!r},{float(mismatch)!r}\n")
-
-
-def read_results(path) -> list[tuple]:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != RESULTS_HEADER:
-            raise ParseError(f"unexpected results header {header!r}", line=1)
-        rows = []
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 5:
-                raise ParseError("results row needs 5 columns", line=line_no)
-            try:
-                rows.append((int(parts[0]), float(parts[1]), float(parts[2]),
-                             float(parts[3]), float(parts[4])))
-            except ValueError:
-                raise ParseError("results row is not numeric", line=line_no) from None
-    return rows

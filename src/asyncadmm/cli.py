@@ -6,10 +6,13 @@ comments) plus optional ``--set key=value`` overrides, executes the chosen
 mode and writes four artifacts into the output directory: the event trace
 (``trace.log``), the per-iteration convergence table (``convergence.csv``),
 the diagnostic report (``diagnostics.json``) and the per-worker
-compute/wait split (``timing.json``). Exit codes: 0 converged, 2 a cap was
-exhausted, 1 any error. An error after the solve (trace analysis or the
-centralized baseline) prints one ``error:`` line and keeps the trace and the
-convergence table already written.
+compute/wait split (``timing.json``), a copy of the report's ``timing``
+section. Both are computed from the trace, so ``analyze`` reproduces them;
+a worker's idle time after it reaches ``max_local_iters`` counts as
+waiting. Exit codes: 0 converged, 2 a cap was exhausted, 1 any error. An
+error after the solve (trace analysis or the centralized baseline) prints
+one ``error:`` line and keeps the trace and the convergence table already
+written.
 
 Config keys (defaults in parentheses):
 
@@ -132,9 +135,7 @@ class RunConfig:
     targets: list[float]
     case_path: str
     partition_path: str
-    mode: str
     params: AdmmParams
-    seed: int
     tol: float
     max_local_iters: int
     time_cap_ms: float
@@ -236,9 +237,7 @@ def build_run_config(entries: dict[str, tuple[str, int]]) -> RunConfig:
         targets=targets,
         case_path=get("case")[0],
         partition_path=get("partition")[0],
-        mode=mode,
         params=params,
-        seed=integer("seed"),
         tol=tol,
         max_local_iters=integer("max_local_iters"),
         time_cap_ms=number("time_cap_ms"),
@@ -277,34 +276,29 @@ def toy_centralized_optimum(problem: PartitionedProblem, descriptor: dict) -> tu
 
 
 def _resolve_problem(config: RunConfig):
-    """Build (problem, layout-or-None, descriptor) from the config."""
+    """Build (problem, layout-or-None, descriptor) from the config: the
+    descriptor that the trace embeds, and the problem rebuilt from it as
+    ``analyze`` rebuilds it."""
     if config.problem_kind == "toy_consensus":
         if len(config.targets) < 2:
             raise ConfigError("toy_consensus needs at least two targets")
-        problem = make_toy_consensus(config.targets)
-        return problem, None, {"kind": "toy_consensus", "targets": config.targets}
-    if config.problem_kind == "nonconvex_toy":
-        return make_nonconvex_toy(), None, {"kind": "nonconvex_toy"}
-    for label, path in (("case", config.case_path), ("partition", config.partition_path)):
-        if not path:
-            raise ConfigError(f"problem = opf needs a {label} file")
-        if not os.path.exists(path):
-            raise ConfigError(f"{label} file not found: {path}")
-    case_text = Path(config.case_path).read_text(encoding="utf-8")
-    part_text = Path(config.partition_path).read_text(encoding="utf-8")
-    case = caseio.parse_case(case_text)
-    partition = caseio.parse_partition(part_text, case)
-    problem, layout = opf.build_regional_subproblems(
-        case, partition, config.beta_minus, config.beta_plus
-    )
-    descriptor = {
-        "kind": "opf",
-        "case": case_text,
-        "partition": part_text,
-        "beta_minus": config.beta_minus,
-        "beta_plus": config.beta_plus,
-    }
-    return problem, layout, descriptor
+        descriptor = {"kind": "toy_consensus", "targets": config.targets}
+    elif config.problem_kind == "nonconvex_toy":
+        descriptor = {"kind": "nonconvex_toy"}
+    else:
+        for label, path in (("case", config.case_path), ("partition", config.partition_path)):
+            if not path:
+                raise ConfigError(f"problem = opf needs a {label} file")
+            if not os.path.exists(path):
+                raise ConfigError(f"{label} file not found: {path}")
+        descriptor = {
+            "kind": "opf",
+            "case": Path(config.case_path).read_text(encoding="utf-8"),
+            "partition": Path(config.partition_path).read_text(encoding="utf-8"),
+            "beta_minus": config.beta_minus,
+            "beta_plus": config.beta_plus,
+        }
+    return (*problem_from_descriptor(descriptor), descriptor)
 
 
 def problem_from_descriptor(descriptor: dict):
@@ -397,39 +391,24 @@ def cmd_run(args) -> int:
     if config.baseline:
         if layout is not None:
             try:
-                central = opf.centralized_reference_solve(layout.case)
+                central = opf.centralized_reference_solve(layout.case).objective
             except SolveError as err:
                 print(f"error: centralized baseline solve failed: {err}", file=sys.stderr)
                 return 1
-            gap = analysis.objective_gap(
-                problem.total_objective(result.x), central.objective
-            )
-            report["baseline"] = {
-                "centralized_objective": central.objective,
-                "distributed_objective": problem.total_objective(result.x),
-                "gap_percent": gap.percent,
-                "gap_absolute": gap.absolute,
-            }
         else:
-            _, best = toy_centralized_optimum(problem, descriptor)
-            gap = analysis.objective_gap(problem.total_objective(result.x), best)
-            report["baseline"] = {
-                "centralized_objective": best,
-                "distributed_objective": problem.total_objective(result.x),
-                "gap_percent": gap.percent,
-                "gap_absolute": gap.absolute,
-            }
-    (outdir / "diagnostics.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    timing = {
-        str(k): {"compute_ms": t.compute_ms, "wait_ms": t.wait_ms,
-                 "wait_fraction": t.wait_fraction}
-        for k, t in sorted(result.timing.items())
-    }
-    (outdir / "timing.json").write_text(
-        json.dumps(timing, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+            _, central = toy_centralized_optimum(problem, descriptor)
+        distributed = problem.total_objective(result.x)
+        gap = analysis.objective_gap(distributed, central)
+        report["baseline"] = {
+            "centralized_objective": central,
+            "distributed_objective": distributed,
+            "gap_percent": gap.percent,
+            "gap_absolute": gap.absolute,
+        }
+    for name, content in (("diagnostics.json", report), ("timing.json", report["timing"])):
+        (outdir / name).write_text(
+            json.dumps(content, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
     log.info("status=%s final_residue=%.3e", result.status, result.max_residue())
     print(f"{result.status}: {result.end_time:.3f} ms virtual, "
           f"max residue {result.max_residue():.3e}, artifacts in {outdir}")

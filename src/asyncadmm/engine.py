@@ -203,13 +203,11 @@ class BoundaryMessage:
 
 @dataclass
 class EventTrace:
-    """Globally ordered event log of one run plus final states."""
+    """Globally ordered event log of one run; the final states are its
+    ``final`` and ``final_z`` events."""
 
     meta: dict
     events: list[TraceEvent] = field(default_factory=list)
-    final_x: list = field(default_factory=list)
-    final_lam: list = field(default_factory=list)
-    final_z: Array | None = None
     status: str = "incomplete"
     end_time: float = 0.0
 
@@ -250,17 +248,6 @@ class EngineAbort(RuntimeError):
 
 
 @dataclass
-class WorkerTiming:
-    compute_ms: float = 0.0
-    wait_ms: float = 0.0
-
-    @property
-    def wait_fraction(self) -> float:
-        total = self.compute_ms + self.wait_ms
-        return self.wait_ms / total if total > 0 else 0.0
-
-
-@dataclass
 class RunResult:
     trace: EventTrace
     states: list[WorkerState]
@@ -269,7 +256,6 @@ class RunResult:
     status: str
     end_time: float
     iteration_log: list[tuple]
-    timing: dict[int, WorkerTiming]
 
     @property
     def x(self) -> list[Array]:
@@ -319,9 +305,7 @@ class _Simulator:
         self.objectives = [r.objective(s.x) for r, s in zip(problem.regions, self.states)]
         self.heap: list = []
         self.seq = 0
-        self.timing = {k: WorkerTiming() for k in range(1, K + 1)}
         self.phase = {k: "idle" for k in range(1, K + 1)}
-        self.phase_since = {k: 0.0 for k in range(1, K + 1)}
         self.iteration_log: list[tuple] = []
         self.cycles_closed = 0
         self.status = "running"
@@ -356,16 +340,6 @@ class _Simulator:
             TraceEvent(kind, worker, local_iter, time, payload, digest)
         )
 
-    def _set_phase(self, k: int, phase: str, t: float):
-        prev = self.phase[k]
-        span = t - self.phase_since[k]
-        if prev == "computing":
-            self.timing[k].compute_ms += span
-        elif prev == "waiting":
-            self.timing[k].wait_ms += span
-        self.phase[k] = phase
-        self.phase_since[k] = t
-
     def _threshold_met(self, k: int) -> bool:
         return ready_to_update(
             len(self.problem.neighbors(k)), len(self.inbox[k]), self.params.p
@@ -374,7 +348,7 @@ class _Simulator:
     def _start_compute(self, k: int, t: float):
         state = self.states[k - 1]
         self._log("compute_start", k, state.local_iter, t, {"z": state.z.tolist()})
-        self._set_phase(k, "computing", t)
+        self.phase[k] = "computing"
         delay = self.delays.compute_spec(k).sample(self.compute_rng[k])
         self._push(t + delay, "done", k)
 
@@ -426,7 +400,7 @@ class _Simulator:
 
     def _try_close_cycle(self, k: int, t: float):
         if not self._threshold_met(k):
-            self._set_phase(k, "waiting", t)
+            self.phase[k] = "waiting"
             return
         state = self.states[k - 1]
         # consensus update on every arrived edge, freshest message per edge;
@@ -460,7 +434,7 @@ class _Simulator:
             self.status = "converged"
             return
         if state.local_iter >= self.stop.max_local_iters:
-            self._set_phase(k, "idle", t)
+            self.phase[k] = "idle"
             return
         self._start_compute(k, t)
 
@@ -510,8 +484,6 @@ class _Simulator:
         if self.status == "running":
             self.status = "iteration_cap"
         end = self.now
-        for k in range(1, self.problem.num_regions + 1):
-            self._set_phase(k, "ended", end)
         for s in self.states:
             self._log("final", s.region_index, s.local_iter, end, {
                 "x": s.x.tolist(),
@@ -525,13 +497,10 @@ class _Simulator:
         self._log("end", 0, 0, end, {"status": self.status, "converged": converged})
         self.trace.status = self.status
         self.trace.end_time = end
-        self.trace.final_x = [s.x.tolist() for s in self.states]
-        self.trace.final_lam = [s.lam.tolist() for s in self.states]
-        self.trace.final_z = self.z_global.copy()
         return RunResult(
             trace=self.trace, states=self.states, z=self.z_global,
             converged=converged, status=self.status, end_time=end,
-            iteration_log=self.iteration_log, timing=self.timing,
+            iteration_log=self.iteration_log,
         )
 
 
@@ -546,7 +515,8 @@ def run(
 ) -> RunResult:
     """Execute the asynchronous loop under the given delay model.
 
-    Returns the trace, final states and per-worker timing. Identical
+    Returns the trace and the final states; the compute/wait split is
+    :func:`asyncadmm.analysis.timing_from_trace` of the trace. Identical
     arguments (including the seed) produce a bitwise-identical trace. A local
     solver failure raises :class:`EngineAbort` carrying the partial trace;
     cap exhaustion returns normally with ``converged=False``.

@@ -2,9 +2,9 @@
 
 All functions here are pure: x-subproblem assembly, the multiplier update,
 the closed-form proximal consensus update for one edge, the per-worker
-residue, the augmented Lagrangian value, and the multiplier box projection.
-Synchronous and asynchronous drivers share these primitives so their
-iterates can be compared bit for bit.
+residue, and the multiplier box projection. Synchronous and asynchronous
+drivers share these primitives so their iterates can be compared bit for
+bit.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import numpy as np
 
 from .localsolver import SolverConfig, solve_local
 from .problem import Array, CouplingEdge, PartitionedProblem, RegionSpec
-from .problem import box_violation, equality_violation
 
 
 @dataclass(frozen=True)
@@ -193,45 +192,6 @@ def residue(state: WorkerState, z_prev: Array) -> float:
     primal = state.ax - state.z
     dual = state.z - z_prev
     return float(max(np.abs(primal).max(), np.abs(dual).max()))
-
-
-@dataclass(frozen=True)
-class LagrangianValue:
-    feasible: bool
-    value: float | None
-    max_violation: float
-
-
-def augmented_lagrangian(
-    problem: PartitionedProblem,
-    x_all: list[Array],
-    z_global: Array,
-    lam_all: list[Array],
-    params: AdmmParams,
-    feas_tol: float = 1e-6,
-) -> LagrangianValue:
-    """Sum over regions of f_k + lam_k.(A_k x_k - z_k) + (rho/2)||A_k x_k - z_k||^2.
-
-    The consensus constraint on z holds by construction (one block per edge).
-    If any x_k violates its box or equality constraints beyond ``feas_tol``
-    the value is undefined: the result carries ``feasible=False`` and no
-    scalar, never a synthetic large number.
-    """
-    worst = 0.0
-    for k in range(1, problem.num_regions + 1):
-        region = problem.region(k)
-        x = np.asarray(x_all[k - 1], dtype=float)
-        worst = max(worst, box_violation(region, x), equality_violation(region, x))
-    if worst > feas_tol:
-        return LagrangianValue(feasible=False, value=None, max_violation=worst)
-    total = 0.0
-    for k in range(1, problem.num_regions + 1):
-        region = problem.region(k)
-        x = np.asarray(x_all[k - 1], dtype=float)
-        z_k = problem.region_z(z_global, k)
-        r = region.boundary_map @ x - z_k
-        total += region.objective(x) + float(lam_all[k - 1] @ r) + 0.5 * params.rho * float(r @ r)
-    return LagrangianValue(feasible=True, value=total, max_violation=worst)
 
 
 def initial_z(problem: PartitionedProblem, x_all: list[Array]) -> Array:

@@ -81,12 +81,11 @@ class SolveResult:
 
 class SolveError(RuntimeError):
     """Raised when the solver exhausts its caps with residuals above
-    tolerance. Carries the most nearly feasible iterate found and its
-    residuals for the error report; no caller retries from it."""
+    tolerance. Carries the residuals of the most nearly feasible iterate
+    found, for the error report."""
 
-    def __init__(self, message: str, best_x: Array, grad_norm: float, constraint_norm: float):
+    def __init__(self, message: str, grad_norm: float, constraint_norm: float):
         super().__init__(message)
-        self.best_x = best_x
         self.grad_norm = grad_norm
         self.constraint_norm = constraint_norm
 
@@ -254,7 +253,7 @@ def solve_local(
     gradient tolerance is relative to the objective's gradient magnitude at
     the start point (floored at 1), so problems stated in large units are
     not held to an absolute cutoff below floating-point resolution. Cap
-    exhaustion raises :class:`SolveError` carrying the best iterate.
+    exhaustion raises :class:`SolveError` with the best iterate's residuals.
 
     The only early exit short of the tolerances is the numeric floor: a
     feasible stage whose line search can certify no further decrease
@@ -310,7 +309,7 @@ def solve_local(
         if pgn > grad_tol and not stalled:
             raise SolveError(
                 f"projected gradient stopped at |pg|={pgn:.3e} > {grad_tol:.1e}",
-                x, pgn, 0.0,
+                pgn, 0.0,
             )
         return SolveResult(x, pgn, 0.0, 1, it, np.zeros(0),
                            penalty=0.0, at_numeric_floor=stalled)
@@ -322,7 +321,7 @@ def solve_local(
     mu = float(penalty_start) if penalty_start else config.penalty_init
     merit_path: list[tuple[float, float]] = []
     total_inner = 0
-    best = (np.inf, x, np.inf)  # (constraint norm, x, pg norm)
+    best = (np.inf, np.inf)  # (constraint norm, pg norm) of the most feasible stage
     prev_hnorm = math.inf
 
     for outer in range(1, config.max_iters + 1):
@@ -356,7 +355,7 @@ def solve_local(
         h = at.h(x)
         hnorm = float(np.abs(h).max(initial=0.0))
         if hnorm < best[0]:
-            best = (hnorm, x.copy(), pgn)
+            best = (hnorm, pgn)
         if hnorm <= config.constraint_tol and pgn <= grad_tol:
             return SolveResult(x, pgn, hnorm, outer, total_inner, y + mu * h,
                                penalty=mu, merit_path=merit_path)
@@ -376,6 +375,6 @@ def solve_local(
 
     raise SolveError(
         f"local solve stopped after {len(merit_path)} stages: "
-        f"|h|={best[0]:.3e}, |pg|={best[2]:.3e}",
-        best[1], best[2], best[0],
+        f"|h|={best[0]:.3e}, |pg|={best[1]:.3e}",
+        best[1], best[0],
     )

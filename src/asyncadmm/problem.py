@@ -230,18 +230,6 @@ class PartitionedProblem:
         return float(sum(r.objective(np.asarray(x)) for r, x in zip(self.regions, x_all)))
 
 
-def evaluate_objective(region: RegionSpec, x) -> float:
-    """f_k(x) for one region; the feasibility indicator is not added."""
-    x = _as_float_vector(x, region.dim_x, "x")
-    return float(region.objective(x))
-
-
-def evaluate_boundary_map(region: RegionSpec, x) -> Array:
-    """A_k x. The map is linear; A_k need not have full column rank."""
-    x = _as_float_vector(x, region.dim_x, "x")
-    return region.boundary_map @ x
-
-
 def flat_start(region: RegionSpec) -> Array:
     """Midpoint of the box bounds; coordinates with an infinite bound start at
     0 clipped into the box."""
@@ -249,19 +237,6 @@ def flat_start(region: RegionSpec) -> Array:
     mid = np.zeros(region.dim_x)
     mid[both] = 0.5 * (region.lower[both] + region.upper[both])
     return np.clip(mid, region.lower, region.upper)
-
-
-def box_violation(region: RegionSpec, x: Array) -> float:
-    return float(
-        max(np.max(region.lower - x, initial=0.0), np.max(x - region.upper, initial=0.0))
-    )
-
-
-def equality_violation(region: RegionSpec, x: Array) -> float:
-    if region.equality is None:
-        return 0.0
-    h = np.asarray(region.equality(x), dtype=float)
-    return float(np.max(np.abs(h), initial=0.0))
 
 
 def _quadratic_region(target: float, bound: float | None = None) -> RegionSpec:
@@ -341,21 +316,3 @@ def make_nonconvex_toy() -> PartitionedProblem:
     quadratic = _quadratic_region(0.5, bound=b)
     edge = CouplingEdge(k=1, l=2, block_k=(0, 1), block_l=(0, 1))
     return PartitionedProblem(regions=(double_well, quadratic), edges=(edge,))
-
-
-def nonconvex_toy_constants() -> dict[str, float]:
-    """Curvature/conditioning constants of the double-well toy, exact for the
-    shipped box: gamma and m1 are max |f''| over [-1.25, 1.25], the boundary
-    maps are 1-D identities (m2 = 1, c = 1)."""
-    b = NONCONVEX_TOY_BOUND
-    curvature = max(12.0 * b * b - 4.0, 2.0)
-    return {"gamma": curvature, "m1": curvature, "m2": 1.0, "c": 1.0}
-
-
-def nonconvex_toy_minimum(step: float = 1e-4) -> tuple[float, float]:
-    """Consensus minimiser of the double-well toy by exhaustive grid search
-    over [-2, 2]; returns (argmin, value)."""
-    xs = np.arange(-2.0, 2.0 + step / 2, step)
-    vals = (xs**2 - 1.0) ** 2 + (xs - 0.5) ** 2
-    i = int(np.argmin(vals))
-    return float(xs[i]), float(vals[i])

@@ -16,20 +16,17 @@ from asyncadmm.analysis import (
     measure_omega,
     objective_gap,
     parameter_bounds,
+    timing_from_trace,
     verify_slicing_rules,
 )
 from asyncadmm.cli import main
 from asyncadmm.engine import DelayModel, DelaySpec, StoppingRule, run, run_sync_reference
 from asyncadmm.kernel import AdmmParams
 from asyncadmm.opf import Partition, build_regional_subproblems, centralized_reference_solve
-from asyncadmm.problem import (
-    flat_start,
-    make_nonconvex_toy,
-    make_toy_consensus,
-    nonconvex_toy_constants,
-)
+from asyncadmm.problem import flat_start, make_nonconvex_toy, make_toy_consensus
 
 from conftest import STAGGERED_BOUNDARIES, STAGGERED_OMEGA, events_of, staggered_trace
+from oracles import nonconvex_toy_constants
 
 LOCKSTEP = DelayModel(compute=DelaySpec.constant(1.0), link=DelaySpec.constant(0.0), seed=0)
 
@@ -345,8 +342,8 @@ def test_criterion_10_time_accounting():
                    StoppingRule(tol=1e-4, max_local_iters=400))
     async_run = run(problem, AdmmParams(rho=5.0, p=0.1), slow,
                     StoppingRule(tol=1e-4, max_local_iters=400))
-    wf_sync = sum(t.wait_fraction for t in sync_run.timing.values()) / 4
-    wf_async = sum(t.wait_fraction for t in async_run.timing.values()) / 4
+    wf_sync = sum(t["wait_fraction"] for t in timing_from_trace(sync_run.trace).values()) / 4
+    wf_async = sum(t["wait_fraction"] for t in timing_from_trace(async_run.trace).values()) / 4
     ok = sync_run.converged and async_run.converged and wf_sync > wf_async
     report(10, ok, f"average wait fraction: lockstep {wf_sync:.3f} > "
                    f"threshold-0.1 {wf_async:.3f}")

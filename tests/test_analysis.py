@@ -10,7 +10,6 @@ from asyncadmm.analysis import (
     UpdateRecord,
     analyze_trace,
     assign_global_iterations,
-    boundary_conditioning,
     check_kkt,
     check_lambda_bound,
     check_staleness_bound,
@@ -286,19 +285,6 @@ class TestObjectiveGap:
         gap = objective_gap(0.3, 0.0)
         assert not gap.defined
         assert gap.absolute == pytest.approx(0.3)
-
-
-class TestConditioningConstant:
-    def test_two_region_toy_exact(self):
-        c, exact = boundary_conditioning(make_toy_consensus([0.0, 2.0]))
-        assert exact
-        assert c == pytest.approx(1.0)
-
-    def test_chain_uses_pseudo_inverse(self):
-        # interior chain regions have rank-deficient A A^T
-        c, exact = boundary_conditioning(make_toy_consensus([0.0, 1.0, 2.0]))
-        assert not exact
-        assert c > 0
 
 
 class TestAggregateReport:

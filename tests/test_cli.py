@@ -14,9 +14,10 @@ from asyncadmm.cli import (
     toy_centralized_optimum,
 )
 from asyncadmm.localsolver import SolveError
-from asyncadmm.problem import make_nonconvex_toy, make_toy_consensus, nonconvex_toy_minimum
+from asyncadmm.problem import make_nonconvex_toy, make_toy_consensus
 
 from conftest import CASES_DIR
+from oracles import nonconvex_toy_minimum, read_results
 
 TOY_CONFIG = """
 problem = toy_consensus
@@ -75,7 +76,7 @@ class TestRunCommand:
         assert code == 0
         out = tmp_path / "out"
         assert (out / "trace.log").exists()
-        rows = caseio.read_results(out / "convergence.csv")
+        rows = read_results(out / "convergence.csv")
         assert rows[-1][2] <= 1e-3  # final max residue
         report = json.loads((out / "diagnostics.json").read_text())
         assert report["status"] == "converged"
@@ -100,8 +101,8 @@ class TestRunCommand:
         )
         assert main(["run", str(sync_cfg)]) == 0
         assert main(["run", str(async_cfg)]) == 0
-        a = caseio.read_results(tmp_path / "a" / "convergence.csv")
-        b = caseio.read_results(tmp_path / "b" / "convergence.csv")
+        a = read_results(tmp_path / "a" / "convergence.csv")
+        b = read_results(tmp_path / "b" / "convergence.csv")
         assert len(a) == len(b)
         for ra, rb in zip(a, b):
             for va, vb in zip(ra, rb):
@@ -190,7 +191,7 @@ outdir = {tmp_path / 'opf'}
 
     def test_failed_baseline_solve_exits_one(self, tmp_path, capsys, monkeypatch):
         def fail(case, *args, **kwargs):
-            raise SolveError("forced failure", np.zeros(1), 1.0, 1.0)
+            raise SolveError("forced failure", 1.0, 1.0)
 
         monkeypatch.setattr(opf, "centralized_reference_solve", fail)
         cfg = write_config(tmp_path, f"""
@@ -433,6 +434,16 @@ link_delay = lognormal:-1.5,0.3
 """
 
 
+# sha256 prefixes of diagnostics.json less `wall_time_s`, rendered with
+# json.dumps(indent=2, sort_keys=True), from the same runs
+DIAGNOSTICS_PREFIXES = {
+    "toy_sync": "e8f002ef91f43f8b",
+    "ring5_async": "b48d10d8e5716b01",
+    "nine_sync": "63bcb2756ab44d35",
+    "toy_chain16": "cbe2c798caa5ed2e",
+}
+
+
 @pytest.mark.parametrize("config, prefix", [
     ("toy_sync", "120e1b2a8e395db5"),
     ("ring5_async", "0e5ca57bd9260967"),
@@ -456,3 +467,27 @@ def test_shipped_trace_hashes(tmp_path, config, prefix):
         f"3.11.7 / numpy 2.4.6; this is Python {platform.python_version()} / "
         f"numpy {np.__version__})"
     )
+    # so is the report, once the wall time (the one field that differs
+    # between two runs of the same config) is removed
+    report = json.loads((out / "diagnostics.json").read_text())
+    report.pop("wall_time_s")
+    rendered = json.dumps(report, indent=2, sort_keys=True).encode()
+    got = hashlib.sha256(rendered).hexdigest()[:16]
+    pinned = DIAGNOSTICS_PREFIXES[config]
+    assert got == pinned, f"{config} diagnostics sha256 prefix {got}, pinned {pinned}"
+
+
+def test_capped_run_timing_is_the_report_section(tmp_path):
+    # capped at 50 cycles with an unreachable tolerance, the 16 workers reach
+    # the cap at different times; a worker's idle time from its cap to the
+    # end of the run counts as waiting, in timing.json as in the report
+    cfg = tmp_path / "toy_chain16.cfg"
+    cfg.write_text(TOY_CHAIN16_CONFIG)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--set", f"outdir={out}", "--set", "max_local_iters=50",
+                 "--set", "tol=1e-12"]) == 2
+    report = json.loads((out / "diagnostics.json").read_text())
+    timing = json.loads((out / "timing.json").read_text())
+    assert timing == report["timing"] and len(timing) == 16
+    for t in timing.values():
+        assert t["compute_ms"] + t["wait_ms"] == pytest.approx(report["end_time_ms"], rel=1e-12)

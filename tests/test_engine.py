@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from asyncadmm.analysis import timing_from_trace
 from asyncadmm.engine import (
     DelayModel,
     DelaySpec,
@@ -251,16 +252,29 @@ class TestTimeAccounting:
         async_run = run(problem, AdmmParams(rho=5.0, p=0.1), slow,
                         StoppingRule(tol=1e-4, max_local_iters=400))
         assert sync_run.converged and async_run.converged
-        wf_sync = sum(t.wait_fraction for t in sync_run.timing.values()) / 4
-        wf_async = sum(t.wait_fraction for t in async_run.timing.values()) / 4
+        sync_timing = timing_from_trace(sync_run.trace)
+        wf_sync = sum(t["wait_fraction"] for t in sync_timing.values()) / 4
+        wf_async = sum(t["wait_fraction"] for t in timing_from_trace(async_run.trace).values()) / 4
         assert wf_sync > wf_async
         # the fast workers idle most of each lockstep round
-        fast_waits = [sync_run.timing[k].wait_fraction for k in (2, 3, 4)]
+        fast_waits = [sync_timing[k]["wait_fraction"] for k in (2, 3, 4)]
         assert min(fast_waits) > 0.5
 
     def test_timeline_split_covers_run(self):
         problem = make_toy_consensus([0.0, 2.0])
         res = run(problem, AdmmParams(rho=5.0, p=1.0), ZERO_LINK,
                   StoppingRule(tol=1e-3, max_local_iters=100))
-        for t in res.timing.values():
-            assert t.compute_ms + t.wait_ms == pytest.approx(res.end_time, abs=1e-9)
+        for t in timing_from_trace(res.trace).values():
+            assert t["compute_ms"] + t["wait_ms"] == pytest.approx(res.end_time, abs=1e-9)
+        # iteration-capped chain 1-2-3 with a slow end worker: workers 1 and
+        # 2 reach the cap of 10 one-millisecond cycles at t = 10; worker 3's
+        # fourth four-millisecond cycle ends the run at t = 16 with no fresh
+        # message left. The idle tail after a cap counts as waiting.
+        slow_end = DelayModel(compute=DelaySpec.constant(1.0), link=DelaySpec.constant(0.0),
+                              compute_overrides={3: DelaySpec.constant(4.0)}, seed=0)
+        res = run(make_toy_consensus([0.0, 1.0, 2.0]), AdmmParams(rho=5.0, p=0.1), slow_end,
+                  StoppingRule(tol=1e-12, max_local_iters=10))
+        assert (res.status, res.end_time) == ("iteration_cap", 16.0)
+        split = {k: (t["compute_ms"], t["wait_ms"])
+                 for k, t in timing_from_trace(res.trace).items()}
+        assert split == {1: (10.0, 6.0), 2: (10.0, 6.0), 3: (16.0, 0.0)}

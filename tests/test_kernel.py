@@ -8,7 +8,6 @@ from asyncadmm.engine import run_sync_reference
 from asyncadmm.kernel import (
     AdmmParams,
     WorkerState,
-    augmented_lagrangian,
     initial_z,
     lambda_update,
     project_lambda,
@@ -18,6 +17,8 @@ from asyncadmm.kernel import (
 )
 from asyncadmm.localsolver import SolverConfig
 from asyncadmm.problem import CouplingEdge, RegionSpec, make_toy_consensus
+
+from oracles import augmented_lagrangian
 
 EDGE1 = CouplingEdge(k=1, l=2, block_k=(0, 1), block_l=(0, 1))
 

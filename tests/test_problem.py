@@ -7,14 +7,12 @@ from asyncadmm.problem import (
     CouplingEdge,
     PartitionedProblem,
     RegionSpec,
-    evaluate_boundary_map,
-    evaluate_objective,
     flat_start,
     make_nonconvex_toy,
     make_toy_consensus,
-    nonconvex_toy_constants,
-    nonconvex_toy_minimum,
 )
+
+from oracles import nonconvex_toy_constants, nonconvex_toy_minimum
 
 
 def quadratic_region(target, rows=1):
@@ -75,7 +73,7 @@ class TestValidation:
 class TestEvaluate:
     def test_quadratic_minimum_is_zero(self):
         region = quadratic_region(2.0)
-        assert evaluate_objective(region, [2.0]) == 0.0
+        assert region.objective(np.array([2.0])) == 0.0
 
     def test_generation_cost_direct_arithmetic(self):
         # quadratic cost a=0.01, b=40, c=0 at P=100 MW, checked against an
@@ -90,20 +88,16 @@ class TestEvaluate:
             upper=np.array([200.0]),
         )
         expected = sum(coeff * p**power for coeff, power in ((a, 2), (b, 1), (c, 0)))
-        assert evaluate_objective(region, [p]) == pytest.approx(expected)
+        assert region.objective(np.array([p])) == pytest.approx(expected)
         assert expected == 4100.0
 
     def test_toy_consensus_region_objective(self):
         problem = make_toy_consensus([0.0, 2.0])
-        assert evaluate_objective(problem.region(1), [1.0]) == 1.0
-
-    def test_objective_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            evaluate_objective(quadratic_region(0.0), [1.0, 2.0])
+        assert problem.region(1).objective(np.array([1.0])) == 1.0
 
     def test_boundary_map_identity(self):
         region = quadratic_region(0.0)
-        assert evaluate_boundary_map(region, [3.5]) == pytest.approx([3.5])
+        assert region.boundary_map @ np.array([3.5]) == pytest.approx([3.5])
 
     def test_boundary_map_duplicated_row(self):
         # row-deficient map copying one coordinate; exercises maps without
@@ -116,7 +110,7 @@ class TestEvaluate:
             lower=np.full(2, -np.inf),
             upper=np.full(2, np.inf),
         )
-        out = evaluate_boundary_map(region, [3.0, 7.0])
+        out = region.boundary_map @ np.array([3.0, 7.0])
         assert out == pytest.approx([3.0, 3.0])
 
     def test_boundary_map_against_triple_loop(self):
@@ -135,11 +129,7 @@ class TestEvaluate:
         for i in range(2):
             for j in range(3):
                 expected[i] += A[i, j] * x[j]
-        assert evaluate_boundary_map(region, x) == pytest.approx(expected, abs=1e-14)
-
-    def test_boundary_map_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            evaluate_boundary_map(quadratic_region(0.0), [1.0, 1.0])
+        assert region.boundary_map @ x == pytest.approx(expected, abs=1e-14)
 
 
 def grid_minimum(objectives, lo=-10.0, hi=10.0, step=1e-4):
@@ -274,8 +264,8 @@ class TestProperties:
         )
         x, y = rng.standard_normal(4), rng.standard_normal(4)
         a, b = rng.uniform(-2, 2, size=2)
-        left = evaluate_boundary_map(region, a * x + b * y)
-        right = a * evaluate_boundary_map(region, x) + b * evaluate_boundary_map(region, y)
+        left = region.boundary_map @ (a * x + b * y)
+        right = a * (region.boundary_map @ x) + b * (region.boundary_map @ y)
         assert np.max(np.abs(left - right)) < 1e-12
 
     @settings(max_examples=20, deadline=None)
