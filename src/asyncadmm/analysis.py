@@ -574,17 +574,21 @@ def timing_from_trace(trace: EventTrace) -> dict[int, dict]:
     return out
 
 
-def _final_state(finals: list[dict], final_z: dict, problem: PartitionedProblem):
-    """The final x, lam per region and z from the payloads of the trace's
-    ``final`` and ``final_z`` records, checked against the problem's
-    dimensions."""
+def _final_state(trace: EventTrace, problem: PartitionedProblem):
+    """The final x, lam per region and z from the trace's ``final`` and
+    ``final_z`` records, checked against the problem's dimensions; None when
+    the trace has none (an aborted run)."""
+    finals = [e.payload for e in trace.events if e.kind == "final"]
+    z_records = [e.payload for e in trace.events if e.kind == "final_z"]
+    if not finals or not z_records:
+        return None
     K = problem.num_regions
     if len(finals) != K:
         raise TraceError(f"trace holds {len(finals)} final records for {K} regions")
     try:
         x_all = [np.asarray(f["x"], dtype=float) for f in finals]
         lam_all = [np.asarray(f["lam"], dtype=float) for f in finals]
-        z = np.asarray(final_z["z"], dtype=float)
+        z = np.asarray(z_records[-1]["z"], dtype=float)
     except (TypeError, ValueError) as err:
         raise TraceError(f"trace holds a non-numeric final state: {err}") from None
     for k, region, x, lam in zip(range(1, K + 1), problem.regions, x_all, lam_all):
@@ -651,10 +655,9 @@ def analyze_trace(
             "rho_admissible": rho > rho_min,
             "alpha_zero_admissible": alpha_min <= 0.0,
         }
-    finals = [e.payload for e in trace.events if e.kind == "final"]
-    final_z = [e.payload for e in trace.events if e.kind == "final_z"]
-    if problem is not None and final_z and finals:
-        x_all, lam_all, z_final = _final_state(finals, final_z[-1], problem)
+    final = _final_state(trace, problem) if problem is not None else None
+    if final is not None:
+        x_all, lam_all, z_final = final
         kkt = check_kkt(problem, x_all, z_final, lam_all, tol=kkt_tol)
         report["kkt"] = {
             "stationarity": kkt.stationarity,
