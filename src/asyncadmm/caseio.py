@@ -41,6 +41,7 @@ _GEN_ARITY = 5
 _COST_ARITY = 3
 _SECTIONS = ("BUS", "BRANCH", "GEN", "COST")
 _TRACE_HEADER = "#asyncadmm-trace-v1"
+_encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps(obj, sort_keys=True), built once
 RESULTS_HEADER = "iter,time_ms,max_residue,objective,constraint_mismatch"
 
 
@@ -250,13 +251,12 @@ def write_trace(trace: EventTrace, path) -> None:
     """One event per line under a JSON metadata header; byte-exact round
     trip, and identical runs produce identical bytes."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_TRACE_HEADER + " " + json.dumps(trace.meta, sort_keys=True) + "\n")
-        for ev in trace.events:
-            fh.write(
-                f"{ev.kind} {ev.worker} {ev.local_iter} {ev.time!r} {ev.digest} "
-                + json.dumps(ev.payload, sort_keys=True)
-                + "\n"
-            )
+        fh.write(_TRACE_HEADER + " " + _encode(trace.meta) + "\n")
+        fh.writelines(
+            f"{ev.kind} {ev.worker} {ev.local_iter} {ev.time!r} {ev.digest} "
+            f"{_encode(ev.payload)}\n"
+            for ev in trace.events
+        )
 
 
 def _interned_keys(pairs: list[tuple]) -> dict:

@@ -157,9 +157,12 @@ def build_run_config(entries: dict[str, tuple[str, int]]) -> RunConfig:
     def number(key: str) -> float:
         value, line = get(key)
         try:
-            return float(value)
+            out = float(value)
         except ValueError:
-            raise ConfigError(f"{key} must be a number, got {value!r}", line) from None
+            out = math.nan
+        if math.isnan(out):
+            raise ConfigError(f"{key} must be a number, got {value!r}", line)
+        return out
 
     def integer(key: str) -> int:
         value, line = get(key)
@@ -191,9 +194,6 @@ def build_run_config(entries: dict[str, tuple[str, int]]) -> RunConfig:
         except ValueError:
             raise ConfigError(f"targets must be numbers, got {targets_text!r}", line) from None
 
-    tol = number("tol")
-    if tol <= 0:
-        raise ConfigError("tol must be positive", get("tol")[1])
     p = number("p")
     try:
         params = AdmmParams(
@@ -238,7 +238,7 @@ def build_run_config(entries: dict[str, tuple[str, int]]) -> RunConfig:
         case_path=get("case")[0],
         partition_path=get("partition")[0],
         params=params,
-        tol=tol,
+        tol=number("tol"),
         max_local_iters=integer("max_local_iters"),
         time_cap_ms=number("time_cap_ms"),
         start=start,
@@ -351,17 +351,16 @@ def cmd_run(args) -> int:
             key, value = override.split("=", 1)
             entries[key.strip()] = (value.strip(), None)
         config = build_run_config(entries)
+        stop = engine.StoppingRule(
+            tol=config.tol,
+            max_local_iters=config.max_local_iters,
+            time_cap_ms=config.time_cap_ms,
+        )
         problem, layout, descriptor = _resolve_problem(config)
         x0 = _start_vectors(config, problem, layout, descriptor)
     except (ConfigError, caseio.ParseError, opf.BuildError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-
-    stop = engine.StoppingRule(
-        tol=config.tol,
-        max_local_iters=config.max_local_iters,
-        time_cap_ms=config.time_cap_ms,
-    )
     wall_start = time.monotonic()
     try:
         result = engine.run(
@@ -438,6 +437,9 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if not 0 < args.tol < math.inf:
+        print(f"error: --tol must be positive and finite, got {args.tol!r}", file=sys.stderr)
+        return 1
     try:
         trace = caseio.read_trace(args.trace)
     except caseio.ParseError as err:

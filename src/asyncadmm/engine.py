@@ -57,14 +57,15 @@ class DelaySpec:
 
     def __post_init__(self):
         if self.kind == "constant":
-            if len(self.params) != 1 or self.params[0] < 0:
-                raise ValueError("constant delay needs one nonnegative value")
+            if len(self.params) != 1 or not 0 <= self.params[0] < math.inf:
+                raise ValueError("constant delay needs one finite nonnegative value")
         elif self.kind == "uniform":
-            if len(self.params) != 2 or not 0 <= self.params[0] <= self.params[1]:
-                raise ValueError("uniform delay needs 0 <= lo <= hi")
+            if len(self.params) != 2 or not 0 <= self.params[0] <= self.params[1] < math.inf:
+                raise ValueError("uniform delay needs 0 <= lo <= hi < inf")
         elif self.kind == "lognormal":
-            if len(self.params) != 2 or self.params[1] < 0:
-                raise ValueError("lognormal delay needs (mean_log, sigma_log >= 0)")
+            if len(self.params) != 2 or not (math.isfinite(self.params[0])
+                                             and 0 <= self.params[1] < math.inf):
+                raise ValueError("lognormal delay needs finite (mean_log, sigma_log >= 0)")
         else:
             raise ValueError(f"unknown delay kind {self.kind!r}")
 
@@ -222,9 +223,9 @@ class StoppingRule:
     time_cap_ms: float = 1e12
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("stopping tolerance must be positive")
-        if self.max_local_iters < 1 or self.time_cap_ms <= 0:
+        if not 0 < self.tol < math.inf:
+            raise ValueError("stopping tolerance must be positive and finite")
+        if not (self.max_local_iters >= 1 and self.time_cap_ms > 0):
             raise ValueError("caps must be positive")
 
 

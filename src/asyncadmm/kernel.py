@@ -2,18 +2,20 @@
 
 All functions here are pure: x-subproblem assembly, the multiplier update,
 the closed-form proximal consensus update for one edge, the per-worker
-residue, and the multiplier box projection. Synchronous and asynchronous
+residue, and the multiplier box projection. The one thing kept between
+calls is the penalty curvature rho A^T A, built once per region and rho
+and held in ``RegionSpec.penalty_curvature``. Synchronous and asynchronous
 drivers share these primitives so their iterates can be compared bit for
 bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .localsolver import SolverConfig, solve_local
+from .localsolver import SolverConfig, last_point_memo, solve_local
 from .problem import Array, CouplingEdge, PartitionedProblem, RegionSpec
 
 
@@ -34,14 +36,14 @@ class AdmmParams:
     lambda_max: float = 1.0e6
 
     def __post_init__(self):
-        if not self.rho > 0:
-            raise ValueError("rho must be positive")
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
+        if not 0 < self.rho < np.inf:
+            raise ValueError("rho must be positive and finite")
+        if not 0 <= self.alpha < np.inf:
+            raise ValueError("alpha must be nonnegative and finite")
         if not 0.0 < self.p <= 1.0:
             raise ValueError("p must lie in (0, 1]")
-        if self.lambda_min > self.lambda_max:
-            raise ValueError("lambda box is empty")
+        if not self.lambda_min <= self.lambda_max:
+            raise ValueError("lambda box is empty or not a number")
 
 
 @dataclass
@@ -84,34 +86,42 @@ class BoundaryPenalty:
         g(x) = lam . (A x) + (rho / 2) ||A x - z||^2
 
     with gradient A^T lam + rho A^T (A x - z) and the constant Hessian
-    rho A^T A, which is built once with its diagonal when the penalty is
-    made (one penalty per local solve). Callers must not modify the
-    returned Hessian arrays.
+    rho A^T A. ``curvature`` is (rho A^T A, its diagonal), built here when
+    not given. ``value`` and ``grad`` at one point share A x and A x - z.
+    Callers must not modify the returned Hessian arrays.
     """
 
     A: Array
     lam: Array
     z: Array
     rho: float
+    curvature: tuple[Array, Array] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_hess", self.rho * (self.A.T @ self.A))
-        object.__setattr__(self, "_hess_diag", self.rho * (self.A * self.A).sum(axis=0))
+        A, z, rho = self.A, self.z, self.rho
+        if self.curvature is None:
+            object.__setattr__(self, "curvature", (rho * (A.T @ A), rho * (A * A).sum(axis=0)))
+
+        @last_point_memo
+        def residual(x):
+            ax = A @ x
+            return ax, ax - z
+
+        object.__setattr__(self, "_residual", residual)
 
     def value(self, x: Array) -> float:
-        ax = self.A @ x
-        r = ax - self.z
+        ax, r = self._residual(x)
         return float(self.lam @ ax + 0.5 * self.rho * (r @ r))
 
     def grad(self, x: Array) -> Array:
-        r = self.A @ x - self.z
+        r = self._residual(x)[1]
         return self.A.T @ (self.lam + self.rho * r)
 
     def hess_diag(self, x: Array) -> Array:
-        return self._hess_diag
+        return self.curvature[1]
 
     def hess(self, x: Array) -> Array:
-        return self._hess
+        return self.curvature[0]
 
 
 def project_lambda(lam: Array, lower, upper) -> Array:
@@ -135,7 +145,10 @@ def x_update(
     ``state.z`` must be the snapshot taken at the start of this update.
     Returns the solver result (minimiser plus diagnostics).
     """
-    penalty = BoundaryPenalty(region.boundary_map, state.lam, state.z, params.rho)
+    cache = region.penalty_curvature
+    penalty = BoundaryPenalty(region.boundary_map, state.lam, state.z, params.rho,
+                              cache.get(params.rho))
+    cache[params.rho] = penalty.curvature
     eq_mult, pen = warm_state if warm_state is not None else (None, None)
     return solve_local(region, penalty, state.x, solver,
                        eq_multipliers=eq_mult, penalty_start=pen)

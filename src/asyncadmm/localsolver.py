@@ -11,13 +11,13 @@ curvature plus mu J^T J (Gauss-Newton). A region that supplies
 sum_i w_i Hessian(h_i) at w = y + mu h, which makes the model the exact
 Hessian on the constraint side.
 
-The equality residual h and its Jacobian J are evaluated once per iterate:
-the line search's h at the accepted trial point is reused by the gradient,
-the Newton model and the stage-end residual. Each stage hands its start
-value and gradient to the inner loop instead of having them recomputed
-there, and the ADMM penalty's constant curvature rho A^T A is built once
-per penalty. The loops are bounded by ``SolverConfig.max_iters`` outer
-stages of at most ``inner_max_iters`` inner iterations each.
+Built once per solve: the clamped curvature model diag(max(d, 0)) plus the
+penalty's constant curvature, rebuilt only when the objective curvature d
+changes (the non-convex toy); per stage: the Newton step's inward bounds
+and identity; per iterate: h and J, so the line search's h at the accepted
+point serves the gradient, the Newton model and the stage-end residual.
+The loops are bounded by ``SolverConfig.max_iters`` outer stages of at
+most ``inner_max_iters`` inner iterations each.
 Everything is deterministic: identical inputs produce bitwise-identical
 outputs.
 """
@@ -90,31 +90,20 @@ class SolveError(RuntimeError):
         self.constraint_norm = constraint_norm
 
 
-class _LastPoint:
-    """h(x) and J(x) at the most recently asked-for x, keyed on the exact
-    bytes of x (so -0.0 and 0.0 are different points)."""
+def last_point_memo(fn):
+    """``fn`` keeping its value at the last point asked for, keyed on the exact
+    bytes of the point (so -0.0 and 0.0 are different points). The (key,
+    value) pair is replaced whole; callers must not modify the value."""
+    last = [(None, None)]
 
-    def __init__(self, h_fun, jac):
-        self._h_fun, self._jac = h_fun, jac
-        self._key = None
-        self._h = self._J = None
-
-    def _move_to(self, x: Array) -> None:
+    def at_last_point(x: Array):
         key = x.tobytes()
-        if key != self._key:
-            self._key, self._h, self._J = key, None, None
+        pair = last[0]
+        if key != pair[0]:
+            pair = last[0] = (key, fn(x))
+        return pair[1]
 
-    def h(self, x: Array) -> Array:
-        self._move_to(x)
-        if self._h is None:
-            self._h = np.asarray(self._h_fun(x), dtype=float)
-        return self._h
-
-    def J(self, x: Array) -> Array:
-        self._move_to(x)
-        if self._J is None:
-            self._J = np.asarray(self._jac(x), dtype=float)
-        return self._J
+    return at_last_point
 
 
 def _projected_gradient_norm(x: Array, g: Array, lo: Array, hi: Array) -> float:
@@ -129,19 +118,20 @@ def _safe_metric(raw: Array) -> Array:
     return np.maximum(raw, 1e-8 * top)
 
 
-def _newton_direction(H, g, x, lo, hi, D):
+def _newton_direction(H, g, x, lo_in, hi_in, D, eye):
     """Two-metric descent direction: a damped Newton step on the free
     coordinates, a metric-scaled gradient step on the ones pinned at an
-    active bound; returns None when the Newton system is unusable."""
-    eps = 1e-10
-    free = ~(((x <= lo + eps) & (g > 0)) | ((x >= hi - eps) & (g < 0)))
-    if not free.any():
+    active bound; returns None when the Newton system is unusable. ``lo_in``
+    and ``hi_in`` are the bounds moved 1e-10 inward, ``eye`` the identity."""
+    free = ~(((x <= lo_in) & (g > 0)) | ((x >= hi_in) & (g < 0)))
+    idx = np.flatnonzero(free)
+    n = idx.size
+    if n == 0:
         return -g / D
-    all_free = free.all()
-    Hf, gf = (H, g) if all_free else (H[np.ix_(free, free)], g[free])
-    n = gf.size
+    all_free = n == x.size
+    Hf, gf = (H, g) if all_free else (H.take(idx, 0).take(idx, 1), g.take(idx))
     reg = 1e-9 * max(float(Hf.trace()) / n, 1.0)
-    eye = np.eye(n)
+    eye = eye[:n, :n]
     for _ in range(6):
         try:
             step = np.linalg.solve(Hf + reg * eye, -gf)
@@ -151,7 +141,7 @@ def _newton_direction(H, g, x, lo, hi, D):
             if all_free:
                 return step
             d = -g / D
-            d[free] = step
+            d[idx] = step
             return d
         reg *= 100.0
     return None
@@ -171,13 +161,15 @@ def _pg_minimize(value, grad, x, v, g, lo, hi, tol, max_iters, metric, hess):
     ``stalled`` means the line search could not certify any further
     decrease."""
     D = _safe_metric(metric)
+    lo_in, hi_in = lo + 1e-10, hi - 1e-10
+    eye = np.eye(x.size)
     t = 1.0
     prev_x = prev_g = None
     it = 0
     stalled = False
     pgn = _projected_gradient_norm(x, g, lo, hi)
     while pgn > tol and it < max_iters:
-        direction = _newton_direction(hess(x), g, x, lo, hi, D)
+        direction = _newton_direction(hess(x), g, x, lo_in, hi_in, D, eye)
         accepted = False
         if direction is not None:
             step = 1.0
@@ -236,8 +228,9 @@ def solve_local(
     equality constraints.
 
     ``extra`` is any object with ``value(x)`` and ``grad(x)`` (or None);
-    an optional ``hess_diag(x)`` improves the inner metric. The start point
-    is clamped into the box. ``eq_multipliers`` warm-starts the equality
+    an optional ``hess_diag(x)`` improves the inner metric, and an optional
+    ``hess(x)``, constant in x, joins the Newton model. The start point is
+    clamped into the box. ``eq_multipliers`` warm-starts the equality
     multiplier estimates; repeated similar solves (as in an ADMM loop)
     finish in very few outer stages when they are carried over.
 
@@ -291,12 +284,16 @@ def solve_local(
             d = d + np.asarray(extra_hess_diag(xv), dtype=float)
         return d
 
-    def phi_hess(xv):
+    extra_H = None if extra_hess is None else np.asarray(extra_hess(x), dtype=float)
+
+    @last_point_memo
+    def curvature_model(d):
         # negative objective curvature is clamped out of the Newton model
-        H = np.diag(np.maximum(region_hess_diag(xv), 0.0))
-        if extra_hess is not None:
-            H = H + np.asarray(extra_hess(xv), dtype=float)
-        return H
+        H = np.diag(np.maximum(d, 0.0))
+        return H if extra_H is None else H + extra_H
+
+    def phi_hess(xv):
+        return curvature_model(region_hess_diag(xv))
 
     g0 = phi_grad(x)
     grad_scale = max(1.0, float(np.abs(g0).max(initial=0.0)))
@@ -314,7 +311,8 @@ def solve_local(
         return SolveResult(x, pgn, 0.0, 1, it, np.zeros(0),
                            penalty=0.0, at_numeric_floor=stalled)
 
-    at = _LastPoint(region.equality, region.equality_jacobian)
+    h_at = last_point_memo(lambda xv: np.asarray(region.equality(xv), dtype=float))
+    J_at = last_point_memo(lambda xv: np.asarray(region.equality_jacobian(xv), dtype=float))
     eq_hess = region.equality_hessian
     y = (np.asarray(eq_multipliers, dtype=float).copy()
          if eq_multipliers is not None else np.zeros(region.eq_dim))
@@ -327,23 +325,23 @@ def solve_local(
     for outer in range(1, config.max_iters + 1):
 
         def al_value(xv, y=y, mu=mu):
-            h = at.h(xv)
+            h = h_at(xv)
             return phi(xv) + float(y @ h) + 0.5 * mu * float(h @ h)
 
         def al_grad(xv, y=y, mu=mu):
-            return phi_grad(xv) + at.J(xv).T @ (y + mu * at.h(xv))
+            return phi_grad(xv) + J_at(xv).T @ (y + mu * h_at(xv))
 
         def al_hess(xv, y=y, mu=mu):
             # Gauss-Newton part mu J^T J, plus the constraint curvature at the
             # first-order multiplier estimate y + mu h when the region has it
-            J = at.J(xv)
+            J = J_at(xv)
             H = phi_hess(xv) + mu * (J.T @ J)
             if eq_hess is not None:
-                w = y + mu * at.h(xv)
+                w = y + mu * h_at(xv)
                 H = H + np.asarray(eq_hess(xv, w), dtype=float)
             return H
 
-        J0 = at.J(x)
+        J0 = J_at(x)
         metric = phi_hess_diag(x) + mu * (J0 * J0).sum(axis=0)
         start_val = al_value(x)
         x, end_val, g, pgn, it, stalled = _pg_minimize(
@@ -352,7 +350,7 @@ def solve_local(
         )
         merit_path.append((start_val, end_val))
         total_inner += it
-        h = at.h(x)
+        h = h_at(x)
         hnorm = float(np.abs(h).max(initial=0.0))
         if hnorm < best[0]:
             best = (hnorm, pgn)

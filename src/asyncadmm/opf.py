@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .localsolver import SolverConfig, SolveResult, solve_local
+from .localsolver import SolverConfig, SolveResult, last_point_memo, solve_local
 from .problem import Array, CouplingEdge, PartitionedProblem, RegionSpec, flat_start
 
 DEFAULT_BETA_MINUS = 2.0
@@ -410,12 +410,14 @@ def _region_functions(case: OpfCase, layout: RegionLayout, Y: Array):
     ef_cols = np.concatenate([e_loc, f_loc])
     Yconj = np.conj(Yloc)
 
-    def local_voltage(x):
-        return x[e_loc] + 1j * x[f_loc]
+    @last_point_memo
+    def voltage_current(x):  # V = e + jf and I = Yloc V, shared by h and J at one point
+        V = x[e_loc] + 1j * x[f_loc]
+        return V, Yloc @ V
 
     def objective(x) -> float:
         p_mw = x[p_sl] * base
-        return float(np.sum(a * p_mw * p_mw + b_lin * p_mw) + c_const)
+        return float((a * p_mw * p_mw + b_lin * p_mw).sum() + c_const)
 
     def gradient(x) -> Array:
         g = np.zeros(dim)
@@ -423,17 +425,17 @@ def _region_functions(case: OpfCase, layout: RegionLayout, Y: Array):
         g[p_sl] = (2.0 * a * p_mw + b_lin) * base
         return g
 
+    pq_pos = np.concatenate([gen_pos, gen_pos + n_own])  # bus bins of P then Q
+    curvature = np.zeros(dim)
+    curvature[p_sl] = 2.0 * a * base * base
+
     def hessian_diag(x) -> Array:
-        d = np.zeros(dim)
-        d[p_sl] = 2.0 * a * base * base
-        return d
+        return curvature
 
     def equality(x) -> Array:
-        V = local_voltage(x)
-        I = Yloc @ V
-        p_bus = np.bincount(gen_pos, weights=x[p_sl], minlength=n_own)
-        q_bus = np.bincount(gen_pos, weights=x[q_sl], minlength=n_own)
-        S = (p_bus - p_load) + 1j * (q_bus - q_load)
+        V, I = voltage_current(x)
+        pq_bus = np.bincount(pq_pos, weights=x[p_sl.start:q_sl.stop], minlength=2 * n_own)
+        S = (pq_bus[:n_own] - p_load) + 1j * (pq_bus[n_own:] - q_load)
         mism = S - V[:n_own] * np.conj(I)
         u_gap = x[e_sl] ** 2 + x[f_sl] ** 2 - x[u_sl]
         return np.concatenate([mism.real, mism.imag, u_gap])
@@ -463,32 +465,29 @@ def _region_functions(case: OpfCase, layout: RegionLayout, Y: Array):
 
     # the x-independent part of the Jacobian: the generator P and Q entries
     # of the balance rows and the -1 on u in the u rows
-    diag = (own, own)
     u_rows = 2 * n_own + own
     J_const = np.zeros((3 * n_own, dim))
     for j, pos in enumerate(gen_pos):
         J_const[pos, p_sl.start + j] = 1.0
         J_const[n_own + pos, q_sl.start + j] = 1.0
     J_const[u_rows, u_sl.start + own] = -1.0
-    re, im = slice(0, n_own), slice(n_own, 2 * n_own)
+    # flat positions, in dS = [dS/de | dS/df] (n_own x 2 n_loc), of the two
+    # diagonals, and in J of dS's (real, imag) pairs and of the u rows' 2e, 2f
+    dS_diag = (own * (2 * n_loc + 1) + [[0], [n_loc]]).ravel()
+    balance_pos = ((own[:, None] * dim + ef_cols)[..., None] + [0, n_own * dim]).ravel()
+    u_pos = (u_rows * dim + [[e_sl.start], [f_sl.start]] + own).ravel()
 
     def jacobian(x) -> Array:
-        V = local_voltage(x)
-        I = Yloc @ V
-        Vown = V[:n_own]
+        V, I = voltage_current(x)
         # d(V_i conj(I_i))/de_m = delta_im conj(I_i) + V_i conj(Y_im)
-        dV = Yconj * Vown[:, None]
+        dS = np.empty((n_own, 2 * n_loc), dtype=complex)
+        dV = np.multiply(Yconj, V[:n_own, None], out=dS[:, :n_loc])
+        np.multiply(-1j, dV, out=dS[:, n_loc:])
         conj_I = np.conj(I)
-        dSdE = dV.copy()
-        dSdE[diag] += conj_I
-        dSdF = -1j * dV
-        dSdF[diag] += 1j * conj_I
+        dS.reshape(-1)[dS_diag] += np.concatenate([conj_I, 1j * conj_I])
         J = J_const.copy()
-        dS = np.concatenate([dSdE, dSdF], axis=1)
-        J[re, ef_cols] = -dS.real
-        J[im, ef_cols] = -dS.imag
-        J[u_rows, own_e] = 2.0 * x[e_sl]
-        J[u_rows, own_f] = 2.0 * x[f_sl]
+        J.reshape(-1)[balance_pos] = -dS.view(float).ravel()
+        J.reshape(-1)[u_pos] = 2.0 * x[e_sl.start:f_sl.stop]
         return J
 
     return objective, gradient, equality, jacobian, hessian_diag, equality_hessian
@@ -555,8 +554,8 @@ def build_regional_subproblems(
     Rebuilding is deterministic.
     """
     partition.validate(case)
-    if beta_minus <= 0 or beta_plus <= 0:
-        raise BuildError("beta weights must be positive")
+    if not (0 < beta_minus < np.inf and 0 < beta_plus < np.inf):
+        raise BuildError("beta weights must be positive and finite")
     if beta_minus <= beta_plus:
         warnings.warn(
             "difference weight beta_minus should exceed sum weight beta_plus",

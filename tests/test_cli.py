@@ -5,7 +5,7 @@ import platform
 import numpy as np
 import pytest
 
-from asyncadmm import analysis, caseio, opf
+from asyncadmm import analysis, caseio, kernel, opf
 from asyncadmm.cli import (
     ConfigError,
     build_run_config,
@@ -122,6 +122,22 @@ class TestRunCommand:
             + f"outdir = {tmp_path / 'out'}\n",
         )
         assert main(["run", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("setting", [
+        "tol=nan", "tol=inf", "tol=0", "rho=inf", "rho=nan", "alpha=inf", "p=nan",
+        "lambda_min=nan", "max_local_iters=0", "time_cap_ms=-1", "time_cap_ms=nan",
+        "compute_delay=constant:nan", "compute_delay=uniform:0,inf",
+        "link_delay=lognormal:nan,0.3", "link_delay.1-2=constant:inf", "targets=0,nan",
+    ])
+    def test_bad_number_is_one_error_line(self, tmp_path, capsys, setting):
+        # a value that would make the run meaningless (or crash it) ends
+        # before the run with one error line and no artifacts
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, TOY_CONFIG + f"outdir = {out}\n")
+        assert main(["run", str(cfg), "--set", setting]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert not out.exists()
 
     def test_set_overrides(self, tmp_path):
         cfg = write_config(tmp_path, TOY_CONFIG + f"outdir = {tmp_path / 'out'}\n")
@@ -295,6 +311,16 @@ class TestAnalyzeCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["staleness_bound"]["holds"] is True
         assert report["lambda_bound"]["num_violations"] == 0
+
+    @pytest.mark.parametrize("tol", ["0", "-1e-3", "nan", "inf"])
+    def test_tol_must_be_positive_and_finite(self, tmp_path, capsys, tol):
+        # as in run: otherwise the KKT verdict could never pass (or never fail)
+        trace = self.run_and_trace(tmp_path)
+        capsys.readouterr()
+        assert main(["analyze", str(trace), f"--tol={tol}"]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and not captured.out
 
     def test_truncated_trace_reports_offset(self, tmp_path, capsys):
         trace = self.run_and_trace(tmp_path)
@@ -475,6 +501,23 @@ def test_shipped_trace_hashes(tmp_path, config, prefix):
     got = hashlib.sha256(rendered).hexdigest()[:16]
     pinned = DIAGNOSTICS_PREFIXES[config]
     assert got == pinned, f"{config} diagnostics sha256 prefix {got}, pinned {pinned}"
+
+
+def test_penalty_curvature_built_once_per_region(tmp_path, monkeypatch):
+    # rho A^T A is fixed per region and rho: the 3,166 x-updates of the
+    # 16-region toy share 16 curvature pairs (the list keeps every pair
+    # alive, so distinct pairs have distinct ids)
+    seen = []
+    solve = kernel.solve_local
+    monkeypatch.setattr(kernel, "solve_local",
+                        lambda region, extra, *a, **kw: seen.append(extra.curvature)
+                        or solve(region, extra, *a, **kw))
+    cfg = tmp_path / "toy_chain16.cfg"
+    cfg.write_text(TOY_CHAIN16_CONFIG)
+    assert main(["run", str(cfg), "--set", f"outdir={tmp_path / 'out'}",
+                 "--set", "baseline=false"]) == 0
+    assert len(seen) == 3166
+    assert len({id(pair) for pair in seen}) == 16
 
 
 def test_capped_run_timing_is_the_report_section(tmp_path):

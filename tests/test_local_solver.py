@@ -7,11 +7,12 @@ import pytest
 from asyncadmm import caseio, kernel
 from asyncadmm.cli import main
 from asyncadmm.kernel import BoundaryPenalty
-from asyncadmm.localsolver import SolveError, SolverConfig, solve_local
+from asyncadmm.localsolver import SolveError, SolverConfig, _newton_direction, solve_local
 from asyncadmm.opf import build_regional_subproblems
 from asyncadmm.problem import RegionSpec, flat_start
 
 from conftest import CASES_DIR
+from oracles import newton_direction
 
 
 def box_quadratic():
@@ -219,3 +220,51 @@ def test_equality_and_jacobian_evaluated_once_per_iterate():
     assert result.eq_multipliers.tobytes() == plain.eq_multipliers.tobytes()
     assert (result.inner_iters, result.outer_iters, result.merit_path) == \
         (plain.inner_iters, plain.outer_iters, plain.merit_path)
+
+
+def _newton_case(rng, box, n):
+    """Random (H, g, x, lo, hi, D) whose box pins no, every, some or the
+    degenerate (lo = hi) coordinates; H is SPD, indefinite, singular,
+    unsymmetric or non-finite so that every branch of the regularisation
+    loop runs and a transposed gather would show."""
+    M = rng.normal(size=(n, n))
+    H = [M @ M.T + np.eye(n), M + M.T, np.outer(M[0], M[0]), M, np.full((n, n), np.inf),
+         np.zeros((n, n))][rng.integers(6)]
+    g = rng.normal(size=n) * rng.choice([1e-6, 1.0, 1e6])
+    lo, hi = np.full(n, -1.0), np.full(n, 1.0)
+    x = rng.uniform(-0.5, 0.5, size=n)
+    at_lo = np.where(g > 0, True, False)
+    if box == "pinned":
+        pin = np.ones(n, dtype=bool)
+    elif box == "mixed":
+        pin = np.arange(n) < max(1, n // 2)
+        rng.shuffle(pin)
+    else:
+        pin = np.zeros(n, dtype=bool)
+    x[pin & at_lo] = lo[pin & at_lo]
+    x[pin & ~at_lo] = hi[pin & ~at_lo]
+    if box == "degenerate":
+        fixed = rng.random(n) < 0.5
+        lo[fixed] = hi[fixed] = x[fixed] = rng.choice([0.0, -0.0, 1.0])
+        g[fixed & (rng.random(n) < 0.3)] = 0.0
+    return H, g, x, lo, hi, rng.uniform(0.1, 10.0, size=n)
+
+
+@pytest.mark.parametrize("box", ["free", "pinned", "mixed", "degenerate"])
+def test_newton_direction_matches_oracle_bitwise(box):
+    rng = np.random.default_rng(["free", "pinned", "mixed", "degenerate"].index(box))
+    outcomes = Counter()
+    for _ in range(300):
+        n = int(rng.integers(1, 9))
+        H, g, x, lo, hi, D = _newton_case(rng, box, n)
+        with np.errstate(all="ignore"):  # the non-finite H
+            want = newton_direction(H, g, x, lo, hi, D)
+            got = _newton_direction(H, g, x, lo + 1e-10, hi - 1e-10, D, np.eye(n))
+        if want is None:
+            assert got is None
+            outcomes["none"] += 1
+        else:
+            assert got is not None and got.tobytes() == want.tobytes()
+            outcomes["step"] += 1
+    # with every coordinate pinned there is no Newton system to fail
+    assert outcomes["step"] and bool(outcomes["none"]) == (box != "pinned")

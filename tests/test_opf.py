@@ -23,6 +23,7 @@ from asyncadmm.opf import (
 from asyncadmm.problem import flat_start
 
 from conftest import CASES_DIR
+from oracles import opf_equality_and_jacobian
 
 
 def shipped_case(name):
@@ -245,6 +246,32 @@ class TestBuild:
                     xm[i] -= h
                     col = (region.equality(xp) - region.equality(xm)) / (2 * h)
                     assert np.max(np.abs(J[:, i] - col)) < 1e-6, (name, region.name, i)
+
+    @pytest.mark.parametrize("name", ["ring5", "nine", "chain3"])
+    def test_shared_voltages_match_fresh_evaluation(self, name):
+        # h and J share V and I at the last point, keyed on the bytes of x:
+        # asked for at interleaved points, and at 0.0 against -0.0, every
+        # value equals a fresh closure's and the earlier formulas' bit for bit
+        case, partition = shipped_case(name)
+        rng = np.random.default_rng(7)
+        problem, layout = build_regional_subproblems(case, partition)
+        for k, region in enumerate(problem.regions, start=1):
+            x1 = flat_start(region) + 0.01 * rng.standard_normal(region.dim_x)
+            x2 = x1 + 0.01 * rng.standard_normal(region.dim_x)
+            zero = x1.copy()
+            zero[::2] = 0.0
+            negzero = zero.copy()
+            negzero[::2] = -0.0
+            want_h, want_J = opf_equality_and_jacobian(case, layout.region(k))
+            for fn, x in (("h", x1), ("J", x2), ("h", x2), ("J", x1),
+                          ("h", zero), ("J", negzero), ("h", negzero), ("J", zero)):
+                fresh = build_regional_subproblems(case, partition)[0].region(k)
+                if fn == "h":
+                    got, ref, want = region.equality(x), fresh.equality(x), want_h(x)
+                else:
+                    got = region.equality_jacobian(x)
+                    ref, want = fresh.equality_jacobian(x), want_J(x)
+                assert got.tobytes() == ref.tobytes() == want.tobytes(), (region.name, fn)
 
     @pytest.mark.parametrize("name", ["ring5", "nine", "chain3"])
     def test_equality_hessian_matches_jacobian_differences(self, name):
