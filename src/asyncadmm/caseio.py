@@ -220,13 +220,6 @@ def parse_partition(text: str, case: OpfCase) -> Partition:
                 )
             assignment[bid] = region
             assigned_at[bid] = line_no
-    known = set(case.bus_ids)
-    for bid in assignment:
-        if bid not in known:
-            raise ParseError(f"partition references unknown bus {bid}")
-    for bid in case.bus_ids:
-        if bid not in assignment:
-            raise ParseError(f"bus {bid} unassigned")
     part = Partition(assignment)
     try:
         part.validate(case)

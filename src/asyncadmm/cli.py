@@ -326,7 +326,7 @@ def _start_vectors(config: RunConfig, problem, layout, descriptor):
     if config.start == "flat":
         return [flat_start(problem.region(k)) for k in range(1, problem.num_regions + 1)]
     if layout is not None:
-        return opf.warm_start(layout.case, layout)
+        return opf.warm_start(layout)
     # toy warm start: centralized optimum nudged by ten percent
     v, _ = toy_centralized_optimum(problem, descriptor)
     nudge = v * 1.1 if v != 0.0 else 0.1

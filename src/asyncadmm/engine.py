@@ -465,6 +465,7 @@ class _Simulator:
             t, _, kind, data = heapq.heappop(self.heap)
             if t > self.stop.time_cap_ms:
                 self.status = "time_cap"
+                self.now = self.stop.time_cap_ms
                 break
             self.now = t
             if kind == "done":

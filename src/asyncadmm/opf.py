@@ -16,6 +16,8 @@ difference and sum of the two endpoint voltages,
 two real coordinates each, so each tie line contributes a block of four.
 The difference weight should exceed the sum weight (it tracks the line
 flow); the builder warns, but does not fail, when that is violated.
+:class:`RegionLayout` states the order of a region's variables, and every
+consumer reads its columns from there.
 
 Everything is in per unit internally.
 """
@@ -23,6 +25,7 @@ Everything is in per unit internally.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,19 +218,18 @@ class Partition:
         object.__setattr__(self, "assignment", dict(self.assignment))
 
     def validate(self, case: OpfCase) -> None:
-        regions = sorted(set(self.assignment.values()))
+        known = set(case.bus_ids)
+        for bid in self.assignment:
+            if bid not in known:
+                raise BuildError(f"partition references unknown bus {bid}")
         for bid in case.bus_ids:
             if bid not in self.assignment:
                 raise BuildError(f"bus {bid} unassigned")
-        for bid in self.assignment:
-            if case is not None and bid not in set(case.bus_ids):
-                raise BuildError(f"partition references unknown bus {bid}")
+        regions = sorted(set(self.assignment.values()))
         if regions != list(range(1, len(regions) + 1)):
             raise BuildError(f"region indices must be 1..R with no gaps, got {regions}")
         for r in regions:
             members = {b for b, reg in self.assignment.items() if reg == r}
-            if not members:
-                raise BuildError(f"region {r} is empty")
             internal = [br for br in case.branches
                         if self.assignment[br.from_bus] == r and self.assignment[br.to_bus] == r]
             if len(members) > 1 and not _connected(members, internal):
@@ -256,95 +258,38 @@ def single_region_partition(case: OpfCase) -> Partition:
 
 @dataclass
 class RegionLayout:
-    """Index bookkeeping for one compiled region's variable vector.
+    """Columns of one compiled region's variable vector, fixed at construction.
 
-    Layout: [e(own) | f(own) | u(own) | P(gens) | Q(gens) | e(dup) | f(dup)].
+    x = [e | f | u | p | q | e_dup | f_dup]: the rectangular voltages e, f and
+    the squared magnitudes u of the owned buses (``own_bus_ids`` order), the
+    P and Q dispatch of the owned generators (``gen_indices`` order), and the
+    rectangular voltages of the duplicated far ends of the region's tie lines
+    (``dup_bus_ids`` order). Each block is a slice attribute of that name;
+    ``columns`` maps every owned or duplicated bus to its (e, f) columns.
     """
 
-    index: int
     own_bus_ids: list[int]
     dup_bus_ids: list[int]
     gen_indices: list[int]
 
-    @property
-    def n_own(self) -> int:
-        return len(self.own_bus_ids)
-
-    @property
-    def n_dup(self) -> int:
-        return len(self.dup_bus_ids)
-
-    @property
-    def n_gen(self) -> int:
-        return len(self.gen_indices)
-
-    @property
-    def dim(self) -> int:
-        return 3 * self.n_own + 2 * self.n_gen + 2 * self.n_dup
-
-    def e_slice(self) -> slice:
-        return slice(0, self.n_own)
-
-    def f_slice(self) -> slice:
-        return slice(self.n_own, 2 * self.n_own)
-
-    def u_slice(self) -> slice:
-        return slice(2 * self.n_own, 3 * self.n_own)
-
-    def p_slice(self) -> slice:
-        return slice(3 * self.n_own, 3 * self.n_own + self.n_gen)
-
-    def q_slice(self) -> slice:
-        return slice(3 * self.n_own + self.n_gen, 3 * self.n_own + 2 * self.n_gen)
-
-    def e_dup_slice(self) -> slice:
-        base = 3 * self.n_own + 2 * self.n_gen
-        return slice(base, base + self.n_dup)
-
-    def f_dup_slice(self) -> slice:
-        base = 3 * self.n_own + 2 * self.n_gen + self.n_dup
-        return slice(base, base + self.n_dup)
-
-    def local_voltage_column(self, bus_id: int, component: str) -> int:
-        """Column of the e or f coordinate of ``bus_id`` (own or duplicate)."""
-        if bus_id in self.own_bus_ids:
-            pos = self.own_bus_ids.index(bus_id)
-            return pos if component == "e" else self.n_own + pos
-        pos = self.dup_bus_ids.index(bus_id)
-        base = 3 * self.n_own + 2 * self.n_gen
-        if component == "e":
-            return base + pos
-        return base + self.n_dup + pos
-
-    def voltages(self, x: Array) -> dict[int, complex]:
-        """Complex voltage per own bus from a solution vector."""
-        e, f = x[self.e_slice()], x[self.f_slice()]
-        return {bid: complex(e[i], f[i]) for i, bid in enumerate(self.own_bus_ids)}
-
-    def dispatch(self, x: Array) -> dict[int, tuple[float, float]]:
-        """(P, Q) in per unit per owned generator index."""
-        p, q = x[self.p_slice()], x[self.q_slice()]
-        return {g: (float(p[i]), float(q[i])) for i, g in enumerate(self.gen_indices)}
-
-
-@dataclass
-class EdgeLayout:
-    """Tie lines carried by one coupling edge, in block order: each tie line
-    contributes four rows (difference re/im, then sum re/im)."""
-
-    region_k: int
-    region_l: int
-    tie_branches: list[int]
+    def __post_init__(self):
+        n, g, d = len(self.own_bus_ids), len(self.gen_indices), len(self.dup_bus_ids)
+        self.n_own = n
+        self.e, self.f, self.u = slice(0, n), slice(n, 2 * n), slice(2 * n, 3 * n)
+        self.p, self.q = slice(3 * n, 3 * n + g), slice(3 * n + g, 3 * n + 2 * g)
+        base = 3 * n + 2 * g
+        self.e_dup, self.f_dup = slice(base, base + d), slice(base + d, base + 2 * d)
+        self.dim = base + 2 * d
+        self.columns = {bid: (self.e.start + i, self.f.start + i)
+                        for i, bid in enumerate(self.own_bus_ids)}
+        self.columns.update({bid: (self.e_dup.start + i, self.f_dup.start + i)
+                             for i, bid in enumerate(self.dup_bus_ids)})
 
 
 @dataclass
 class OpfLayout:
     case: OpfCase
-    partition: Partition
-    beta_minus: float
-    beta_plus: float
     regions: list[RegionLayout]
-    edges: list[EdgeLayout]
     ref_bus: int
 
     def region(self, k: int) -> RegionLayout:
@@ -359,17 +304,18 @@ class OpfLayout:
         P = np.zeros(n)
         Q = np.zeros(n)
         for lay, x in zip(self.regions, x_all):
-            for bid, v in lay.voltages(x).items():
-                V[idx[bid]] = v
-            for g, (p, q) in lay.dispatch(x).items():
-                P[idx[self.case.generators[g].bus]] += p
-                Q[idx[self.case.generators[g].bus]] += q
+            own = [idx[b] for b in lay.own_bus_ids]
+            V.real[own] = x[lay.e]
+            V.imag[own] = x[lay.f]
+            gen_bus = [idx[self.case.generators[g].bus] for g in lay.gen_indices]
+            np.add.at(P, gen_bus, x[lay.p])
+            np.add.at(Q, gen_bus, x[lay.q])
         return V, P, Q
 
     def total_cost(self, x_all: list[Array]) -> float:
         total = 0.0
         for lay, x in zip(self.regions, x_all):
-            for g, (p, _) in lay.dispatch(x).items():
+            for g, p in zip(lay.gen_indices, x[lay.p].tolist()):
                 total += self.case.generators[g].cost(p * self.case.base_mva)
         return total
 
@@ -388,7 +334,7 @@ def _region_functions(case: OpfCase, layout: RegionLayout, Y: Array):
     rows = [idx[b] for b in own]
     cols = [idx[b] for b in local_ids]
     Yloc = Y[np.ix_(rows, cols)]
-    n_own, n_dup, n_gen = layout.n_own, layout.n_dup, layout.n_gen
+    n_own, n_loc, dim = layout.n_own, len(local_ids), layout.dim
     p_load = np.array([case.bus(b).p_load for b in own]) / base
     q_load = np.array([case.bus(b).q_load for b in own]) / base
     gen_pos = np.array(
@@ -397,16 +343,12 @@ def _region_functions(case: OpfCase, layout: RegionLayout, Y: Array):
     a = np.array([case.generators[g].cost_a for g in layout.gen_indices])
     b_lin = np.array([case.generators[g].cost_b for g in layout.gen_indices])
     c_const = float(sum(case.generators[g].cost_c for g in layout.gen_indices))
-    dim = layout.dim
-    e_sl, f_sl, u_sl = layout.e_slice(), layout.f_slice(), layout.u_slice()
-    p_sl, q_sl = layout.p_slice(), layout.q_slice()
-    ed_sl, fd_sl = layout.e_dup_slice(), layout.f_dup_slice()
+    e_sl, f_sl, u_sl, p_sl, q_sl = layout.e, layout.f, layout.u, layout.p, layout.q
 
     # local bus order is [own | dup]; ef_cols lists the e then the f columns
     own = np.arange(n_own)
-    own_e, own_f = e_sl.start + own, f_sl.start + own
-    e_loc = np.concatenate([own_e, np.arange(ed_sl.start, ed_sl.stop)])
-    f_loc = np.concatenate([own_f, np.arange(fd_sl.start, fd_sl.stop)])
+    e_loc, f_loc = np.array([layout.columns[b] for b in local_ids]).T
+    own_e, own_f = e_loc[:n_own], f_loc[:n_own]
     ef_cols = np.concatenate([e_loc, f_loc])
     Yconj = np.conj(Yloc)
 
@@ -447,8 +389,6 @@ def _region_functions(case: OpfCase, layout: RegionLayout, Y: Array):
     # N[i, m] = conj(w~_i) conj(Yloc[i, m]) (zero rows for duplicates); with
     # C the Hermitian part of N^T that is -[e; f]^T [[Re C, -Im C],
     # [Im C, Re C]] [e; f]. The u rows add 2 w_u on the owned e and f.
-    n_loc = n_own + n_dup
-
     def equality_hessian(x, w) -> Array:
         w = np.asarray(w, dtype=float)
         wt = w[:n_own] + 1j * w[n_own:2 * n_own]
@@ -495,34 +435,20 @@ def _region_functions(case: OpfCase, layout: RegionLayout, Y: Array):
 
 def _region_bounds(case: OpfCase, layout: RegionLayout, ref_bus: int):
     base = case.base_mva
-    lo = np.zeros(layout.dim)
-    hi = np.zeros(layout.dim)
-    for i, bid in enumerate(layout.own_bus_ids):
-        bus = case.bus(bid)
-        lo[layout.e_slice()][i] = bus.v_min
-        hi[layout.e_slice()][i] = bus.v_max
-        # the angle reference bus is pinned through a degenerate box on f
-        if bid == ref_bus:
-            lo[layout.f_slice().start + i] = 0.0
-            hi[layout.f_slice().start + i] = 0.0
-        else:
-            lo[layout.f_slice().start + i] = -bus.v_max
-            hi[layout.f_slice().start + i] = bus.v_max
-        lo[layout.u_slice().start + i] = bus.v_min**2
-        hi[layout.u_slice().start + i] = bus.v_max**2
-    for j, g in enumerate(layout.gen_indices):
-        gen = case.generators[g]
-        lo[layout.p_slice().start + j] = gen.p_min / base
-        hi[layout.p_slice().start + j] = gen.p_max / base
-        lo[layout.q_slice().start + j] = gen.q_min / base
-        hi[layout.q_slice().start + j] = gen.q_max / base
-    for i, bid in enumerate(layout.dup_bus_ids):
-        bus = case.bus(bid)
-        lo[layout.e_dup_slice().start + i] = bus.v_min
-        hi[layout.e_dup_slice().start + i] = bus.v_max
-        lo[layout.f_dup_slice().start + i] = -bus.v_max
-        hi[layout.f_dup_slice().start + i] = bus.v_max
-    return lo, hi
+    own = [case.bus(b) for b in layout.own_bus_ids]
+    gens = [case.generators[g] for g in layout.gen_indices]
+    dup = [case.bus(b) for b in layout.dup_bus_ids]
+    # (lower, upper) per column in layout order; the angle reference bus is
+    # pinned through a degenerate box on f
+    boxes = ([(b.v_min, b.v_max) for b in own]
+             + [(0.0, 0.0) if b.id == ref_bus else (-b.v_max, b.v_max) for b in own]
+             + [(b.v_min**2, b.v_max**2) for b in own]
+             + [(g.p_min / base, g.p_max / base) for g in gens]
+             + [(g.q_min / base, g.q_max / base) for g in gens]
+             + [(b.v_min, b.v_max) for b in dup]
+             + [(-b.v_max, b.v_max) for b in dup])
+    lo, hi = zip(*boxes)
+    return np.array(lo, dtype=float), np.array(hi, dtype=float)
 
 
 def reference_bus(case: OpfCase) -> int:
@@ -542,12 +468,11 @@ def build_regional_subproblems(
 ) -> tuple[PartitionedProblem, OpfLayout]:
     """Compile the case under the partition into a partitioned problem.
 
-    Each region's variables are its buses' rectangular voltages plus the
-    magnitude-squared slack u, its generators' P and Q, and duplicated
-    voltages for the far ends of its tie lines. The boundary map carries the
-    beta-scaled difference/sum rows per tie line; regional equalities are
-    the power-balance equations at owned buses (tie-line flows expressed
-    through the duplicates) and the u definition. ``exact_curvature``
+    Each region's variables are laid out by :class:`RegionLayout`. The
+    boundary map carries the beta-scaled difference/sum rows per tie line;
+    regional equalities are the power-balance equations at owned buses
+    (tie-line flows expressed through the duplicates) and the u
+    definition. ``exact_curvature``
     attaches the analytic constraint curvature
     (:attr:`~asyncadmm.problem.RegionSpec.equality_hessian`) to every region,
     so the local solver uses an exact Newton model instead of Gauss-Newton.
@@ -583,33 +508,29 @@ def build_regional_subproblems(
             for pair in pairs if k in pair for t in pair_ties[pair]
         })
         gens = [i for i, g in enumerate(case.generators) if partition.assignment[g.bus] == k]
-        layouts.append(RegionLayout(index=k, own_bus_ids=own, dup_bus_ids=dup,
-                                    gen_indices=gens))
+        layouts.append(RegionLayout(own_bus_ids=own, dup_bus_ids=dup, gen_indices=gens))
 
     # boundary maps: edges in sorted pair order, four rows per tie line
+    # (difference re/im, then sum re/im)
+    boundary = {k: np.zeros((4 * sum(len(pair_ties[pair]) for pair in pairs if k in pair),
+                             layouts[k - 1].dim))
+                for k in range(1, R + 1)}
     row_cursor = {k: 0 for k in range(1, R + 1)}
-    a_rows: dict[int, list[np.ndarray]] = {k: [] for k in range(1, R + 1)}
     edges: list[CouplingEdge] = []
-    edge_layouts: list[EdgeLayout] = []
-    for pair in pairs:
-        k, l = pair
-        tie_list = sorted(pair_ties[pair])
+    for k, l in pairs:
         block = {}
         for side in (k, l):
-            lay = layouts[side - 1]
+            A, columns = boundary[side], layouts[side - 1].columns
             start = row_cursor[side]
-            for t in tie_list:
+            for t in pair_ties[k, l]:
                 br = case.branches[t]
                 for weight, sign_to in ((beta_minus, -1.0), (beta_plus, 1.0)):
-                    for comp in ("e", "f"):
-                        row = np.zeros(lay.dim)
-                        row[lay.local_voltage_column(br.from_bus, comp)] = weight
-                        row[lay.local_voltage_column(br.to_bus, comp)] = weight * sign_to
-                        a_rows[side].append(row)
-            row_cursor[side] += 4 * len(tie_list)
+                    for comp in (0, 1):  # e, then f
+                        A[row_cursor[side], columns[br.from_bus][comp]] = weight
+                        A[row_cursor[side], columns[br.to_bus][comp]] = weight * sign_to
+                        row_cursor[side] += 1
             block[side] = (start, row_cursor[side])
         edges.append(CouplingEdge(k=k, l=l, block_k=block[k], block_l=block[l]))
-        edge_layouts.append(EdgeLayout(region_k=k, region_l=l, tie_branches=tie_list))
 
     Y = admittance_matrix(case)
     regions = []
@@ -618,12 +539,11 @@ def build_regional_subproblems(
         (objective, gradient, equality, jacobian, hessian_diag,
          equality_hessian) = _region_functions(case, lay, Y)
         lo, hi = _region_bounds(case, lay, ref)
-        A = (np.vstack(a_rows[k]) if a_rows[k] else np.zeros((0, lay.dim)))
         regions.append(RegionSpec(
             dim_x=lay.dim,
             objective=objective,
             gradient=gradient,
-            boundary_map=A,
+            boundary_map=boundary[k],
             lower=lo,
             upper=hi,
             equality=equality,
@@ -634,10 +554,7 @@ def build_regional_subproblems(
             equality_hessian=equality_hessian if exact_curvature else None,
         ))
     problem = PartitionedProblem(regions=tuple(regions), edges=tuple(edges))
-    layout = OpfLayout(case=case, partition=partition, beta_minus=beta_minus,
-                       beta_plus=beta_plus, regions=layouts, edges=edge_layouts,
-                       ref_bus=ref)
-    return problem, layout
+    return problem, OpfLayout(case=case, regions=layouts, ref_bus=ref)
 
 
 # --------------------------------------------------------------------------
@@ -747,35 +664,27 @@ def newton_power_flow(case: OpfCase, tol: float = 1e-10, max_iters: int = 60):
     return V, p_bus, q_bus
 
 
-def warm_start(case: OpfCase, layout: OpfLayout) -> list[Array]:
-    """Regional start vectors from a power-flow solution: voltages (own and
-    duplicated) from the solved state, generator dispatch from the flow
-    solution clipped into its boxes."""
+def warm_start(layout: OpfLayout) -> list[Array]:
+    """Regional start vectors from a power-flow solution of ``layout.case``:
+    voltages (own and duplicated) from the solved state, generator dispatch
+    from the flow solution clipped into its boxes."""
+    case = layout.case
     V, p_bus, q_bus = newton_power_flow(case)
     idx = case.bus_index()
     base = case.base_mva
-    gens_at_bus: dict[int, list[int]] = {}
-    for g, gen in enumerate(case.generators):
-        gens_at_bus.setdefault(gen.bus, []).append(g)
+    share = Counter(gen.bus for gen in case.generators)
     starts = []
     for lay in layout.regions:
-        x = np.zeros(lay.dim)
-        for i, bid in enumerate(lay.own_bus_ids):
-            v = V[idx[bid]]
-            x[lay.e_slice().start + i] = v.real
-            x[lay.f_slice().start + i] = v.imag
-            x[lay.u_slice().start + i] = abs(v) ** 2
-        for j, g in enumerate(lay.gen_indices):
-            gen = case.generators[g]
-            share = len(gens_at_bus[gen.bus])
-            x[lay.p_slice().start + j] = np.clip(
-                p_bus[idx[gen.bus]] / share, gen.p_min / base, gen.p_max / base)
-            x[lay.q_slice().start + j] = np.clip(
-                q_bus[idx[gen.bus]] / share, gen.q_min / base, gen.q_max / base)
-        for i, bid in enumerate(lay.dup_bus_ids):
-            v = V[idx[bid]]
-            x[lay.e_dup_slice().start + i] = v.real
-            x[lay.f_dup_slice().start + i] = v.imag
+        own = [V[idx[bid]] for bid in lay.own_bus_ids]
+        gens = [case.generators[g] for g in lay.gen_indices]
+        dup = [V[idx[bid]] for bid in lay.dup_bus_ids]
+        x = np.array(
+            [v.real for v in own] + [v.imag for v in own] + [abs(v) ** 2 for v in own]
+            + [np.clip(p_bus[idx[g.bus]] / share[g.bus], g.p_min / base, g.p_max / base)
+               for g in gens]
+            + [np.clip(q_bus[idx[g.bus]] / share[g.bus], g.q_min / base, g.q_max / base)
+               for g in gens]
+            + [v.real for v in dup] + [v.imag for v in dup], dtype=float)
         region_lo, region_hi = _region_bounds(case, lay, layout.ref_bus)
         starts.append(np.clip(x, region_lo, region_hi))
     return starts

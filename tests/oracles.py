@@ -142,9 +142,9 @@ def opf_equality_and_jacobian(case: OpfCase, layout: RegionLayout):
     q_load = np.array([case.bus(b).q_load for b in own_ids]) / base
     gen_pos = np.array([own_ids.index(case.generators[g].bus) for g in layout.gen_indices],
                        dtype=int)
-    e_sl, f_sl, u_sl = layout.e_slice(), layout.f_slice(), layout.u_slice()
-    p_sl, q_sl = layout.p_slice(), layout.q_slice()
-    ed_sl, fd_sl = layout.e_dup_slice(), layout.f_dup_slice()
+    e_sl, f_sl, u_sl = layout.e, layout.f, layout.u
+    p_sl, q_sl = layout.p, layout.q
+    ed_sl, fd_sl = layout.e_dup, layout.f_dup
     own = np.arange(n_own)
     own_e, own_f = e_sl.start + own, f_sl.start + own
     e_loc = np.concatenate([own_e, np.arange(ed_sl.start, ed_sl.stop)])

@@ -467,6 +467,7 @@ DIAGNOSTICS_PREFIXES = {
     "ring5_async": "b48d10d8e5716b01",
     "nine_sync": "63bcb2756ab44d35",
     "toy_chain16": "cbe2c798caa5ed2e",
+    "nine_sync_warm": "8efaef4a115c9057",
 }
 
 
@@ -475,18 +476,25 @@ DIAGNOSTICS_PREFIXES = {
     ("ring5_async", "0e5ca57bd9260967"),
     ("nine_sync", "108b091d9aad04d5"),
     ("toy_chain16", "4826c08173ccaa30"),
+    # the one pinned run from a power-flow warm start
+    ("nine_sync_warm", "94930b90ee8fba87"),
 ])
 def test_shipped_trace_hashes(tmp_path, config, prefix):
     # a change that claims to preserve behaviour keeps these traces byte for
     # byte; the prefixes were recorded with Python 3.11.7 and numpy 2.4.6 on
     # x86-64 Linux, and another numpy or BLAS may round differently
+    extra = []
     if config == "toy_chain16":
         cfg = tmp_path / "toy_chain16.cfg"
         cfg.write_text(TOY_CHAIN16_CONFIG)
+    elif config == "nine_sync_warm":
+        cfg = CASES_DIR / "nine_sync.cfg"
+        extra = ["--set", "start=warm"]
     else:
         cfg = CASES_DIR / f"{config}.cfg"
     out = tmp_path / config
-    assert main(["run", str(cfg), "--set", f"outdir={out}", "--set", "baseline=false"]) == 0
+    assert main(["run", str(cfg), "--set", f"outdir={out}", "--set", "baseline=false",
+                 *extra]) == 0
     got = hashlib.sha256((out / "trace.log").read_bytes()).hexdigest()[:16]
     assert got == prefix, (
         f"{config} trace sha256 prefix {got}, pinned {prefix} (pinned under Python "

@@ -149,6 +149,15 @@ class TestAsyncRuns:
         timed = run(problem, AdmmParams(rho=5.0, p=1.0), ZERO_LINK,
                     StoppingRule(tol=1e-12, max_local_iters=10**6, time_cap_ms=7.0))
         assert timed.status == "time_cap"
+        assert timed.end_time == 7.0
+        # a cap that falls inside a compute ends the run at the cap, and the
+        # open compute counts up to it: these workers never wait
+        mid = run(problem, AdmmParams(rho=5.0, p=1.0), ZERO_LINK,
+                  StoppingRule(tol=1e-12, max_local_iters=10**6, time_cap_ms=7.5))
+        assert mid.status == "time_cap" and mid.end_time == 7.5
+        assert mid.trace.events[-1].time == 7.5
+        for row in timing_from_trace(mid.trace).values():
+            assert row["compute_ms"] == 7.5 and row["wait_ms"] == 0.0
 
     def test_solver_failure_aborts_with_partial_trace(self):
         bad = RegionSpec(

@@ -165,14 +165,15 @@ class TestBuild:
         assert layout.region(1).dup_bus_ids == []
 
     def test_boundary_rows_encode_scaled_sum_and_difference(self, chain3_case):
-        problem, layout = build_regional_subproblems(
-            chain3_case, Partition({1: 1, 2: 2, 3: 2}), beta_minus=1.0, beta_plus=1.0
-        )
+        with pytest.warns(UserWarning, match="beta_minus"):
+            problem, layout = build_regional_subproblems(
+                chain3_case, Partition({1: 1, 2: 2, 3: 2}), beta_minus=1.0, beta_plus=1.0
+            )
         lay = layout.region(1)
         x = np.zeros(lay.dim)
         v = 0.97
-        x[lay.local_voltage_column(1, "e")] = v
-        x[lay.local_voltage_column(2, "e")] = v
+        x[lay.columns[1][0]] = v
+        x[lay.columns[2][0]] = v
         rows = problem.region(1).boundary_map @ x
         # equal endpoint voltages: difference rows vanish, sum rows carry 2v
         assert rows[0] == pytest.approx(0.0)   # difference, real
@@ -188,8 +189,8 @@ class TestBuild:
             lay = layout.region(k)
             A = problem.region(k).boundary_map
             cols = {
-                comp: {b: lay.local_voltage_column(b, comp) for b in (1, 2)}
-                for comp in ("e", "f")
+                comp: {b: lay.columns[b][c] for b in (1, 2)}
+                for c, comp in enumerate(("e", "f"))
             }
             expected = np.zeros_like(A)
             expected[0, cols["e"][1]] = 2.0
@@ -223,7 +224,7 @@ class TestBuild:
         )
         assert reference_bus(chain3_case) == 1
         lay = layout.region(1)
-        f_col = lay.local_voltage_column(1, "f")
+        f_col = lay.columns[1][1]
         assert problem.region(1).lower[f_col] == 0.0
         assert problem.region(1).upper[f_col] == 0.0
 
@@ -303,7 +304,7 @@ class TestBuild:
         part = Partition({1: 1, 2: 1, 3: 2, 4: 2, 5: 2})
         problem, layout = build_regional_subproblems(ring5_case, part)
         V, p_bus, q_bus = newton_power_flow(ring5_case)
-        starts = warm_start(ring5_case, layout)
+        starts = warm_start(layout)
         idx = ring5_case.bus_index()
         network = power_flow_residual(ring5_case, V, p_bus, q_bus)
         for k in (1, 2):
@@ -324,7 +325,7 @@ class TestNewtonPowerFlow:
     def test_warm_start_inside_bounds(self, ring5_case):
         part = Partition({1: 1, 2: 1, 3: 2, 4: 2, 5: 2})
         problem, layout = build_regional_subproblems(ring5_case, part)
-        for k, x in enumerate(warm_start(ring5_case, layout), start=1):
+        for k, x in enumerate(warm_start(layout), start=1):
             region = problem.region(k)
             assert np.all(x >= region.lower - 1e-12)
             assert np.all(x <= region.upper + 1e-12)
