@@ -13,12 +13,15 @@ by creation. Two runs with the same configuration produce identical traces.
 
 No event scans the edge list or re-evaluates an objective. Each worker's
 outgoing links (edge, neighbour, row block, delay spec and stream) are
-tabulated once, and the problem's topology tables serve the consensus
+tabulated once, the local solver's constants are built once per region
+(``kernel.x_update``), and the problem's topology tables serve the consensus
 update. Each region's objective value is kept from its last
 ``compute_end``, so the per-cycle objective in ``iteration_log`` is the sum
 of that cache in region order: the same float as
 ``PartitionedProblem.total_objective`` of the current iterates. Payload
-vectors come from float64 arrays through ``tolist()``.
+vectors come from float64 arrays through ``tolist()``; the hot payloads
+render their canonical digest strings where they are built, from those
+lists, and :func:`payload_digest` serves the few end-of-run records.
 """
 
 from __future__ import annotations
@@ -132,37 +135,28 @@ class DelayModel:
 # trace structures
 
 
-_REPR_SCALARS = {float, int, str, bool, type(None)}
-_FLOAT_ONLY = {float}
-
-
 def _canonical(value) -> str:
     if isinstance(value, dict):
-        # a value of an exact scalar type, or a list whose items are all
-        # exactly float, is rendered here by repr without a call per item;
-        # any other value recurses
-        parts = []
-        for k, v in sorted(value.items()):
-            kind = type(v)
-            if kind in _REPR_SCALARS:
-                parts.append(f"{k}:{v!r}")
-            elif kind is list and set(map(type, v)) <= _FLOAT_ONLY:
-                parts.append(f"{k}:[{','.join(map(repr, v))}]")
-            else:
-                parts.append(f"{k}:{_canonical(v)}")
-        return "{" + ",".join(parts) + "}"
-    if isinstance(value, float):
-        return repr(value)
+        return "{" + ",".join(f"{k}:{_canonical(v)}" for k, v in sorted(value.items())) + "}"
     if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_canonical(v) for v in value) + "]"
+        return "[" + ",".join(map(_canonical, value)) + "]"
     if isinstance(value, np.ndarray):
         return _canonical([float(v) for v in value])
     return repr(value)
 
 
+def _floats(reprs) -> str:
+    """A float list's canonical string, from the reprs of its items."""
+    return "[" + ",".join(reprs) + "]"
+
+
+def _digest(canonical: str) -> str:
+    return hashlib.sha256(canonical.encode()).hexdigest()[:12]
+
+
 def payload_digest(payload: dict) -> str:
     """First 12 hex digits of the sha256 of the payload's canonical string."""
-    return hashlib.sha256(_canonical(payload).encode()).hexdigest()[:12]
+    return _digest(_canonical(payload))
 
 
 @dataclass(slots=True)
@@ -348,14 +342,16 @@ class _Simulator:
 
     def _start_compute(self, k: int, t: float):
         state = self.states[k - 1]
-        self._log("compute_start", k, state.local_iter, t, {"z": state.z.tolist()})
+        z = state.z.tolist()
+        self._log("compute_start", k, state.local_iter, t, {"z": z},
+                  _digest(f"{{z:{_floats(map(repr, z))}}}"))
         self.phase[k] = "computing"
         delay = self.delays.compute_spec(k).sample(self.compute_rng[k])
         self._push(t + delay, "done", k)
 
     def _finish_compute(self, k: int, t: float):
         state = self.states[k - 1]
-        region = self.problem.region(k)
+        region = self.problem.regions[k - 1]
         try:
             result = x_update(region, state, self.params, self.solver_config,
                               warm_state=self.solver_warm[k])
@@ -376,25 +372,29 @@ class _Simulator:
         state.lam = lambda_update(state, state.ax, state.z, self.params)
         state.constraint_violation = result.constraint_norm
         self.objectives[k - 1] = region.objective(state.x)
-        self._log("compute_end", k, state.local_iter, t, {
-            "x": state.x.tolist(),
-            "lam": state.lam.tolist(),
-            "ax": state.ax.tolist(),
-            "feas": float(result.constraint_norm),
-        })
+        # each hot payload's canonical string is rendered here, keys sorted;
+        # the sends reuse the reprs of their blocks of ax and lam
+        x, lam, ax = state.x.tolist(), state.lam.tolist(), state.ax.tolist()
+        lam_r, ax_r = [*map(repr, lam)], [*map(repr, ax)]
+        feas = float(result.constraint_norm)
+        self._log("compute_end", k, state.local_iter, t,
+                  {"x": x, "lam": lam, "ax": ax, "feas": feas},
+                  _digest(f"{{ax:{_floats(ax_r)},feas:{feas!r},lam:{_floats(lam_r)},"
+                          f"x:{_floats(map(repr, x))}}}"))
         for i, neighbor, blk, spec, rng in self.links[k]:
             link_delay = spec.sample(rng)
+            # state vectors are replaced, never written in place, so the
+            # message blocks (and the snapshots below) can be views
             msg = BoundaryMessage(
                 sender=k, receiver=neighbor, edge_index=i,
-                ax_block=state.ax[blk].copy(), lam_block=state.lam[blk].copy(),
+                ax_block=state.ax[blk], lam_block=state.lam[blk],
                 sender_iter=state.local_iter, sent_at=t, arrives_at=t + link_delay,
             )
-            payload = {
-                "to": neighbor, "edge": i, "sender_iter": state.local_iter,
-                "ax": msg.ax_block.tolist(),
-                "lam": msg.lam_block.tolist(),
-            }
-            msg.digest = payload_digest(payload)
+            msg.digest = _digest(f"{{ax:{_floats(ax_r[blk])},edge:{i!r},"
+                                 f"lam:{_floats(lam_r[blk])},"
+                                 f"sender_iter:{state.local_iter!r},to:{neighbor!r}}}")
+            payload = {"to": neighbor, "edge": i, "sender_iter": state.local_iter,
+                       "ax": ax[blk], "lam": lam[blk]}
             self._log("send", k, state.local_iter, t, payload, digest=msg.digest)
             self._push(msg.arrives_at, "arrival", msg)
         self._try_close_cycle(k, t)
@@ -413,21 +413,22 @@ class _Simulator:
             self.consumed_iter[k][i] = msg.sender_iter
             e = self.problem.edges[i]
             own_blk = e.block_of(k)
-            z_prev_blk = state.z[own_blk].copy()
+            z_prev_blk = state.z[own_blk]
             if k == e.k:
                 args = (state.lam[own_blk], msg.lam_block, state.ax[own_blk], msg.ax_block)
             else:
                 args = (msg.lam_block, state.lam[own_blk], msg.ax_block, state.ax[own_blk])
             z_new = z_update(e, args[0], args[1], args[2], args[3], z_prev_blk, self.params)
             self.z_global[self.problem.edge_slice(i)] = z_new
+            z = z_new.tolist()
             self._log("z_update", k, state.local_iter, t, {
-                "edge": i, "with": msg.sender, "sender_iter": msg.sender_iter,
-                "z": z_new.tolist(),
-            })
+                "edge": i, "with": msg.sender, "sender_iter": msg.sender_iter, "z": z,
+            }, _digest(f"{{edge:{i!r},sender_iter:{msg.sender_iter!r},with:{msg.sender!r},"
+                       f"z:{_floats(map(repr, z))}}}"))
         prev = self.snapshot_prev[k - 1]
         state.z = self.problem.region_z(self.z_global, k)
         state.residue = residue(state, prev)
-        self.snapshot_prev[k - 1] = state.z.copy()
+        self.snapshot_prev[k - 1] = state.z
         state.local_iter += 1
         self.cycles_closed += 1
         self._record_iteration(t)

@@ -3,10 +3,10 @@
 All functions here are pure: x-subproblem assembly, the multiplier update,
 the closed-form proximal consensus update for one edge, the per-worker
 residue, and the multiplier box projection. The one thing kept between
-calls is the penalty curvature rho A^T A, built once per region and rho
-and held in ``RegionSpec.penalty_curvature``. Synchronous and asynchronous
-drivers share these primitives so their iterates can be compared bit for
-bit.
+calls, built once per region and rho and held in
+``RegionSpec.penalty_curvature``, is the penalty curvature rho A^T A with
+the local solver's constants for it. Synchronous and asynchronous drivers
+share these primitives so their iterates can be compared bit for bit.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .localsolver import SolverConfig, last_point_memo, solve_local
+from .localsolver import NewtonModel, SolverConfig, _clip, _max, last_point_memo, solve_local
 from .problem import Array, CouplingEdge, PartitionedProblem, RegionSpec
 
 
@@ -126,7 +126,7 @@ class BoundaryPenalty:
 
 def project_lambda(lam: Array, lower, upper) -> Array:
     """Coordinatewise clamp onto the multiplier box; idempotent."""
-    return np.clip(lam, lower, upper)
+    return _clip(lam, lower, upper)
 
 
 def x_update(
@@ -145,19 +145,20 @@ def x_update(
     ``state.z`` must be the snapshot taken at the start of this update.
     Returns the solver result (minimiser plus diagnostics).
     """
-    cache = region.penalty_curvature
+    cached = region.penalty_curvature.get(params.rho)
     penalty = BoundaryPenalty(region.boundary_map, state.lam, state.z, params.rho,
-                              cache.get(params.rho))
-    cache[params.rho] = penalty.curvature
+                              None if cached is None else cached[0])
+    if cached is None:
+        cached = region.penalty_curvature[params.rho] = (
+            penalty.curvature, NewtonModel(region, penalty.curvature[0]))
     eq_mult, pen = warm_state if warm_state is not None else (None, None)
     return solve_local(region, penalty, state.x, solver,
-                       eq_multipliers=eq_mult, penalty_start=pen)
+                       eq_multipliers=eq_mult, penalty_start=pen, model=cached[1])
 
 
 def lambda_update(state: WorkerState, ax_new: Array, z_snapshot: Array, params: AdmmParams) -> Array:
-    """lam + rho (A x_new - z_snapshot), projected onto the multiplier box."""
-    ax_new = np.asarray(ax_new, dtype=float)
-    z_snapshot = np.asarray(z_snapshot, dtype=float)
+    """lam + rho (A x_new - z_snapshot) of float arrays, projected onto the
+    multiplier box."""
     if ax_new.shape != state.lam.shape or z_snapshot.shape != state.lam.shape:
         raise ValueError("lambda update: vector lengths differ")
     return project_lambda(
@@ -183,12 +184,11 @@ def z_update(
 
         lam_kl + lam_lk + rho (ax_k - z) + rho (ax_l - z) - alpha (z - z_prev) = 0
 
-    to floating-point accuracy.
+    to floating-point accuracy. All five vectors are float arrays.
     """
-    vecs = [np.asarray(v, dtype=float) for v in (lam_kl, lam_lk, ax_k, ax_l, z_prev)]
-    if any(v.shape != (edge.dim,) for v in vecs):
+    if not lam_kl.shape == lam_lk.shape == ax_k.shape == ax_l.shape == z_prev.shape \
+            == (edge.dim,):
         raise ValueError(f"z update on edge ({edge.k},{edge.l}): expected length {edge.dim}")
-    lam_kl, lam_lk, ax_k, ax_l, z_prev = vecs
     return (lam_kl + lam_lk + params.rho * ax_k + params.rho * ax_l + params.alpha * z_prev) / (
         2.0 * params.rho + params.alpha
     )
@@ -196,15 +196,14 @@ def z_update(
 
 def residue(state: WorkerState, z_prev: Array) -> float:
     """Infinity norm of the stacked primal (A x - z) and dual (z - z_prev)
-    residuals of one worker."""
-    z_prev = np.asarray(z_prev, dtype=float)
+    residuals of one worker; ``z_prev`` is a float array."""
     if z_prev.shape != state.z.shape:
         raise ValueError("residue: z_prev length differs from state.z")
     if state.z.size == 0:
         return 0.0
     primal = state.ax - state.z
     dual = state.z - z_prev
-    return float(max(np.abs(primal).max(), np.abs(dual).max()))
+    return float(max(_max(np.abs(primal)), _max(np.abs(dual))))
 
 
 def initial_z(problem: PartitionedProblem, x_all: list[Array]) -> Array:

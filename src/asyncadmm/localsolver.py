@@ -11,11 +11,14 @@ curvature plus mu J^T J (Gauss-Newton). A region that supplies
 sum_i w_i Hessian(h_i) at w = y + mu h, which makes the model the exact
 Hessian on the constraint side.
 
-Built once per solve: the clamped curvature model diag(max(d, 0)) plus the
-penalty's constant curvature, rebuilt only when the objective curvature d
-changes (the non-convex toy); per stage: the Newton step's inward bounds
-and identity; per iterate: h and J, so the line search's h at the accepted
-point serves the gradient, the Newton model and the stage-end residual.
+Built once per region and constant extra curvature (a :class:`NewtonModel`,
+which the ADMM x-update keeps per region and rho): the box moved 1e-10
+inward, the identity, and the clamped curvature model diag(max(d, 0)) plus
+the penalty's curvature, rebuilt only when the objective curvature d
+changes (the non-convex toy); per iterate: h and J, so the line search's h
+at the accepted point serves the gradient, the Newton model and the
+stage-end residual. The hot loop calls numpy's ufuncs, their reductions and
+the LAPACK solve gufunc directly, without the Python wrappers around them.
 The loops are bounded by ``SolverConfig.max_iters`` outer stages of at
 most ``inner_max_iters`` inner iterations each.
 Everything is deterministic: identical inputs produce bitwise-identical
@@ -28,8 +31,20 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .problem import Array, RegionSpec
+
+# the kernels behind ndarray.clip, np.linalg.solve, .max, .all and .any,
+# called on the hot path without their Python wrappers
+try:
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as _clip
+_solve1 = _umath_linalg.solve1
+_max = np.maximum.reduce
+_all = np.logical_and.reduce
+_any = np.logical_or.reduce
 
 _ARMIJO = 1e-4
 _STEP_MIN = 1e-14
@@ -107,37 +122,63 @@ def last_point_memo(fn):
 
 
 def _projected_gradient_norm(x: Array, g: Array, lo: Array, hi: Array) -> float:
-    return float(np.abs(x - (x - g).clip(lo, hi)).max(initial=0.0))
+    return float(_max(np.abs(x - _clip(x - g, lo, hi)), initial=0.0))
 
 
 def _safe_metric(raw: Array) -> Array:
     """Positive diagonal metric from a raw curvature estimate."""
-    top = float(raw.max(initial=0.0))
+    top = float(_max(raw, initial=0.0))
     if top <= 0.0:
         return np.ones(raw.size)
     return np.maximum(raw, 1e-8 * top)
+
+
+class NewtonModel:
+    """A region's solver constants under a constant extra curvature
+    ``extra_H`` (or None): the box, the box moved 1e-10 inward (None when
+    no bound is finite: Newton directions are only taken at finite x, where
+    such a box pins nothing), the identity, and ``clamped(d)``, the model
+    diag(max(d, 0)) + extra_H kept for the last d (keyed on its bytes, so
+    x-dependent curvature stays exact). Callers must not modify the model."""
+
+    def __init__(self, region: RegionSpec, extra_H: Array | None = None):
+        self.lo, self.hi = region.lower, region.upper
+        boxed = np.isfinite(self.lo).any() or np.isfinite(self.hi).any()
+        self.lo_in, self.hi_in = (self.lo + 1e-10, self.hi - 1e-10) if boxed else (None, None)
+        self.eye = np.eye(region.dim_x)
+
+        @last_point_memo
+        def clamped(d):
+            # negative objective curvature is clamped out of the Newton model
+            H = np.diag(np.maximum(d, 0.0))
+            return H if extra_H is None else H + extra_H
+
+        self.clamped = clamped
 
 
 def _newton_direction(H, g, x, lo_in, hi_in, D, eye):
     """Two-metric descent direction: a damped Newton step on the free
     coordinates, a metric-scaled gradient step on the ones pinned at an
     active bound; returns None when the Newton system is unusable. ``lo_in``
-    and ``hi_in`` are the bounds moved 1e-10 inward, ``eye`` the identity."""
-    free = ~(((x <= lo_in) & (g > 0)) | ((x >= hi_in) & (g < 0)))
-    idx = np.flatnonzero(free)
-    n = idx.size
+    and ``hi_in`` are the bounds moved 1e-10 inward (None: nothing pinned),
+    ``eye`` the identity."""
+    if lo_in is None:
+        n = x.size
+    else:
+        idx = (~(((x <= lo_in) & (g > 0)) | ((x >= hi_in) & (g < 0)))).nonzero()[0]
+        n = idx.size
     if n == 0:
         return -g / D
     all_free = n == x.size
     Hf, gf = (H, g) if all_free else (H.take(idx, 0).take(idx, 1), g.take(idx))
     reg = 1e-9 * max(float(Hf.trace()) / n, 1.0)
-    eye = eye[:n, :n]
+    eye = eye if all_free else eye[:n, :n]
     for _ in range(6):
-        try:
-            step = np.linalg.solve(Hf + reg * eye, -gf)
-        except np.linalg.LinAlgError:
-            step = None
-        if step is not None and np.isfinite(step).all() and float(gf @ step) < 0:
+        system = Hf + reg * eye
+        # a singular system comes back as NaN, where np.linalg.solve raises
+        with np.errstate(all="ignore"):
+            step = _solve1(system, -gf)
+        if _all(np.isfinite(step)) and float(gf @ step) < 0:
             if all_free:
                 return step
             d = -g / D
@@ -147,10 +188,10 @@ def _newton_direction(H, g, x, lo_in, hi_in, D, eye):
     return None
 
 
-def _pg_minimize(value, grad, x, v, g, lo, hi, tol, max_iters, metric, hess):
+def _pg_minimize(value, grad, x, v, g, model, tol, max_iters, metric, hess):
     """Monotone projected descent with backtracking Armijo line search along
-    the box-projection arc, from ``x`` (inside the box) with value ``v`` and
-    gradient ``g`` there.
+    the box-projection arc, from ``x`` (inside the box of ``model``) with
+    value ``v`` and gradient ``g`` there.
 
     The search direction is a two-metric Newton step (free coordinates take
     a damped Newton step from ``hess``, bound-pinned coordinates a scaled
@@ -161,8 +202,7 @@ def _pg_minimize(value, grad, x, v, g, lo, hi, tol, max_iters, metric, hess):
     ``stalled`` means the line search could not certify any further
     decrease."""
     D = _safe_metric(metric)
-    lo_in, hi_in = lo + 1e-10, hi - 1e-10
-    eye = np.eye(x.size)
+    lo, hi, lo_in, hi_in, eye = model.lo, model.hi, model.lo_in, model.hi_in, model.eye
     t = 1.0
     prev_x = prev_g = None
     it = 0
@@ -174,9 +214,9 @@ def _pg_minimize(value, grad, x, v, g, lo, hi, tol, max_iters, metric, hess):
         if direction is not None:
             step = 1.0
             for _ in range(30):
-                xn = (x + step * direction).clip(lo, hi)
+                xn = _clip(x + step * direction, lo, hi)
                 d = xn - x
-                if not d.any():
+                if not _any(d):
                     break
                 vn = value(xn)
                 if math.isfinite(vn) and vn <= v + _ARMIJO * float(g @ d):
@@ -196,9 +236,9 @@ def _pg_minimize(value, grad, x, v, g, lo, hi, tol, max_iters, metric, hess):
             t = min(max(t, _STEP_MIN), _STEP_MAX)
             step = t
             for _ in range(60):
-                xn = (x - (step / D) * g).clip(lo, hi)
+                xn = _clip(x - (step / D) * g, lo, hi)
                 d = xn - x
-                if not d.any():
+                if not _any(d):
                     break
                 vn = value(xn)
                 if math.isfinite(vn) and vn <= v + _ARMIJO * float(g @ d):
@@ -223,6 +263,7 @@ def solve_local(
     config: SolverConfig,
     eq_multipliers: Array | None = None,
     penalty_start: float | None = None,
+    model: NewtonModel | None = None,
 ) -> SolveResult:
     """Find a local minimiser of f_k(x) + extra(x) over the region's box and
     equality constraints.
@@ -232,7 +273,9 @@ def solve_local(
     ``hess(x)``, constant in x, joins the Newton model. The start point is
     clamped into the box. ``eq_multipliers`` warm-starts the equality
     multiplier estimates; repeated similar solves (as in an ADMM loop)
-    finish in very few outer stages when they are carried over.
+    finish in very few outer stages when they are carried over. ``model``
+    is the region's :class:`NewtonModel` for ``extra.hess``, built here when
+    not given; repeated solves pass the same one.
 
     The inner Newton model is Gauss-Newton unless the region supplies
     ``equality_hessian``; then the constraint curvature is added and the
@@ -256,10 +299,12 @@ def solve_local(
     one Newton model and up to 90 trial values. A box-only solve has one
     stage, so at most ``inner_max_iters`` iterations.
     """
-    lo, hi = region.lower, region.upper
-    x = np.asarray(x_start, dtype=float).clip(lo, hi)
+    x = _clip(np.asarray(x_start, dtype=float), region.lower, region.upper)
     extra_hess_diag = getattr(extra, "hess_diag", None)
-    extra_hess = getattr(extra, "hess", None)
+    if model is None:
+        extra_hess = getattr(extra, "hess", None)
+        model = NewtonModel(region, None if extra_hess is None
+                            else np.asarray(extra_hess(x), dtype=float))
 
     def phi(xv):
         val = region.objective(xv)
@@ -284,23 +329,15 @@ def solve_local(
             d = d + np.asarray(extra_hess_diag(xv), dtype=float)
         return d
 
-    extra_H = None if extra_hess is None else np.asarray(extra_hess(x), dtype=float)
-
-    @last_point_memo
-    def curvature_model(d):
-        # negative objective curvature is clamped out of the Newton model
-        H = np.diag(np.maximum(d, 0.0))
-        return H if extra_H is None else H + extra_H
-
     def phi_hess(xv):
-        return curvature_model(region_hess_diag(xv))
+        return model.clamped(region_hess_diag(xv))
 
     g0 = phi_grad(x)
-    grad_scale = max(1.0, float(np.abs(g0).max(initial=0.0)))
+    grad_scale = max(1.0, float(_max(np.abs(g0), initial=0.0)))
     grad_tol = config.grad_tol * grad_scale
 
     if region.equality is None:
-        x, _, g, pgn, it, stalled = _pg_minimize(phi, phi_grad, x, phi(x), g0, lo, hi,
+        x, _, g, pgn, it, stalled = _pg_minimize(phi, phi_grad, x, phi(x), g0, model,
                                                  grad_tol, config.inner_max_iters,
                                                  phi_hess_diag(x), phi_hess)
         if pgn > grad_tol and not stalled:
@@ -345,13 +382,13 @@ def solve_local(
         metric = phi_hess_diag(x) + mu * (J0 * J0).sum(axis=0)
         start_val = al_value(x)
         x, end_val, g, pgn, it, stalled = _pg_minimize(
-            al_value, al_grad, x, start_val, al_grad(x), lo, hi, grad_tol,
+            al_value, al_grad, x, start_val, al_grad(x), model, grad_tol,
             config.inner_max_iters, metric, al_hess,
         )
         merit_path.append((start_val, end_val))
         total_inner += it
         h = h_at(x)
-        hnorm = float(np.abs(h).max(initial=0.0))
+        hnorm = float(_max(np.abs(h), initial=0.0))
         if hnorm < best[0]:
             best = (hnorm, pgn)
         if hnorm <= config.constraint_tol and pgn <= grad_tol:

@@ -664,17 +664,18 @@ def newton_power_flow(case: OpfCase, tol: float = 1e-10, max_iters: int = 60):
     return V, p_bus, q_bus
 
 
-def warm_start(layout: OpfLayout) -> list[Array]:
+def warm_start(layout: OpfLayout, problem: PartitionedProblem) -> list[Array]:
     """Regional start vectors from a power-flow solution of ``layout.case``:
     voltages (own and duplicated) from the solved state, generator dispatch
-    from the flow solution clipped into its boxes."""
+    from the flow solution clipped into its boxes. ``problem`` is the one
+    compiled with ``layout``; its regions' bounds clip the vectors."""
     case = layout.case
     V, p_bus, q_bus = newton_power_flow(case)
     idx = case.bus_index()
     base = case.base_mva
     share = Counter(gen.bus for gen in case.generators)
     starts = []
-    for lay in layout.regions:
+    for lay, region in zip(layout.regions, problem.regions):
         own = [V[idx[bid]] for bid in lay.own_bus_ids]
         gens = [case.generators[g] for g in lay.gen_indices]
         dup = [V[idx[bid]] for bid in lay.dup_bus_ids]
@@ -685,6 +686,5 @@ def warm_start(layout: OpfLayout) -> list[Array]:
             + [np.clip(q_bus[idx[g.bus]] / share[g.bus], g.q_min / base, g.q_max / base)
                for g in gens]
             + [v.real for v in dup] + [v.imag for v in dup], dtype=float)
-        region_lo, region_hi = _region_bounds(case, lay, layout.ref_bus)
-        starts.append(np.clip(x, region_lo, region_hi))
+        starts.append(np.clip(x, region.lower, region.upper))
     return starts

@@ -100,8 +100,9 @@ class RegionSpec:
     # the local solver's Newton model is the exact augmented-Lagrangian
     # Hessian on the constraint side; without it the model is Gauss-Newton
     equality_hessian: Callable[[Array, Array], Array] | None = None
-    # rho -> (rho A^T A, its diagonal), filled by kernel.x_update on the
-    # first solve with that rho; a cache, not part of the region's value
+    # rho -> ((rho A^T A, its diagonal), the local solver's NewtonModel),
+    # filled by kernel.x_update on the first solve with that rho; a cache,
+    # not part of the region's value
     penalty_curvature: dict = field(default_factory=dict, init=False, repr=False,
                                     compare=False)
 

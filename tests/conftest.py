@@ -9,6 +9,45 @@ import reference_analysis as reference
 
 CASES_DIR = Path(__file__).resolve().parent.parent / "cases"
 
+# the benchmark's 16-region toy chain (about 3,200 cycles, 22,909 events):
+# the only pinned trace on the many-region, long-run path of the simulator
+TOY_CHAIN16_CONFIG = """
+problem = toy_consensus
+targets = 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15
+mode = async
+rho = 5
+p = 0.5
+seed = 7
+tol = 1e-6
+compute_delay = lognormal:0.0,0.5
+link_delay = lognormal:-1.5,0.3
+"""
+
+# the double-well toy: the only pinned run whose objective curvature depends
+# on x and whose box bounds are finite, so that a cached Newton model or
+# cached inward bounds that went stale would show
+NONCONVEX_CONFIG = """
+problem = nonconvex_toy
+mode = async
+rho = 500
+p = 0.1
+seed = 3
+tol = 1e-4
+compute_delay = lognormal:0.0,0.5
+link_delay = lognormal:-1.5,0.3
+"""
+WRITTEN_CONFIGS = {"toy_chain16": TOY_CHAIN16_CONFIG, "nonconvex": NONCONVEX_CONFIG}
+
+
+def config_path(name: str, tmp_path: Path) -> Path:
+    """The shipped ``cases/<name>.cfg``, or the config ``name`` of
+    :data:`WRITTEN_CONFIGS` written into ``tmp_path``."""
+    if name not in WRITTEN_CONFIGS:
+        return CASES_DIR / f"{name}.cfg"
+    path = tmp_path / f"{name}.cfg"
+    path.write_text(WRITTEN_CONFIGS[name])
+    return path
+
 
 @pytest.fixture(scope="session")
 def chain3_text() -> str:

@@ -16,7 +16,7 @@ from asyncadmm.cli import (
 from asyncadmm.localsolver import SolveError
 from asyncadmm.problem import make_nonconvex_toy, make_toy_consensus
 
-from conftest import CASES_DIR
+from conftest import CASES_DIR, config_path
 from oracles import nonconvex_toy_minimum, read_results
 
 TOY_CONFIG = """
@@ -445,21 +445,6 @@ def test_analyze_reproduces_run_report(tmp_path, config):
     assert json.loads((out / "analyze.json").read_text()) == run_report
 
 
-# the benchmark's 16-region toy chain (about 3,200 cycles, 22,909 events):
-# the only pinned trace on the many-region, long-run path of the simulator
-TOY_CHAIN16_CONFIG = """
-problem = toy_consensus
-targets = 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15
-mode = async
-rho = 5
-p = 0.5
-seed = 7
-tol = 1e-6
-compute_delay = lognormal:0.0,0.5
-link_delay = lognormal:-1.5,0.3
-"""
-
-
 # sha256 prefixes of diagnostics.json less `wall_time_s`, rendered with
 # json.dumps(indent=2, sort_keys=True), from the same runs
 DIAGNOSTICS_PREFIXES = {
@@ -468,6 +453,7 @@ DIAGNOSTICS_PREFIXES = {
     "nine_sync": "63bcb2756ab44d35",
     "toy_chain16": "cbe2c798caa5ed2e",
     "nine_sync_warm": "8efaef4a115c9057",
+    "nonconvex": "b4e3433f1dbb7ec1",
 }
 
 
@@ -478,20 +464,18 @@ DIAGNOSTICS_PREFIXES = {
     ("toy_chain16", "4826c08173ccaa30"),
     # the one pinned run from a power-flow warm start
     ("nine_sync_warm", "94930b90ee8fba87"),
+    ("nonconvex", "7b8d878ad32bb10c"),
 ])
 def test_shipped_trace_hashes(tmp_path, config, prefix):
     # a change that claims to preserve behaviour keeps these traces byte for
     # byte; the prefixes were recorded with Python 3.11.7 and numpy 2.4.6 on
     # x86-64 Linux, and another numpy or BLAS may round differently
     extra = []
-    if config == "toy_chain16":
-        cfg = tmp_path / "toy_chain16.cfg"
-        cfg.write_text(TOY_CHAIN16_CONFIG)
-    elif config == "nine_sync_warm":
+    if config == "nine_sync_warm":
         cfg = CASES_DIR / "nine_sync.cfg"
         extra = ["--set", "start=warm"]
     else:
-        cfg = CASES_DIR / f"{config}.cfg"
+        cfg = config_path(config, tmp_path)
     out = tmp_path / config
     assert main(["run", str(cfg), "--set", f"outdir={out}", "--set", "baseline=false",
                  *extra]) == 0
@@ -512,28 +496,27 @@ def test_shipped_trace_hashes(tmp_path, config, prefix):
 
 
 def test_penalty_curvature_built_once_per_region(tmp_path, monkeypatch):
-    # rho A^T A is fixed per region and rho: the 3,166 x-updates of the
-    # 16-region toy share 16 curvature pairs (the list keeps every pair
-    # alive, so distinct pairs have distinct ids)
+    # rho A^T A and the solver's Newton model are fixed per region and rho:
+    # the 3,166 x-updates of the 16-region toy share 16 curvature pairs and
+    # 16 models (the list keeps every one alive, so distinct ones have
+    # distinct ids)
     seen = []
     solve = kernel.solve_local
     monkeypatch.setattr(kernel, "solve_local",
-                        lambda region, extra, *a, **kw: seen.append(extra.curvature)
+                        lambda region, extra, *a, **kw: seen.append((extra.curvature, kw["model"]))
                         or solve(region, extra, *a, **kw))
-    cfg = tmp_path / "toy_chain16.cfg"
-    cfg.write_text(TOY_CHAIN16_CONFIG)
+    cfg = config_path("toy_chain16", tmp_path)
     assert main(["run", str(cfg), "--set", f"outdir={tmp_path / 'out'}",
                  "--set", "baseline=false"]) == 0
     assert len(seen) == 3166
-    assert len({id(pair) for pair in seen}) == 16
+    assert len({id(pair) for pair, _ in seen}) == len({id(model) for _, model in seen}) == 16
 
 
 def test_capped_run_timing_is_the_report_section(tmp_path):
     # capped at 50 cycles with an unreachable tolerance, the 16 workers reach
     # the cap at different times; a worker's idle time from its cap to the
     # end of the run counts as waiting, in timing.json as in the report
-    cfg = tmp_path / "toy_chain16.cfg"
-    cfg.write_text(TOY_CHAIN16_CONFIG)
+    cfg = config_path("toy_chain16", tmp_path)
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--set", f"outdir={out}", "--set", "max_local_iters=50",
                  "--set", "tol=1e-12"]) == 2

@@ -18,17 +18,19 @@ from asyncadmm.opf import build_regional_subproblems
 from asyncadmm.problem import CouplingEdge, PartitionedProblem, RegionSpec, make_toy_consensus
 
 import reference_digest as reference
-from conftest import CASES_DIR
+from conftest import CASES_DIR, config_path
 
 
 # --------------------------------------------------------------------------
 # payload digests
 
 
-@pytest.mark.parametrize("config", ["toy_sync", "ring5_async", "nine_sync"])
+# between them these runs carry every payload kind the engine renders
+@pytest.mark.parametrize("config", ["toy_sync", "ring5_async", "nine_sync", "toy_chain16",
+                                    "nonconvex"])
 def test_digest_matches_reference_on_shipped_runs(tmp_path, config):
     out = tmp_path / config
-    assert main(["run", str(CASES_DIR / f"{config}.cfg"), "--set", f"outdir={out}",
+    assert main(["run", str(config_path(config, tmp_path)), "--set", f"outdir={out}",
                  "--set", "baseline=false"]) == 0
     trace = caseio.read_trace(out / "trace.log")
     assert trace.events

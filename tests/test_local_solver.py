@@ -226,7 +226,10 @@ def _newton_case(rng, box, n):
     """Random (H, g, x, lo, hi, D) whose box pins no, every, some or the
     degenerate (lo = hi) coordinates; H is SPD, indefinite, singular,
     unsymmetric or non-finite so that every branch of the regularisation
-    loop runs and a transposed gather would show."""
+    loop runs and a transposed gather would show. The "singular" and "nan"
+    cases pin some coordinates and give the free block an exactly singular
+    first regularised system (a zero pivot) or a NaN entry, which may also
+    fall on a pinned coordinate; the "unbounded" box has no finite bound."""
     M = rng.normal(size=(n, n))
     H = [M @ M.T + np.eye(n), M + M.T, np.outer(M[0], M[0]), M, np.full((n, n), np.inf),
          np.zeros((n, n))][rng.integers(6)]
@@ -239,8 +242,21 @@ def _newton_case(rng, box, n):
     elif box == "mixed":
         pin = np.arange(n) < max(1, n // 2)
         rng.shuffle(pin)
+    elif box in ("singular", "nan"):
+        pin = np.arange(n) < n // 2
+        rng.shuffle(pin)
+        if box == "singular":
+            # -1e-9 cancels the first regularisation 1e-9 * max(trace / n, 1)
+            H = np.diag(rng.uniform(0.0, 1.0, size=n))
+            i = rng.choice(np.flatnonzero(~pin))
+            H[i, i] = -1e-9
+        else:
+            H = M @ M.T + np.eye(n)
+            H[rng.integers(n), rng.integers(n)] = np.nan
     else:
         pin = np.zeros(n, dtype=bool)
+    if box == "unbounded":
+        lo, hi = np.full(n, -np.inf), np.full(n, np.inf)
     x[pin & at_lo] = lo[pin & at_lo]
     x[pin & ~at_lo] = hi[pin & ~at_lo]
     if box == "degenerate":
@@ -250,21 +266,27 @@ def _newton_case(rng, box, n):
     return H, g, x, lo, hi, rng.uniform(0.1, 10.0, size=n)
 
 
-@pytest.mark.parametrize("box", ["free", "pinned", "mixed", "degenerate"])
+_NEWTON_BOXES = ["free", "pinned", "mixed", "degenerate", "singular", "nan", "unbounded"]
+
+
+@pytest.mark.parametrize("box", _NEWTON_BOXES)
 def test_newton_direction_matches_oracle_bitwise(box):
-    rng = np.random.default_rng(["free", "pinned", "mixed", "degenerate"].index(box))
+    rng = np.random.default_rng(_NEWTON_BOXES.index(box))
     outcomes = Counter()
     for _ in range(300):
         n = int(rng.integers(1, 9))
         H, g, x, lo, hi, D = _newton_case(rng, box, n)
         with np.errstate(all="ignore"):  # the non-finite H
             want = newton_direction(H, g, x, lo, hi, D)
-            got = _newton_direction(H, g, x, lo + 1e-10, hi - 1e-10, D, np.eye(n))
+            # a box without a finite bound is passed as a NewtonModel has it
+            inward = (None, None) if box == "unbounded" else (lo + 1e-10, hi - 1e-10)
+            got = _newton_direction(H, g, x, *inward, D, np.eye(n))
         if want is None:
             assert got is None
             outcomes["none"] += 1
         else:
             assert got is not None and got.tobytes() == want.tobytes()
             outcomes["step"] += 1
-    # with every coordinate pinned there is no Newton system to fail
-    assert outcomes["step"] and bool(outcomes["none"]) == (box != "pinned")
+    # with every coordinate pinned there is no Newton system to fail, and a
+    # singular first system is regular at the next regularisation
+    assert outcomes["step"] and bool(outcomes["none"]) == (box not in ("pinned", "singular"))

@@ -304,7 +304,7 @@ class TestBuild:
         part = Partition({1: 1, 2: 1, 3: 2, 4: 2, 5: 2})
         problem, layout = build_regional_subproblems(ring5_case, part)
         V, p_bus, q_bus = newton_power_flow(ring5_case)
-        starts = warm_start(layout)
+        starts = warm_start(layout, problem)
         idx = ring5_case.bus_index()
         network = power_flow_residual(ring5_case, V, p_bus, q_bus)
         for k in (1, 2):
@@ -325,7 +325,7 @@ class TestNewtonPowerFlow:
     def test_warm_start_inside_bounds(self, ring5_case):
         part = Partition({1: 1, 2: 1, 3: 2, 4: 2, 5: 2})
         problem, layout = build_regional_subproblems(ring5_case, part)
-        for k, x in enumerate(warm_start(layout), start=1):
+        for k, x in enumerate(warm_start(layout, problem), start=1):
             region = problem.region(k)
             assert np.all(x >= region.lower - 1e-12)
             assert np.all(x <= region.upper + 1e-12)
