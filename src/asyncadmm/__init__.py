@@ -20,7 +20,6 @@ from .engine import (
     StoppingRule,
     ready_to_update,
     run,
-    run_sync_reference,
 )
 from .kernel import (
     AdmmParams,

@@ -15,28 +15,90 @@ is an addition to the first four: without it a maximal slicing can place an
 update's start and finish in one slot, which would break the guarantee
 nu_bar < nu that the delay-window bookkeeping relies on.
 
-The maximal slicing is built greedily in one sweep over the sorted start
-times, with every rule reduced to (key, time) pairs under a suffix minimum;
-omega is the largest gap between a worker's appearance slots and the rules
-are checked by bisection, so the analysis costs O(E log E) for E events.
+The trace is indexed once (:class:`TraceIndex`) and every pass reads the
+index. The slicing is one sweep over the sorted start times, every rule a
+(key, time) pair under a suffix minimum; snapshots and bounds work on one
+array per edge and worker and add in a loop's order, so the analysis costs
+O(E log E) for E events and matches the event-by-event loops bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate
+from functools import reduce
+from operator import add, attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
-from .engine import EventTrace, TraceEvent
+from .engine import EventTrace
 from .problem import Array, PartitionedProblem
 
 
 class TraceError(ValueError):
     """The trace is structurally unusable for analysis."""
+
+
+# --------------------------------------------------------------------------
+# the event index
+
+
+class TraceIndex:
+    """One trace's events read once: ``time`` and ``worker`` per event, keys
+    ``by_worker`` that order events by worker, then log position, and
+    :meth:`of`, the log-ordered positions of some kinds' events. One serves
+    all passes of :func:`analyze_trace`; rebuild it after changing events."""
+
+    def __init__(self, trace: EventTrace):
+        self.events = events = trace.events
+        kinds = [e.kind for e in events]
+        self.time = np.array([e.time for e in events], dtype=float)
+        self.worker = np.array([e.worker for e in events], dtype=np.int64)
+        self.by_worker = self.worker * len(events) + np.arange(len(events))
+        codes = {kind: i for i, kind in enumerate(dict.fromkeys(kinds))}
+        code = np.fromiter(map(codes.__getitem__, kinds), dtype=np.intp, count=len(kinds))
+        self._positions = {kind: np.flatnonzero(code == i) for kind, i in codes.items()}
+
+    def of(self, *kinds: str) -> np.ndarray:
+        return np.sort(np.concatenate([self._positions.get(kind, np.empty(0, np.intp))
+                                       for kind in kinds]), kind="stable")
+
+
+def _matched_updates(index: TraceIndex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Positions of each finished x-update's compute_start and compute_end,
+    in the order of the ends, and of the starts still open at the end. Each
+    worker's starts and ends must alternate, beginning with a start; the
+    first event in the log that breaks this raises TraceError."""
+    starts = index.of("compute_start")
+    pos = np.concatenate([starts, index.of("compute_end")])
+    order = np.argsort(index.by_worker[pos], kind="stable")
+    pos, is_end = pos[order], order >= len(starts)
+    same = np.diff(index.worker[pos]) == 0  # event i + 1 has event i's worker
+    after_end = np.ones(len(pos), dtype=bool)  # the worker's previous event is an end, or none
+    after_end[1:] = ~same | is_end[:-1]
+    if (broken := pos[is_end == after_end]).size:
+        ev = index.events[broken.min()]
+        if ev.kind == "compute_start":
+            raise TraceError(f"worker {ev.worker}: compute_start at t={ev.time} while computing")
+        raise TraceError(f"worker {ev.worker}: compute_end without start at t={ev.time}")
+    ends = np.flatnonzero(is_end)[np.argsort(pos[is_end], kind="stable")]
+    last = np.append(~same, True)  # each worker's last event
+    return pos[ends - 1], pos[ends], pos[last & ~is_end]
+
+
+def _receives(index: TraceIndex) -> tuple[np.ndarray, np.ndarray]:
+    """(start time, receive time) of each receive later in time than its
+    worker's last compute_start before it in the log."""
+    starts = np.sort(index.by_worker[index.of("compute_start")], kind="stable")
+    received = index.of("receive")
+    last = np.searchsorted(starts, index.by_worker[received]) - 1
+    received, last = received[last >= 0], starts[last[last >= 0]]
+    n = len(index.events)
+    governed = last // max(n, 1) == index.worker[received]
+    start_t, receive_t = index.time[last[governed] % max(n, 1)], index.time[received[governed]]
+    return start_t[start_t < receive_t], receive_t[start_t < receive_t]
 
 
 # --------------------------------------------------------------------------
@@ -70,48 +132,17 @@ class GlobalIterationAssignment:
     num_workers: int
     updates: list[UpdateRecord]
     membership: dict[int, set] = field(default_factory=dict)
-    receives: list[tuple] | None = None  # from _worker_updates; None: re-read the trace
+    receives: tuple | None = None  # from _receives; None: re-read the trace
 
     @property
     def num_slots(self) -> int:
         return len(self.boundaries)
 
-    def slot_of(self, t: float) -> int:
-        return bisect_left(self.boundaries, t)
-
     def members(self, nu: int) -> set:
         return self.membership.get(nu, set())
 
 
-def _worker_updates(trace: EventTrace) -> tuple[list[UpdateRecord], list[tuple]]:
-    """Match compute_start/compute_end pairs per worker and collect receive
-    events as (worker, time, position-in-log, governing start time)."""
-    open_start: dict[int, TraceEvent] = {}
-    last_start_time: dict[int, float] = {}
-    updates: list[UpdateRecord] = []
-    receives: list[tuple] = []
-    for pos, ev in enumerate(trace.events):
-        if ev.kind == "compute_start":
-            if ev.worker in open_start:
-                raise TraceError(
-                    f"worker {ev.worker}: compute_start at t={ev.time} while computing"
-                )
-            open_start[ev.worker] = ev
-            last_start_time[ev.worker] = ev.time
-        elif ev.kind == "compute_end":
-            started = open_start.pop(ev.worker, None)
-            if started is None:
-                raise TraceError(f"worker {ev.worker}: compute_end without start at t={ev.time}")
-            updates.append(UpdateRecord(
-                worker=ev.worker, cycle=ev.local_iter,
-                start_time=started.time, end_time=ev.time,
-            ))
-        elif ev.kind == "receive":
-            receives.append((ev.worker, ev.time, pos, last_start_time.get(ev.worker)))
-    return updates, receives
-
-
-def _maximal_boundaries(starts: list[float], updates, receives) -> list[float]:
+def _maximal_boundaries(starts: list[float], start_t, end_t, worker, receives) -> list[float]:
     """The greedy maximal slicing as one sweep over the sorted start times.
 
     Every rule becomes (key, t): a window (cur, c] with cur < key breaks
@@ -119,21 +150,16 @@ def _maximal_boundaries(starts: list[float], updates, receives) -> list[float]:
     by key gives the first breaking time T, and the next boundary is the
     last start before T, or the first start after the boundary if none is.
     """
-    # an update inside the window must span its left end; keying on
-    # min(start, end) keeps this exact for out-of-order timestamps
-    rules = [(min(u.start_time, u.end_time), u.end_time) for u in updates]
-    # no receive after a start within the start's slot
-    rules += [(s, t) for _, t, _, s in receives if s is not None and s < t]
-    ends_of: dict[int, list[float]] = {}
-    for u in updates:
-        ends_of.setdefault(u.worker, []).append(u.end_time)
-    for ends in ends_of.values():
-        ends.sort()
-        rules += zip(ends, ends[1:])  # one finish per worker and slot
-    rules.sort()
-    keys = [key for key, _ in rules]
-    first_break = list(accumulate(reversed([t for _, t in rules]), min, initial=math.inf))
-    first_break.reverse()
+    # an update inside the window must span its left end (keyed on
+    # min(start, end), exact for out-of-order timestamps), no receive may
+    # follow a start within the start's slot, one finish per worker and slot
+    order = np.lexsort((end_t, worker))
+    ends, same = end_t[order], np.diff(worker[order]) == 0
+    keys = np.concatenate([np.minimum(start_t, end_t), receives[0], ends[:-1][same]])
+    times = np.concatenate([end_t, receives[1], ends[1:][same]])
+    order = np.lexsort((times, keys))
+    keys = keys[order].tolist()
+    first_break = np.minimum.accumulate(times[order][::-1])[::-1].tolist() + [math.inf]
 
     boundaries = [starts[0]]
     while True:
@@ -145,47 +171,54 @@ def _maximal_boundaries(starts: list[float], updates, receives) -> list[float]:
         boundaries.append(starts[max(last, nxt)])  # the shortest extension if none fits
 
 
-def assign_global_iterations(trace: EventTrace) -> GlobalIterationAssignment:
+def assign_global_iterations(trace: EventTrace,
+                             index: TraceIndex | None = None) -> GlobalIterationAssignment:
     """Greedy maximal slicing of the trace into global iterations."""
-    updates, receives = _worker_updates(trace)
-    starts = sorted({e.time for e in trace.events if e.kind == "compute_start"})
-    end_time = trace.end_time or max((e.time for e in trace.events), default=0.0)
-    workers = sorted({e.worker for e in trace.events if e.kind == "compute_start"})
+    index = index or TraceIndex(trace)
+    first, last, _ = _matched_updates(index)
+    receives = _receives(index)
+    start_pos = index.of("compute_start")
+    starts = sorted(set(index.time[start_pos].tolist()))
+    end_time = trace.end_time or max(index.time.tolist(), default=0.0)
+    num_workers = len(set(index.worker[start_pos].tolist()))
     if not starts:
-        return GlobalIterationAssignment([], end_time, len(workers), [], receives=receives)
+        return GlobalIterationAssignment([], end_time, num_workers, [], receives=receives)
 
-    assignment = GlobalIterationAssignment(
-        boundaries=_maximal_boundaries(starts, updates, receives), end_time=end_time,
-        num_workers=len(workers), updates=updates, receives=receives,
-    )
-    for u in updates:
-        u.start_slot = assignment.slot_of(u.start_time)
-        u.finish_slot = assignment.slot_of(u.end_time)
-        assignment.membership.setdefault(u.finish_slot, set()).add(u.worker)
+    start_t, end_t, worker = index.time[first], index.time[last], index.worker[last]
+    boundaries = _maximal_boundaries(starts, start_t, end_t, worker, receives)
+    finish_slots, workers = np.searchsorted(boundaries, end_t).tolist(), worker.tolist()
+    cycles = [index.events[i].local_iter for i in last.tolist()]
+    updates = list(map(UpdateRecord, workers, cycles, start_t.tolist(), end_t.tolist(),
+                       np.searchsorted(boundaries, start_t).tolist(), finish_slots))
+    assignment = GlobalIterationAssignment(boundaries, end_time, num_workers, updates,
+                                           receives=receives)
+    for nu, k in zip(finish_slots, workers):
+        assignment.membership.setdefault(nu, set()).add(k)
     return assignment
 
 
-def verify_slicing_rules(assignment: GlobalIterationAssignment, trace: EventTrace) -> dict:
+def verify_slicing_rules(assignment: GlobalIterationAssignment, trace: EventTrace,
+                         index: TraceIndex | None = None) -> dict:
     """Machine check of the slicing invariants on a finished assignment:
     boundaries sit on x-update start times, no worker finishes twice in one
     slot, a worker that started an update receives nothing else inside the
     slot holding that start, and every update's start and finish straddle a
     boundary."""
-    starts = {e.time for e in trace.events if e.kind == "compute_start"}
+    index = index or TraceIndex(trace)
+    starts = set(index.time[index.of("compute_start")].tolist())
     bounds = assignment.boundaries
-    finishes = Counter((u.finish_slot, u.worker) for u in assignment.updates
-                       if 1 <= u.finish_slot <= assignment.num_slots)
+    S = assignment.num_slots
+    finishes = [(u.finish_slot, u.worker) for u in assignment.updates if 1 <= u.finish_slot <= S]
     receives = assignment.receives
     if receives is None:
-        receives = _worker_updates(trace)[1]
+        receives = _receives(index)
     # a boundary must separate a start from its worker's later receives; a
     # boundary placed exactly at the start time counts
-    after = [*bounds, math.inf]
-    quiet_after_start = all(after[bisect_left(bounds, s)] < t_r
-                            for _, t_r, _, s in receives if s is not None and s < t_r)
+    after = np.array([*bounds, math.inf])[np.searchsorted(bounds, receives[0])]
+    quiet_after_start = bool(np.all(after < receives[1]))
     return {
         "boundaries_on_start_times": all(b in starts for b in bounds),
-        "one_finish_per_slot": max(finishes.values(), default=1) <= 1,
+        "one_finish_per_slot": len(set(finishes)) == len(finishes),
         "no_receive_after_start_within_slot": quiet_after_start,
         "updates_span_a_boundary": all(u.start_slot < u.finish_slot
                                        for u in assignment.updates),
@@ -238,44 +271,83 @@ def _trace_dims(trace: EventTrace):
     return x0, z0, slices, blocks
 
 
-def slot_snapshots(trace: EventTrace, assignment: GlobalIterationAssignment):
-    """Consensus, iterate and multiplier snapshots measured at each slot
-    boundary.
+class SlotSnapshots(NamedTuple):
+    """Consensus, iterates and multipliers at each slot boundary. Row phi of
+    ``z`` (phi = 1..S+1; row 0 is z0) is z^phi at time boundaries[phi-1],
+    and z^{S+1} is taken at the end of the trace. Worker k's iterate and
+    multiplier at phi are rows ``seen[k][phi]`` of ``x[k]`` and ``lam[k]``,
+    where seen counts the worker's compute_end records measured by then; row
+    0 holds the start vector and, as no multiplier is known yet, zeros."""
 
-    Returns (z_at, x_at, lam_at) where ``z_at[phi]`` is the global consensus
-    vector z^phi for phi = 1..S+1 (index 0 unused), i.e. the value at time
-    boundaries[phi-1], with z^{S+1} taken at the end of the trace; x_at and
-    lam_at hold per-worker dictionaries at the same instants. Slots share
-    the x and lam arrays that did not change between them: read-only.
-    """
-    x0, z, slices, _ = _trace_dims(trace)
-    x = dict(enumerate(x0, start=1))
-    lam = {k: None for k in x}
-    times = list(assignment.boundaries) + [assignment.end_time]
-    z_at, x_at, lam_at = ([None] * (len(times) + 1) for _ in range(3))
-    events = [e for e in trace.events if e.kind in ("z_update", "compute_end")]
-    pos = 0
-    for phi, t in enumerate(times, start=1):
-        while pos < len(events) and events[pos].time <= t:
-            ev = events[pos]
-            try:
-                if ev.kind == "z_update":
-                    edge, value = ev.payload["edge"], np.asarray(ev.payload["z"], dtype=float)
-                    if edge not in range(len(slices)) or value.shape != z[slices[int(edge)]].shape:
-                        raise IndexError(f"edge {edge!r} of {len(slices)}, z of shape {value.shape}")
-                    z[slices[int(edge)]] = value
-                elif ev.worker not in x:
-                    raise IndexError(f"worker {ev.worker} is not one of {len(x)}")
-                else:
-                    x[ev.worker] = np.asarray(ev.payload["x"], dtype=float)
-                    lam[ev.worker] = np.asarray(ev.payload["lam"], dtype=float)
-            except (KeyError, TypeError, ValueError, IndexError) as err:
-                raise TraceError(f"malformed {ev.kind} event at t={ev.time}: {err}") from None
-            pos += 1
-        z_at[phi] = z.copy()
-        x_at[phi] = dict(x)
-        lam_at[phi] = dict(lam)
-    return z_at, x_at, lam_at
+    z: np.ndarray
+    x: dict[int, np.ndarray]
+    lam: dict[int, np.ndarray]
+    seen: dict[int, np.ndarray]
+
+
+def slot_snapshots(trace: EventTrace, assignment: GlobalIterationAssignment,
+                   index: TraceIndex | None = None) -> SlotSnapshots:
+    """The :class:`SlotSnapshots` along the assignment's slot boundaries.
+    Each boundary measures the z_update and compute_end events in log order
+    up to the first one later than it; each edge's z blocks and each
+    worker's x and lam become one array."""
+    index = index or TraceIndex(trace)
+    x0, z0, slices, _ = _trace_dims(trace)
+    times = np.maximum.accumulate(np.array([*assignment.boundaries, assignment.end_time]))
+    pos = index.of("z_update", "compute_end")
+    # an event is measured at the first boundary phi that reaches its time
+    # and every earlier event's; len(times) + 1 if none does
+    phi = np.searchsorted(times, np.maximum.accumulate(index.time[pos])) + 1
+    pos, phi = pos[phi <= len(times)], phi[phi <= len(times)]
+    is_z = np.zeros(len(index.events), dtype=bool)
+    is_z[index.of("z_update")] = True
+    is_z = is_z[pos]
+    at = np.arange(len(times) + 1)
+    z = np.tile(z0, (len(times) + 1, 1))
+    x, lam, seen = {}, {}, {}
+    try:
+        payloads = [index.events[i].payload for i in pos[is_z].tolist()]
+        edges = [p["edge"] for p in payloads]
+        if not set(edges) <= set(range(len(slices))):
+            raise IndexError(edges)
+        edge = np.fromiter(edges, dtype=np.intp, count=len(edges))
+        for e, sl in enumerate(slices):
+            rows = np.flatnonzero(edge == e)
+            blocks = np.array([z0[sl], *(payloads[i]["z"] for i in rows.tolist())], dtype=float)
+            if blocks.shape != (len(rows) + 1, sl.stop - sl.start):
+                raise ValueError(blocks.shape)
+            z[1:, sl] = blocks[np.searchsorted(phi[is_z][rows], at[1:], side="right")]
+        payloads = [index.events[i].payload for i in pos[~is_z].tolist()]
+        worker = index.worker[pos[~is_z]]
+        if not ((worker >= 1) & (worker <= len(x0))).all():
+            raise IndexError(worker)
+        for k, start in enumerate(x0, start=1):
+            rows = np.flatnonzero(worker == k)
+            own = [payloads[i] for i in rows.tolist()]
+            x[k] = np.array([start, *(p["x"] for p in own)], dtype=float)
+            lams = [p["lam"] for p in own]
+            lam[k] = np.array([np.zeros(np.shape(lams[0] if lams else [])), *lams], dtype=float)
+            if x[k].ndim != 2 or lam[k].ndim != 2:
+                raise ValueError(x[k].shape, lam[k].shape)
+            seen[k] = np.searchsorted(phi[~is_z][rows], at, side="right")
+    except (KeyError, TypeError, ValueError, IndexError):
+        pass  # find the first event that cannot be measured, as a loop would
+    else:
+        return SlotSnapshots(z, x, lam, seen)
+    for ev in map(index.events.__getitem__, pos.tolist()):
+        try:
+            if ev.kind == "z_update":
+                edge, value = ev.payload["edge"], np.asarray(ev.payload["z"], dtype=float)
+                if edge not in range(len(slices)) or value.shape != z0[slices[int(edge)]].shape:
+                    raise IndexError(f"edge {edge!r} of {len(slices)}, z of shape {value.shape}")
+            elif ev.worker not in range(1, len(x0) + 1):
+                raise IndexError(f"worker {ev.worker} is not one of {len(x0)}")
+            else:
+                np.asarray(ev.payload["x"], dtype=float)
+                np.asarray(ev.payload["lam"], dtype=float)
+        except (KeyError, TypeError, ValueError, IndexError) as err:
+            raise TraceError(f"malformed {ev.kind} event at t={ev.time}: {err}") from None
+    raise TraceError("compute_end records give a worker x or lam of differing shapes")
 
 
 @dataclass
@@ -288,9 +360,27 @@ class StalenessBoundReport:
     holds_tight: bool
 
 
+def _dots(d: np.ndarray) -> np.ndarray:
+    """``float(row @ row)`` for each row of d, bit for bit: the matmul inner
+    loop that ``row @ row`` runs, over the stack of rows."""
+    return np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0]
+
+
+def _fold(values: np.ndarray) -> float:
+    """The values added left to right, as a loop adds them."""
+    return reduce(add, values.tolist(), 0.0)
+
+
+def _fields(updates: list[UpdateRecord], *names: str) -> tuple[np.ndarray, ...]:
+    """One integer array per named field of the update records."""
+    return tuple(np.fromiter(map(attrgetter(name), updates), dtype=np.int64, count=len(updates))
+                 for name in names)
+
+
 def check_staleness_bound(trace: EventTrace, assignment: GlobalIterationAssignment,
-                          snapshots: tuple | None = None,
-                          omega: int | None = None) -> StalenessBoundReport:
+                          snapshots: SlotSnapshots | None = None,
+                          omega: int | None = None,
+                          index: TraceIndex | None = None) -> StalenessBoundReport:
     """Consensus-staleness inequality over the whole trace.
 
     The staleness each updater saw, summed over all updates,
@@ -302,25 +392,19 @@ def check_staleness_bound(trace: EventTrace, assignment: GlobalIterationAssignme
     (omega-1)^2 is also evaluated and reported alongside; the verdict uses
     the looser guaranteed factor. With omega = 1 the left side must vanish.
     The :func:`slot_snapshots` and :func:`measure_omega` results are
-    computed here unless the caller passes them in.
+    computed here unless the caller passes them in. The sums add the same
+    terms in the same order as a loop over the updates and their blocks.
     """
     *_, blocks = _trace_dims(trace)
-    z_at = (snapshots or slot_snapshots(trace, assignment))[0]
-    S = assignment.num_slots
-    lhs = 0.0
-    for u in assignment.updates:
-        nu, nu_bar = u.finish_slot, u.start_slot
-        if nu < 1:
-            continue
-        total = 0.0
-        for sl in blocks.get(u.worker, ()):
-            d = z_at[nu_bar + 1][sl] - z_at[nu][sl]
-            total += float(d @ d)
-        lhs += total
-    movement = 0.0
-    for phi in range(1, S + 1):
-        d = z_at[phi + 1] - z_at[phi]
-        movement += float(d @ d)
+    z = (snapshots or slot_snapshots(trace, assignment, index)).z
+    nu_bar, nu, worker = _fields(assignment.updates, "start_slot", "finish_slot", "worker")
+    totals = np.zeros(len(nu))
+    for k, worker_blocks in blocks.items():
+        rows = np.flatnonzero((worker == k) & (nu >= 1))
+        for sl in worker_blocks:
+            totals[rows] += _dots(z[nu_bar[rows] + 1, sl] - z[nu[rows], sl])
+    lhs = _fold(totals)
+    movement = _fold(_dots(np.diff(z[1:assignment.num_slots + 2], axis=0)))
     if omega is None:
         omega = measure_omega(assignment)
     rhs_stated = 2.0 * (omega - 1) ** 2 * movement
@@ -348,7 +432,8 @@ def check_lambda_bound(
     assignment: GlobalIterationAssignment,
     c_const: float,
     m1: float,
-    snapshots: tuple | None = None,
+    snapshots: SlotSnapshots | None = None,
+    index: TraceIndex | None = None,
 ) -> list[LambdaBoundViolation]:
     """Per-slot multiplier movement bound ||lam^{nu+1} - lam^nu||^2 <=
     c m1^2 ||x^{nu+1} - x^nu||^2, checked for every updater of every slot.
@@ -360,23 +445,21 @@ def check_lambda_bound(
     the local solver leaves a stationarity residual of its own. Constants
     are user estimates, so violations are reported for inspection rather
     than raised. ``snapshots`` as for :func:`check_staleness_bound`."""
-    _, x_at, lam_at = snapshots or slot_snapshots(trace, assignment)
-    out: list[LambdaBoundViolation] = []
-    for u in assignment.updates:
-        nu = u.finish_slot
-        if nu < 1 or u.cycle == 0:
-            continue
-        k = u.worker
-        lam_after, lam_before = lam_at[nu + 1][k], lam_at[nu][k]
-        if lam_after is None:
-            continue
-        dl = lam_after - (lam_before if lam_before is not None else 0.0)
-        dx = x_at[nu + 1][k] - x_at[nu][k]
-        lhs = float(dl @ dl)
-        rhs = float(c_const * m1 * m1 * (dx @ dx))
-        if lhs > rhs + 1e-5 * max(1.0, rhs):
-            out.append(LambdaBoundViolation(slot=nu, worker=k, lhs=lhs, rhs=rhs))
-    return out
+    snap = snapshots or slot_snapshots(trace, assignment, index)
+    updates = assignment.updates
+    nu, worker, cycle = _fields(updates, "finish_slot", "worker", "cycle")
+    checked = (nu >= 1) & (cycle != 0)
+    lhs, rhs = np.full(len(updates), np.nan), np.zeros(len(updates))  # nan: not checked
+    for k, seen in snap.seen.items():
+        rows = np.flatnonzero(checked & (worker == k))
+        after, before = seen[nu[rows] + 1], seen[nu[rows]]
+        known = after > 0  # a multiplier after the slot
+        rows, after, before = rows[known], after[known], before[known]
+        lhs[rows] = _dots(snap.lam[k][after] - snap.lam[k][before])
+        rhs[rows] = c_const * m1 * m1 * _dots(snap.x[k][after] - snap.x[k][before])
+    violated = lhs > rhs + 1e-5 * np.where(rhs > 1.0, rhs, 1.0)
+    return [LambdaBoundViolation(updates[i].finish_slot, updates[i].worker, float(lhs[i]),
+                                 float(rhs[i])) for i in np.flatnonzero(violated).tolist()]
 
 
 # --------------------------------------------------------------------------
@@ -517,19 +600,19 @@ def objective_gap(distributed_objective: float, centralized_objective: float) ->
 
 
 def verify_trace_wellformed(trace: EventTrace,
-                            assignment: GlobalIterationAssignment | None = None) -> dict:
+                            assignment: GlobalIterationAssignment | None = None,
+                            index: TraceIndex | None = None) -> dict:
     """Structural checks: per-worker start/end alternation, every receive
     matching an earlier send (same digest), causal timestamps. An assignment
     built from the trace has already checked the alternation."""
+    index = index or TraceIndex(trace)
     if assignment is None:
-        _worker_updates(trace)  # raises TraceError on broken alternation
-    sends: dict[str, TraceEvent] = {}
-    receive_ok = True
-    causal = True
-    for ev in trace.events:
+        _matched_updates(index)  # raises TraceError on broken alternation
+    sends, receive_ok, causal = {}, True, True  # sends by digest
+    for ev in map(index.events.__getitem__, index.of("send", "receive").tolist()):
         if ev.kind == "send":
             sends[ev.digest] = ev
-        elif ev.kind == "receive":
+        else:
             src = sends.get(ev.digest)
             if src is None:
                 receive_ok = False
@@ -537,34 +620,27 @@ def verify_trace_wellformed(trace: EventTrace,
                 causal = False
             elif src.payload.get("sender_iter") != ev.payload.get("sender_iter"):
                 receive_ok = False
-    times_ok = all(
-        trace.events[i].time <= trace.events[i + 1].time for i in range(len(trace.events) - 1)
-    )
     return {
         "receives_match_sends": receive_ok,
         "arrivals_after_sends": causal,
-        "events_time_ordered": times_ok,
+        "events_time_ordered": bool(np.all(index.time[:-1] <= index.time[1:])),
     }
 
 
-def timing_from_trace(trace: EventTrace) -> dict[int, dict]:
-    """Compute-vs-wait split per worker over the full virtual timeline."""
-    end = trace.end_time
-    compute: dict[int, float] = {}
-    open_start: dict[int, float] = {}
-    workers = set()
-    for ev in trace.events:
-        if ev.kind == "compute_start":
-            workers.add(ev.worker)
-            open_start[ev.worker] = ev.time
-        elif ev.kind == "compute_end":
-            compute[ev.worker] = compute.get(ev.worker, 0.0) + ev.time - open_start.pop(ev.worker)
-    for k, t0 in open_start.items():
-        compute[k] = compute.get(k, 0.0) + max(end - t0, 0.0)
+def timing_from_trace(trace: EventTrace, index: TraceIndex | None = None) -> dict[int, dict]:
+    """Compute-vs-wait split per worker over the full virtual timeline. A
+    worker's compute time adds each finished update's end and subtracts its
+    start in log order, then the update still open at the end."""
+    index = index or TraceIndex(trace)
+    starts, ends, still_open = _matched_updates(index)
+    time, worker = index.time, index.worker[ends]
+    open_start = dict(zip(index.worker[still_open].tolist(), time[still_open].tolist()))
     out = {}
-    for k in sorted(workers):
-        c = compute.get(k, 0.0)
-        wait = max(end - c, 0.0)
+    for k in sorted(set(index.worker[index.of("compute_start")].tolist())):
+        own = worker == k
+        steps = np.column_stack([time[ends[own]], -time[starts[own]]]).ravel()
+        c = _fold(steps) + (max(trace.end_time - open_start[k], 0.0) if k in open_start else 0.0)
+        wait = max(trace.end_time - c, 0.0)
         total = c + wait
         out[k] = {
             "compute_ms": c,
@@ -574,12 +650,12 @@ def timing_from_trace(trace: EventTrace) -> dict[int, dict]:
     return out
 
 
-def _final_state(trace: EventTrace, problem: PartitionedProblem):
+def _final_state(index: TraceIndex, problem: PartitionedProblem):
     """The final x, lam per region and z from the trace's ``final`` and
     ``final_z`` records, checked against the problem's dimensions; None when
     the trace has none (an aborted run)."""
-    finals = [e.payload for e in trace.events if e.kind == "final"]
-    z_records = [e.payload for e in trace.events if e.kind == "final_z"]
+    finals = [index.events[i].payload for i in index.of("final").tolist()]
+    z_records = [index.events[i].payload for i in index.of("final_z").tolist()]
     if not finals or not z_records:
         return None
     K = problem.num_regions
@@ -608,10 +684,12 @@ def analyze_trace(
     constants: DiagnosticConstants | None = None,
     kkt_tol: float = 1e-3,
 ) -> dict:
-    """Full diagnostic report over one trace, JSON-serialisable."""
+    """Full diagnostic report over one trace, JSON-serialisable. The trace
+    is indexed once, and every pass reads that index."""
     report: dict = {"status": trace.status, "end_time_ms": trace.end_time}
-    assignment = assign_global_iterations(trace)
-    report["wellformed"] = verify_trace_wellformed(trace, assignment)
+    index = TraceIndex(trace)
+    assignment = assign_global_iterations(trace, index)
+    report["wellformed"] = verify_trace_wellformed(trace, assignment, index)
     omega = measure_omega(assignment)
     report["global_iterations"] = {
         "boundaries": assignment.boundaries,
@@ -619,10 +697,10 @@ def analyze_trace(
         "membership_sizes": [
             len(assignment.members(nu)) for nu in range(1, assignment.num_slots + 1)
         ],
-        "rules": verify_slicing_rules(assignment, trace),
+        "rules": verify_slicing_rules(assignment, trace, index),
     }
     report["omega"] = omega
-    snapshots = slot_snapshots(trace, assignment)
+    snapshots = slot_snapshots(trace, assignment, index)
     staleness = check_staleness_bound(trace, assignment, snapshots, omega)
     report["staleness_bound"] = {
         "lhs": staleness.lhs,
@@ -655,7 +733,7 @@ def analyze_trace(
             "rho_admissible": rho > rho_min,
             "alpha_zero_admissible": alpha_min <= 0.0,
         }
-    final = _final_state(trace, problem) if problem is not None else None
+    final = _final_state(index, problem) if problem is not None else None
     if final is not None:
         x_all, lam_all, z_final = final
         kkt = check_kkt(problem, x_all, z_final, lam_all, tol=kkt_tol)
@@ -667,5 +745,5 @@ def analyze_trace(
             "passed": kkt.passed,
         }
         report["objective"] = problem.total_objective(x_all)
-    report["timing"] = timing_from_trace(trace)
+    report["timing"] = timing_from_trace(trace, index)
     return report

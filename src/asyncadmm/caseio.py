@@ -27,6 +27,7 @@ with a location, never anything else.
 from __future__ import annotations
 
 import json
+import json.scanner
 import math
 import sys
 
@@ -252,76 +253,94 @@ def write_trace(trace: EventTrace, path) -> None:
         )
 
 
-def _interned_keys(pairs: list[tuple]) -> dict:
-    return {sys.intern(key): value for key, value in pairs}
-
-
-_decode_payload = json.JSONDecoder(object_pairs_hook=_interned_keys).decode
+_scan = json.scanner.make_scanner(json.JSONDecoder())  # JSONDecoder.decode minus its wrapper
+_BLOCK = 1 << 16  # bytes read and decoded at a time
 
 
 def read_trace(path) -> EventTrace:
     """Inverse of :func:`write_trace`; corrupt input raises a located
-    :class:`ParseError` (line and byte offset). The file is read one line at
-    a time and the payloads share their key strings, so a trace held in
-    memory costs little beyond its events."""
-    trace = None
-    saw_end = False
-    offset = line_no = 0
+    :class:`ParseError` (line and byte offset, counted only for an error).
+    The file is decoded in blocks of whole lines and each record's payload
+    is read by the JSON scanner in place; payloads share their key strings,
+    so a trace held in memory costs little beyond its events."""
+    trace, saw_end, offset, line, rest = None, False, 0, 1, b""  # offset, line: block start
     with open(path, "rb") as fh:
-        for line_no, raw in enumerate(fh, start=1):
+        while True:
+            block = fh.read(_BLOCK)
+            data = rest + block
+            end = data.rfind(b"\n") + 1 if block else len(data)
+            data, rest = data[:end], data[end:]
             try:
-                line = raw.decode("utf-8").rstrip("\n")
-            except UnicodeDecodeError as err:
-                raise ParseError("trace is not valid UTF-8", offset=offset + err.start) from None
-            if trace is None:
-                if not line.startswith(_TRACE_HEADER + " "):
-                    raise ParseError("missing trace header", line=1, offset=0)
-                try:
-                    trace = EventTrace(meta=json.loads(line[len(_TRACE_HEADER) + 1:]))
-                except json.JSONDecodeError as err:
-                    raise ParseError(f"bad trace metadata: {err.msg}", line=1,
-                                     offset=err.pos) from None
-            elif line:
-                saw_end |= _read_event(trace, line, line_no, offset)
-            offset += len(raw)
+                text, bad = data.decode("utf-8"), None
+            except UnicodeDecodeError as err:  # the lines before the bad one come first
+                text, bad = data[:data.rfind(b"\n", 0, err.start) + 1].decode(), offset + err.start
+            if text:
+                trace, saw_end = _read_records(text, trace, saw_end, offset, line)
+            if bad is not None:
+                raise ParseError("trace is not valid UTF-8", offset=bad)
+            offset, line = offset + len(data), line + text.count("\n")
+            if not block:
+                break
     if trace is None:
         raise ParseError("missing trace header", line=1, offset=0)
-    if not saw_end:
-        raise ParseError("truncated trace: no end record", line=line_no, offset=offset)
+    if not saw_end:  # the last line counts if it has no newline
+        raise ParseError("truncated trace: no end record", line=line - (not data), offset=offset)
     return trace
 
 
-def _read_event(trace: EventTrace, line: str, line_no: int, offset: int) -> bool:
-    """Append one event record to ``trace``; True for the end record."""
-    parts = line.split(" ", 5)
-    if len(parts) != 6:
-        raise ParseError("malformed event record", line=line_no, offset=offset)
-    kind, worker_s, iter_s, time_s, digest, payload_s = parts
-    try:
-        worker = int(worker_s)
-        local_iter = int(iter_s)
-        time = float(time_s)
-        payload = _decode_payload(payload_s)
-    except (ValueError, json.JSONDecodeError):
-        raise ParseError("malformed event record", line=line_no, offset=offset) from None
-    if not math.isfinite(time):
-        raise ParseError(f"non-finite event time {time_s!r}", line=line_no, offset=offset)
-    if not isinstance(payload, dict):
-        raise ParseError("event payload is not a JSON object", line=line_no, offset=offset)
-    kind = sys.intern(kind)
-    trace.events.append(TraceEvent(kind, worker, local_iter, time, payload, digest))
-    if kind == "end":
-        trace.status = payload.get("status", "incomplete")
-        trace.end_time = time
-    # the analysis reads the final state from these records
-    try:
-        if kind == "final" and not {"x", "lam"} <= payload.keys():
-            raise KeyError("x, lam")
-        if kind == "final_z":
-            np.asarray(payload["z"], dtype=float)
-    except (KeyError, TypeError, ValueError):
-        raise ParseError(f"malformed {kind} record", line=line_no, offset=offset) from None
-    return kind == "end"
+def _read_records(text: str, trace: EventTrace | None, saw_end: bool, offset: int,
+                  line: int) -> tuple[EventTrace, bool]:
+    """Read the records of a block of whole lines that starts at ``offset``
+    on ``line`` (the header first if ``trace`` is None) into the trace;
+    returns it and whether an ``end`` record has been read."""
+    find, intern, pos = text.find, sys.intern, 0
+
+    def located(message: str) -> ParseError:
+        return ParseError(message, line=line + text.count("\n", 0, pos),
+                          offset=offset + len(text[:pos].encode("utf-8")))
+
+    if trace is None:
+        pos = find("\n") % (len(text) + 1) + 1  # no newline (-1): the header is all
+        if not text.startswith(_TRACE_HEADER + " ", 0, pos - 1):
+            raise ParseError("missing trace header", line=1, offset=0)
+        try:
+            trace = EventTrace(meta=json.loads(text[len(_TRACE_HEADER) + 1:pos - 1]))
+        except json.JSONDecodeError as err:
+            raise ParseError(f"bad trace metadata: {err.msg}", line=1, offset=err.pos) from None
+    append = trace.events.append
+    while pos < len(text):
+        end = find("\n", pos) % (len(text) + 1)
+        if end == pos:  # a blank line
+            pos += 1
+            continue
+        try:
+            kind, worker, local_iter, time_s, digest, payload_s = text[pos:end].split(" ", 5)
+            worker, local_iter, time = int(worker), int(local_iter), float(time_s)
+            payload, stop = _scan(payload_s, 0) if payload_s[:1] == "{" else (None, -1)
+            if stop != len(payload_s):  # not a bare object, whitespace around it, or an error
+                payload = json.loads(payload_s)
+        except (ValueError, StopIteration):  # the scanner stops at a truncated value
+            raise located("malformed event record") from None
+        if not math.isfinite(time):
+            raise located(f"non-finite event time {time_s!r}")
+        if not isinstance(payload, dict):
+            raise located("event payload is not a JSON object")
+        kind = intern(kind)
+        payload = {intern(key): value for key, value in payload.items()}
+        append(TraceEvent(kind, worker, local_iter, time, payload, digest))
+        if kind == "end":
+            trace.status = payload.get("status", "incomplete")
+            trace.end_time, saw_end = time, True
+        # the analysis reads the final state from these records
+        try:
+            if kind == "final" and not {"x", "lam"} <= payload.keys():
+                raise KeyError("x, lam")
+            if kind == "final_z":
+                np.asarray(payload["z"], dtype=float)
+        except (KeyError, TypeError, ValueError):
+            raise located(f"malformed {kind} record") from None
+        pos = end + 1
+    return trace, saw_end
 
 
 def write_results(rows, path) -> None:

@@ -474,6 +474,7 @@ def cmd_analyze(args) -> int:
     except analysis.TraceError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    del trace  # the report holds no event: rendering it can reuse the events' memory
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")

@@ -527,101 +527,3 @@ def run(
     sim = _Simulator(problem, params, delays, stop,
                      solver_config or SolverConfig(), x0, problem_descriptor)
     return sim.run()
-
-
-# --------------------------------------------------------------------------
-# straight-line synchronous reference
-
-
-@dataclass
-class SyncIterate:
-    """One synchronous iteration: the consensus vector used by the local
-    solves, the new local iterates and multipliers, and the residue."""
-
-    z: Array
-    x: list[Array]
-    lam: list[Array]
-    residue: float
-    mismatch: float
-
-
-@dataclass
-class SyncRun:
-    iterates: list[SyncIterate]
-    converged: bool
-
-    @property
-    def iterations(self) -> int:
-        return len(self.iterates)
-
-
-def run_sync_reference(
-    problem: PartitionedProblem,
-    params: AdmmParams,
-    solver_config: SolverConfig | None = None,
-    x0: list[Array] | None = None,
-    tol: float = 1e-3,
-    max_iters: int = 1000,
-) -> SyncRun:
-    """Plain synchronous loop (consensus step, then every region's local
-    solve and multiplier step, each iteration); ground truth for equivalence
-    tests. With one region and no edges the first local solve is the
-    centralized problem."""
-    solver_config = solver_config or SolverConfig()
-    K = problem.num_regions
-    if x0 is None:
-        x0 = [flat_start(problem.region(k)) for k in range(1, K + 1)]
-    x = [np.asarray(v, dtype=float).copy() for v in x0]
-    lam = [np.zeros(problem.region(k).boundary_rows) for k in range(1, K + 1)]
-    z = initial_z(problem, x)
-    solver_warm: dict[int, tuple | None] = {k: None for k in range(1, K + 1)}
-    iterates: list[SyncIterate] = []
-    converged = False
-    for _ in range(max_iters):
-        z_prev = z.copy()
-        for i, e in enumerate(problem.edges):
-            sl = problem.edge_slice(i)
-            ax_k = problem.region(e.k).boundary_map @ x[e.k - 1]
-            ax_l = problem.region(e.l).boundary_map @ x[e.l - 1]
-            z[sl] = z_update(
-                e,
-                lam[e.k - 1][e.block_of(e.k)], lam[e.l - 1][e.block_of(e.l)],
-                ax_k[e.block_of(e.k)], ax_l[e.block_of(e.l)],
-                z_prev[sl], params,
-            )
-        max_res = 0.0
-        mismatch = 0.0
-        new_x, new_lam = [], []
-        for k in range(1, K + 1):
-            region = problem.region(k)
-            z_k = problem.region_z(z, k)
-            state = WorkerState(
-                region_index=k, x=x[k - 1], lam=lam[k - 1], z=z_k,
-                ax=region.boundary_map @ x[k - 1],
-            )
-            result = x_update(region, state, params, solver_config,
-                              warm_state=solver_warm[k])
-            solver_warm[k] = result.warm_state
-            ax_new = region.boundary_map @ result.x
-            lam_new = lambda_update(state, ax_new, z_k, params)
-            z_k_prev = problem.region_z(z_prev, k)
-            if z_k.size:
-                gamma = max(
-                    float(np.max(np.abs(ax_new - z_k))),
-                    float(np.max(np.abs(z_k - z_k_prev))),
-                )
-            else:
-                gamma = 0.0
-            max_res = max(max_res, gamma)
-            mismatch = max(mismatch, result.constraint_norm)
-            new_x.append(result.x)
-            new_lam.append(lam_new)
-        x, lam = new_x, new_lam
-        iterates.append(SyncIterate(
-            z=z.copy(), x=[v.copy() for v in x], lam=[v.copy() for v in lam],
-            residue=max_res, mismatch=mismatch,
-        ))
-        if max_res <= tol and mismatch <= tol:
-            converged = True
-            break
-    return SyncRun(iterates=iterates, converged=converged)

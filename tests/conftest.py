@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from asyncadmm import analysis, caseio
+from asyncadmm import analysis, caseio, cli
 from asyncadmm.engine import EventTrace, TraceEvent
 
 import reference_analysis as reference
@@ -47,6 +47,32 @@ def config_path(name: str, tmp_path: Path) -> Path:
     path = tmp_path / f"{name}.cfg"
     path.write_text(WRITTEN_CONFIGS[name])
     return path
+
+
+# the runs whose trace and diagnostics hashes test_shipped_trace_hashes pins
+PINNED_CONFIGS = ("toy_sync", "ring5_async", "nine_sync", "toy_chain16", "nine_sync_warm",
+                  "nonconvex")
+
+
+@pytest.fixture(scope="session")
+def pinned_run(tmp_path_factory):
+    """A function from a pinned config's name to the output directory of one
+    ``run`` of it with the baseline off (nine_sync_warm: nine_sync from a
+    warm start), made once per session."""
+    outdirs = {}
+
+    def outdir(name: str) -> Path:
+        if name not in outdirs:
+            tmp = tmp_path_factory.mktemp(name)
+            warm = name == "nine_sync_warm"
+            cfg = CASES_DIR / "nine_sync.cfg" if warm else config_path(name, tmp)
+            extra = ["--set", "start=warm"] if warm else []
+            assert cli.main(["run", str(cfg), "--set", f"outdir={tmp / 'out'}",
+                             "--set", "baseline=false", *extra]) == 0
+            outdirs[name] = tmp / "out"
+        return outdirs[name]
+
+    return outdir
 
 
 @pytest.fixture(scope="session")
@@ -154,3 +180,41 @@ def assert_slicing_matches_reference(trace: EventTrace) -> None:
     assert analysis.measure_omega(new) == reference.measure_omega(old)
     assert analysis.verify_slicing_rules(new, trace) == \
         reference.verify_slicing_rules(old, trace)
+
+
+def assert_analysis_matches_reference(trace: EventTrace, c_const: float = 1.0,
+                                      m1: float = 2.0) -> None:
+    """The slot snapshots, the staleness and multiplier bounds and the
+    compute/wait split of ``asyncadmm.analysis`` equal those of the
+    event-by-event reference on ``trace``, bit for bit."""
+    assignment = analysis.assign_global_iterations(trace)
+    omega = analysis.measure_omega(assignment)
+    snap = analysis.slot_snapshots(trace, assignment)
+    old = reference.slot_snapshots(trace, assignment)
+    z_at, x_at, lam_at = old
+    for phi in range(1, assignment.num_slots + 2):
+        assert snap.z[phi].tobytes() == z_at[phi].tobytes()
+        for k, seen in snap.seen.items():
+            assert snap.x[k][seen[phi]].tobytes() == x_at[phi][k].tobytes()
+            assert (seen[phi] == 0) == (lam_at[phi][k] is None)
+            if seen[phi]:
+                assert snap.lam[k][seen[phi]].tobytes() == lam_at[phi][k].tobytes()
+
+    def exact(value):
+        return value.hex() if isinstance(value, float) else value
+
+    def bound(report) -> dict:
+        return {name: exact(value) for name, value in vars(report).items()}
+
+    def violations(found) -> list:
+        return [(v.slot, v.worker, v.lhs.hex(), v.rhs.hex()) for v in found]
+
+    def split(timing) -> dict:
+        return {k: {name: exact(value) for name, value in row.items()}
+                for k, row in timing.items()}
+
+    assert bound(analysis.check_staleness_bound(trace, assignment, snap, omega)) == \
+        bound(reference.check_staleness_bound(trace, assignment, old, omega))
+    assert violations(analysis.check_lambda_bound(trace, assignment, c_const, m1, snap)) == \
+        violations(reference.check_lambda_bound(trace, assignment, c_const, m1, old))
+    assert split(analysis.timing_from_trace(trace)) == split(reference.timing_from_trace(trace))

@@ -1,20 +1,39 @@
 """Test oracles that the library itself does not need: the augmented
 Lagrangian value, the double-well toy's constants and grid minimum, a
-reader for the convergence table, and the earlier forms of the local
-solver's Newton direction and of an OPF region's equality and Jacobian.
-Not collected as tests.
+reader for the convergence table, the straight-line synchronous ADMM loop,
+the line-by-line trace reader, and the earlier forms of the local solver's
+Newton direction and of an OPF region's equality and Jacobian. Not
+collected as tests.
 """
 
 from __future__ import annotations
 
+import json
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from asyncadmm.caseio import RESULTS_HEADER, ParseError
-from asyncadmm.kernel import AdmmParams
+from asyncadmm.caseio import _TRACE_HEADER, RESULTS_HEADER, ParseError
+from asyncadmm.engine import EventTrace, TraceEvent
+from asyncadmm.kernel import (
+    AdmmParams,
+    WorkerState,
+    initial_z,
+    lambda_update,
+    x_update,
+    z_update,
+)
+from asyncadmm.localsolver import SolverConfig
 from asyncadmm.opf import OpfCase, RegionLayout, admittance_matrix
-from asyncadmm.problem import NONCONVEX_TOY_BOUND, Array, PartitionedProblem, RegionSpec
+from asyncadmm.problem import (
+    NONCONVEX_TOY_BOUND,
+    Array,
+    PartitionedProblem,
+    RegionSpec,
+    flat_start,
+)
 
 
 @dataclass(frozen=True)
@@ -96,6 +115,78 @@ def read_results(path) -> list[tuple]:
             except ValueError:
                 raise ParseError("results row is not numeric", line=line_no) from None
     return rows
+
+
+def _interned_keys(pairs: list[tuple]) -> dict:
+    return {sys.intern(key): value for key, value in pairs}
+
+
+_decode_payload = json.JSONDecoder(object_pairs_hook=_interned_keys).decode
+
+
+def read_trace_by_line(path) -> EventTrace:
+    """The trace reader as it was before it decoded the file at once and
+    called the JSON scanner directly, reading one line at a time; the new
+    reader must give the same events and the same errors (message, line and
+    byte offset)."""
+    trace = None
+    saw_end = False
+    offset = line_no = 0
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").rstrip("\n")
+            except UnicodeDecodeError as err:
+                raise ParseError("trace is not valid UTF-8", offset=offset + err.start) from None
+            if trace is None:
+                if not line.startswith(_TRACE_HEADER + " "):
+                    raise ParseError("missing trace header", line=1, offset=0)
+                try:
+                    trace = EventTrace(meta=json.loads(line[len(_TRACE_HEADER) + 1:]))
+                except json.JSONDecodeError as err:
+                    raise ParseError(f"bad trace metadata: {err.msg}", line=1,
+                                     offset=err.pos) from None
+            elif line:
+                saw_end |= _read_event(trace, line, line_no, offset)
+            offset += len(raw)
+    if trace is None:
+        raise ParseError("missing trace header", line=1, offset=0)
+    if not saw_end:
+        raise ParseError("truncated trace: no end record", line=line_no, offset=offset)
+    return trace
+
+
+def _read_event(trace: EventTrace, line: str, line_no: int, offset: int) -> bool:
+    """Append one event record to ``trace``; True for the end record."""
+    parts = line.split(" ", 5)
+    if len(parts) != 6:
+        raise ParseError("malformed event record", line=line_no, offset=offset)
+    kind, worker_s, iter_s, time_s, digest, payload_s = parts
+    try:
+        worker = int(worker_s)
+        local_iter = int(iter_s)
+        time = float(time_s)
+        payload = _decode_payload(payload_s)
+    except (ValueError, json.JSONDecodeError):
+        raise ParseError("malformed event record", line=line_no, offset=offset) from None
+    if not math.isfinite(time):
+        raise ParseError(f"non-finite event time {time_s!r}", line=line_no, offset=offset)
+    if not isinstance(payload, dict):
+        raise ParseError("event payload is not a JSON object", line=line_no, offset=offset)
+    kind = sys.intern(kind)
+    trace.events.append(TraceEvent(kind, worker, local_iter, time, payload, digest))
+    if kind == "end":
+        trace.status = payload.get("status", "incomplete")
+        trace.end_time = time
+    # the analysis reads the final state from these records
+    try:
+        if kind == "final" and not {"x", "lam"} <= payload.keys():
+            raise KeyError("x, lam")
+        if kind == "final_z":
+            np.asarray(payload["z"], dtype=float)
+    except (KeyError, TypeError, ValueError):
+        raise ParseError(f"malformed {kind} record", line=line_no, offset=offset) from None
+    return kind == "end"
 
 
 def newton_direction(H, g, x, lo, hi, D):
@@ -189,3 +280,97 @@ def opf_equality_and_jacobian(case: OpfCase, layout: RegionLayout):
         return J
 
     return equality, jacobian
+
+
+@dataclass
+class SyncIterate:
+    """One synchronous iteration: the consensus vector used by the local
+    solves, the new local iterates and multipliers, and the residue."""
+
+    z: Array
+    x: list[Array]
+    lam: list[Array]
+    residue: float
+    mismatch: float
+
+
+@dataclass
+class SyncRun:
+    iterates: list[SyncIterate]
+    converged: bool
+
+    @property
+    def iterations(self) -> int:
+        return len(self.iterates)
+
+
+def run_sync_reference(
+    problem: PartitionedProblem,
+    params: AdmmParams,
+    solver_config: SolverConfig | None = None,
+    x0: list[Array] | None = None,
+    tol: float = 1e-3,
+    max_iters: int = 1000,
+) -> SyncRun:
+    """Plain synchronous loop (consensus step, then every region's local
+    solve and multiplier step, each iteration); ground truth for equivalence
+    tests. With one region and no edges the first local solve is the
+    centralized problem."""
+    solver_config = solver_config or SolverConfig()
+    K = problem.num_regions
+    if x0 is None:
+        x0 = [flat_start(problem.region(k)) for k in range(1, K + 1)]
+    x = [np.asarray(v, dtype=float).copy() for v in x0]
+    lam = [np.zeros(problem.region(k).boundary_rows) for k in range(1, K + 1)]
+    z = initial_z(problem, x)
+    solver_warm: dict[int, tuple | None] = {k: None for k in range(1, K + 1)}
+    iterates: list[SyncIterate] = []
+    converged = False
+    for _ in range(max_iters):
+        z_prev = z.copy()
+        for i, e in enumerate(problem.edges):
+            sl = problem.edge_slice(i)
+            ax_k = problem.region(e.k).boundary_map @ x[e.k - 1]
+            ax_l = problem.region(e.l).boundary_map @ x[e.l - 1]
+            z[sl] = z_update(
+                e,
+                lam[e.k - 1][e.block_of(e.k)], lam[e.l - 1][e.block_of(e.l)],
+                ax_k[e.block_of(e.k)], ax_l[e.block_of(e.l)],
+                z_prev[sl], params,
+            )
+        max_res = 0.0
+        mismatch = 0.0
+        new_x, new_lam = [], []
+        for k in range(1, K + 1):
+            region = problem.region(k)
+            z_k = problem.region_z(z, k)
+            state = WorkerState(
+                region_index=k, x=x[k - 1], lam=lam[k - 1], z=z_k,
+                ax=region.boundary_map @ x[k - 1],
+            )
+            result = x_update(region, state, params, solver_config,
+                              warm_state=solver_warm[k])
+            solver_warm[k] = result.warm_state
+            ax_new = region.boundary_map @ result.x
+            lam_new = lambda_update(state, ax_new, z_k, params)
+            z_k_prev = problem.region_z(z_prev, k)
+            if z_k.size:
+                gamma = max(
+                    float(np.max(np.abs(ax_new - z_k))),
+                    float(np.max(np.abs(z_k - z_k_prev))),
+                )
+            else:
+                gamma = 0.0
+            max_res = max(max_res, gamma)
+            mismatch = max(mismatch, result.constraint_norm)
+            new_x.append(result.x)
+            new_lam.append(lam_new)
+        x, lam = new_x, new_lam
+        iterates.append(SyncIterate(
+            z=z.copy(), x=[v.copy() for v in x], lam=[v.copy() for v in lam],
+            residue=max_res, mismatch=mismatch,
+        ))
+        if max_res <= tol and mismatch <= tol:
+            converged = True
+            break
+    return SyncRun(iterates=iterates, converged=converged)

@@ -20,13 +20,13 @@ from asyncadmm.analysis import (
     verify_slicing_rules,
 )
 from asyncadmm.cli import main
-from asyncadmm.engine import DelayModel, DelaySpec, StoppingRule, run, run_sync_reference
+from asyncadmm.engine import DelayModel, DelaySpec, StoppingRule, run
 from asyncadmm.kernel import AdmmParams
 from asyncadmm.opf import Partition, build_regional_subproblems, centralized_reference_solve
 from asyncadmm.problem import flat_start, make_nonconvex_toy, make_toy_consensus
 
 from conftest import STAGGERED_BOUNDARIES, STAGGERED_OMEGA, events_of, staggered_trace
-from oracles import nonconvex_toy_constants
+from oracles import nonconvex_toy_constants, run_sync_reference
 
 LOCKSTEP = DelayModel(compute=DelaySpec.constant(1.0), link=DelaySpec.constant(0.0), seed=0)
 

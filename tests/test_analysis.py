@@ -247,12 +247,13 @@ class TestLambdaBound:
         # sides of the bound are zero; verified through the snapshots
         _, res = async_run(targets=(0.0, 1.0, 2.0, 3.0), seed=8)
         a = assign_global_iterations(res.trace)
-        _, x_at, lam_at = slot_snapshots(res.trace, a)
+        snap = slot_snapshots(res.trace, a)
         for nu in range(1, a.num_slots):
             for k in range(1, 5):
-                if k not in a.members(nu) and lam_at[nu][k] is not None:
-                    dx = x_at[nu + 1][k] - x_at[nu][k]
-                    dl = lam_at[nu + 1][k] - lam_at[nu][k]
+                seen = snap.seen[k]
+                if k not in a.members(nu) and seen[nu] > 0:
+                    dx = snap.x[k][seen[nu + 1]] - snap.x[k][seen[nu]]
+                    dl = snap.lam[k][seen[nu + 1]] - snap.lam[k][seen[nu]]
                     updated_later = any(
                         u.worker == k and u.finish_slot == nu + 1 for u in a.updates
                     )

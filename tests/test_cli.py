@@ -16,7 +16,7 @@ from asyncadmm.cli import (
 from asyncadmm.localsolver import SolveError
 from asyncadmm.problem import make_nonconvex_toy, make_toy_consensus
 
-from conftest import CASES_DIR, config_path
+from conftest import CASES_DIR, PINNED_CONFIGS, config_path
 from oracles import nonconvex_toy_minimum, read_results
 
 TOY_CONFIG = """
@@ -388,6 +388,17 @@ def _set_final_key(worker, key, value):
     return edit
 
 
+def _set_first_compute_end_key(worker, key, value):
+    def edit(meta, events):
+        i = next(i for i, line in enumerate(events) if line.startswith(f"compute_end {worker} "))
+        *head, payload = events[i].split(" ", 5)
+        payload = json.loads(payload)
+        payload[key] = value
+        return meta, [*events[:i], " ".join(head) + " " + json.dumps(payload) + "\n",
+                      *events[i + 1:]]
+    return edit
+
+
 def _drop_final_record(worker):
     def edit(meta, events):
         return meta, [line for line in events if not line.startswith(f"final {worker} ")]
@@ -412,8 +423,10 @@ class TestMalformedTraceAnalysis:
         _set_final_key(2, "x", [1.0, 2.0]),  # x longer than region 2's
         _set_final_key(2, "lam", []),  # lam shorter than region 2's boundary
         _drop_final_record(2),  # fewer final records than regions
+        _set_first_compute_end_key(2, "x", [1.0, 2.0]),  # x rows of differing lengths
     ], ids=["list-metadata", "string-problem", "missing-x0", "short-z0", "edge-out-of-range",
-            "list-params", "long-final-x", "short-final-lam", "missing-final"])
+            "list-params", "long-final-x", "short-final-lam", "missing-final",
+            "long-compute-end-x"])
     def test_one_error_line(self, tmp_path, capsys, edit):
         cfg = write_config(tmp_path, TOY_CONFIG + f"outdir = {tmp_path / 'out'}\n")
         assert main(["run", str(cfg)]) == 0
@@ -493,6 +506,23 @@ def test_shipped_trace_hashes(tmp_path, config, prefix):
     got = hashlib.sha256(rendered).hexdigest()[:16]
     pinned = DIAGNOSTICS_PREFIXES[config]
     assert got == pinned, f"{config} diagnostics sha256 prefix {got}, pinned {pinned}"
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("config", PINNED_CONFIGS)
+def test_pinned_outputs_are_strict_json(pinned_run, config):
+    # NaN and Infinity are Python's JSON extensions, not JSON: every report
+    # of a pinned run, and analyze's with constants, must parse without them
+    out = pinned_run(config)
+    cfg = CASES_DIR / "nine_sync.cfg" if config == "nine_sync_warm" else config_path(config, out)
+    tol = build_run_config(parse_config_text(cfg.read_text())).tol
+    assert main(["analyze", str(out / "trace.log"), "--gamma", "2", "--m1", "2", "--m2", "1",
+                 "--c", "1", "--tol", repr(tol), "--out", str(out / "analyze.json")]) == 0
+    for name in ("diagnostics.json", "timing.json", "analyze.json"):
+        json.loads((out / name).read_text(), parse_constant=_no_constant)
 
 
 def test_penalty_curvature_built_once_per_region(tmp_path, monkeypatch):

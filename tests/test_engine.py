@@ -10,12 +10,12 @@ from asyncadmm.engine import (
     StoppingRule,
     ready_to_update,
     run,
-    run_sync_reference,
 )
 from asyncadmm.kernel import AdmmParams
 from asyncadmm.problem import PartitionedProblem, RegionSpec, make_toy_consensus
 
 from conftest import events_of
+from oracles import run_sync_reference
 
 ZERO_LINK = DelayModel(compute=DelaySpec.constant(1.0), link=DelaySpec.constant(0.0), seed=0)
 

@@ -2,8 +2,8 @@
 topology, threshold, proximal weight or delay pattern (including heavy
 timestamp ties and message reordering), must produce a well-formed trace
 whose slicing rules, delay-window bookkeeping and staleness bound all hold,
-must reach the consensus optimum, and whose slicing must equal that of the
-quadratic reference implementation."""
+must reach the consensus optimum, and whose slicing, snapshots, bounds and
+compute/wait split must equal those of the reference implementations."""
 
 import numpy as np
 import pytest
@@ -19,7 +19,7 @@ from asyncadmm.engine import DelayModel, DelaySpec, StoppingRule, run
 from asyncadmm.kernel import AdmmParams
 from asyncadmm.problem import make_toy_consensus
 
-from conftest import assert_slicing_matches_reference
+from conftest import assert_analysis_matches_reference, assert_slicing_matches_reference
 
 DELAY_PATTERNS = {
     "tied": DelayModel(compute=DelaySpec.constant(1.0), link=DelaySpec.constant(1.0), seed=1),
@@ -50,6 +50,7 @@ def test_invariants_hold(num_regions, p, alpha, pattern):
         assert max(u.finish_slot - omega, 0) <= u.start_slot < u.finish_slot
     assert check_staleness_bound(res.trace, assignment).holds
     assert_slicing_matches_reference(res.trace)
+    assert_analysis_matches_reference(res.trace)
     mean = float(np.mean(targets))
     for s in res.states:
         assert abs(float(s.x[0]) - mean) < 5e-2

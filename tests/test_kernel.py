@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asyncadmm.analysis import DiagnosticConstants, parameter_bounds
-from asyncadmm.engine import run_sync_reference
 from asyncadmm.kernel import (
     AdmmParams,
     WorkerState,
@@ -18,7 +17,7 @@ from asyncadmm.kernel import (
 from asyncadmm.localsolver import SolverConfig
 from asyncadmm.problem import CouplingEdge, RegionSpec, make_toy_consensus
 
-from oracles import augmented_lagrangian
+from oracles import augmented_lagrangian, run_sync_reference
 
 EDGE1 = CouplingEdge(k=1, l=2, block_k=(0, 1), block_l=(0, 1))
 

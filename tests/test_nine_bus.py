@@ -6,11 +6,12 @@ import pytest
 
 from asyncadmm import caseio
 from asyncadmm.analysis import assign_global_iterations, check_staleness_bound, objective_gap
-from asyncadmm.engine import DelayModel, DelaySpec, StoppingRule, run, run_sync_reference
+from asyncadmm.engine import DelayModel, DelaySpec, StoppingRule, run
 from asyncadmm.kernel import AdmmParams
 from asyncadmm.opf import build_regional_subproblems, centralized_reference_solve, power_flow_residual
 
 from conftest import CASES_DIR
+from oracles import run_sync_reference
 
 
 @pytest.fixture(scope="module")
