@@ -602,24 +602,29 @@ def objective_gap(distributed_objective: float, centralized_objective: float) ->
 def verify_trace_wellformed(trace: EventTrace,
                             assignment: GlobalIterationAssignment | None = None,
                             index: TraceIndex | None = None) -> dict:
-    """Structural checks: per-worker start/end alternation, every receive
-    matching an earlier send (same digest), causal timestamps. An assignment
-    built from the trace has already checked the alternation."""
+    """Structural checks: per-worker start/end alternation, one send per
+    (sender, edge, sender_iter), every receive matching an earlier send to it
+    by that identity, causal timestamps. An assignment built from the trace
+    has already checked the alternation."""
     index = index or TraceIndex(trace)
     if assignment is None:
         _matched_updates(index)  # raises TraceError on broken alternation
-    sends, receive_ok, causal = {}, True, True  # sends by digest
+    sends, receive_ok, causal = {}, True, True  # sends by (sender, edge, sender_iter)
     for ev in map(index.events.__getitem__, index.of("send", "receive").tolist()):
-        if ev.kind == "send":
-            sends[ev.digest] = ev
-        else:
-            src = sends.get(ev.digest)
-            if src is None:
-                receive_ok = False
-            elif ev.time < src.time:
-                causal = False
-            elif src.payload.get("sender_iter") != ev.payload.get("sender_iter"):
-                receive_ok = False
+        p, send = ev.payload, ev.kind == "send"
+        try:
+            key = (ev.worker if send else p.get("from"), p.get("edge"), p.get("sender_iter"))
+            src = sends.get(key)
+            if send:
+                sends[key] = ev
+        except TypeError:  # an unhashable identity matches no send
+            src = None
+        if send:
+            receive_ok &= src is None  # no earlier send has its identity
+        elif src is None or src.payload.get("to") != ev.worker:
+            receive_ok = False
+        elif ev.time < src.time:
+            causal = False
     return {
         "receives_match_sends": receive_ok,
         "arrivals_after_sends": causal,

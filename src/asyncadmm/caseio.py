@@ -17,7 +17,9 @@ Partition files assign buses to regions, one region per line::
 
 Traces are newline-delimited event records (kind, worker, local iteration,
 virtual time, payload digest, payload) under a JSON metadata header; the
-writer/reader round-trip is exact. Result tables are CSV with the fixed
+writer/reader round-trip is exact. The digest, the first 12 hex digits of the
+sha256 of the payload's canonical string, is computed by every write and read
+by nothing; a receive repeats its send's. Result tables are CSV with the fixed
 header ``iter,time_ms,max_residue,objective,constraint_mismatch``.
 
 Parsing is total: malformed input of any kind raises :class:`ParseError`
@@ -33,6 +35,7 @@ import sys
 
 import numpy as np
 
+from . import engine
 from .engine import EventTrace, TraceEvent
 from .opf import Branch, Bus, Generator, OpfCase, Partition
 
@@ -243,14 +246,19 @@ def serialize_partition(partition: Partition) -> str:
 
 def write_trace(trace: EventTrace, path) -> None:
     """One event per line under a JSON metadata header; byte-exact round
-    trip, and identical runs produce identical bytes."""
+    trip, and identical runs produce identical bytes. A receive repeats the
+    digest of an earlier send with its (sender, edge, sender_iter)."""
+    sent = {}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_TRACE_HEADER + " " + _encode(trace.meta) + "\n")
-        fh.writelines(
-            f"{ev.kind} {ev.worker} {ev.local_iter} {ev.time!r} {ev.digest} "
-            f"{_encode(ev.payload)}\n"
-            for ev in trace.events
-        )
+        for ev in trace.events:
+            p, text, digest = ev.payload, _encode(ev.payload), None
+            if ev.kind == "receive":
+                digest = sent.get((p.get("from"), p.get("edge"), p.get("sender_iter")))
+            digest = digest or engine.payload_digest(p, text)
+            if ev.kind == "send":
+                sent[ev.worker, p.get("edge"), p.get("sender_iter")] = digest
+            fh.write(f"{ev.kind} {ev.worker} {ev.local_iter} {ev.time!r} {digest} {text}\n")
 
 
 _scan = json.scanner.make_scanner(json.JSONDecoder())  # JSONDecoder.decode minus its wrapper
@@ -314,7 +322,7 @@ def _read_records(text: str, trace: EventTrace | None, saw_end: bool, offset: in
             pos += 1
             continue
         try:
-            kind, worker, local_iter, time_s, digest, payload_s = text[pos:end].split(" ", 5)
+            kind, worker, local_iter, time_s, _, payload_s = text[pos:end].split(" ", 5)
             worker, local_iter, time = int(worker), int(local_iter), float(time_s)
             payload, stop = _scan(payload_s, 0) if payload_s[:1] == "{" else (None, -1)
             if stop != len(payload_s):  # not a bare object, whitespace around it, or an error
@@ -327,7 +335,7 @@ def _read_records(text: str, trace: EventTrace | None, saw_end: bool, offset: in
             raise located("event payload is not a JSON object")
         kind = intern(kind)
         payload = {intern(key): value for key, value in payload.items()}
-        append(TraceEvent(kind, worker, local_iter, time, payload, digest))
+        append(TraceEvent(kind, worker, local_iter, time, payload))
         if kind == "end":
             trace.status = payload.get("status", "incomplete")
             trace.end_time, saw_end = time, True

@@ -19,9 +19,9 @@ update. Each region's objective value is kept from its last
 ``compute_end``, so the per-cycle objective in ``iteration_log`` is the sum
 of that cache in region order: the same float as
 ``PartitionedProblem.total_objective`` of the current iterates. Payload
-vectors come from float64 arrays through ``tolist()``; the hot payloads
-render their canonical digest strings where they are built, from those
-lists, and :func:`payload_digest` serves the few end-of-run records.
+vectors come from float64 arrays through ``tolist()``. The engine computes
+no payload digest: the trace writer digests each line through
+:func:`payload_digest`.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,40 +141,36 @@ def _canonical(value) -> str:
         return "{" + ",".join(f"{k}:{_canonical(v)}" for k, v in sorted(value.items())) + "}"
     if isinstance(value, (list, tuple)):
         return "[" + ",".join(map(_canonical, value)) + "]"
-    if isinstance(value, np.ndarray):
-        return _canonical([float(v) for v in value])
     return repr(value)
-
-
-def _floats(reprs) -> str:
-    """A float list's canonical string, from the reprs of its items."""
-    return "[" + ",".join(reprs) + "]"
 
 
 def _digest(canonical: str) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
-def payload_digest(payload: dict) -> str:
-    """First 12 hex digits of the sha256 of the payload's canonical string."""
+_NUMERIC_JSON = re.compile(r'\{(?:"\w+": [-+.\deE\[\], ]+)*\}')  # plain keys, numbers only
+
+
+def payload_digest(payload: dict, text: str) -> str:
+    """First 12 hex digits of the sha256 of the payload's canonical string
+    (sorted keys as they are, values by ``repr``, no spaces), given ``text``,
+    the payload's ``json.dumps(payload, sort_keys=True)``: for numbers under
+    plain keys, that string is ``text`` without its quotes and spaces."""
+    if _NUMERIC_JSON.fullmatch(text):
+        return _digest(text.replace('"', "").replace(" ", ""))
     return _digest(_canonical(payload))
 
 
 @dataclass(slots=True)
 class TraceEvent:
     """One simulator event: kind, worker, the worker's local iteration at the
-    time, the virtual timestamp, a digest of the payload, and the payload."""
+    time, the virtual timestamp, and the payload."""
 
     kind: str
     worker: int
     local_iter: int
     time: float
     payload: dict
-    digest: str = ""
-
-    def __post_init__(self):
-        if not self.digest:
-            self.digest = payload_digest(self.payload)
 
 
 @dataclass
@@ -189,7 +186,6 @@ class BoundaryMessage:
     sender_iter: int
     sent_at: float
     arrives_at: float
-    digest: str = ""
 
     def __post_init__(self):
         if self.arrives_at < self.sent_at:
@@ -330,10 +326,8 @@ class _Simulator:
         heapq.heappush(self.heap, (time, self.seq, kind, data))
         self.seq += 1
 
-    def _log(self, kind, worker, local_iter, time, payload, digest=""):
-        self.trace.events.append(
-            TraceEvent(kind, worker, local_iter, time, payload, digest)
-        )
+    def _log(self, kind, worker, local_iter, time, payload):
+        self.trace.events.append(TraceEvent(kind, worker, local_iter, time, payload))
 
     def _threshold_met(self, k: int) -> bool:
         return ready_to_update(
@@ -342,9 +336,7 @@ class _Simulator:
 
     def _start_compute(self, k: int, t: float):
         state = self.states[k - 1]
-        z = state.z.tolist()
-        self._log("compute_start", k, state.local_iter, t, {"z": z},
-                  _digest(f"{{z:{_floats(map(repr, z))}}}"))
+        self._log("compute_start", k, state.local_iter, t, {"z": state.z.tolist()})
         self.phase[k] = "computing"
         delay = self.delays.compute_spec(k).sample(self.compute_rng[k])
         self._push(t + delay, "done", k)
@@ -372,15 +364,10 @@ class _Simulator:
         state.lam = lambda_update(state, state.ax, state.z, self.params)
         state.constraint_violation = result.constraint_norm
         self.objectives[k - 1] = region.objective(state.x)
-        # each hot payload's canonical string is rendered here, keys sorted;
-        # the sends reuse the reprs of their blocks of ax and lam
-        x, lam, ax = state.x.tolist(), state.lam.tolist(), state.ax.tolist()
-        lam_r, ax_r = [*map(repr, lam)], [*map(repr, ax)]
-        feas = float(result.constraint_norm)
+        ax, lam = state.ax.tolist(), state.lam.tolist()
         self._log("compute_end", k, state.local_iter, t,
-                  {"x": x, "lam": lam, "ax": ax, "feas": feas},
-                  _digest(f"{{ax:{_floats(ax_r)},feas:{feas!r},lam:{_floats(lam_r)},"
-                          f"x:{_floats(map(repr, x))}}}"))
+                  {"x": state.x.tolist(), "lam": lam, "ax": ax,
+                   "feas": float(result.constraint_norm)})
         for i, neighbor, blk, spec, rng in self.links[k]:
             link_delay = spec.sample(rng)
             # state vectors are replaced, never written in place, so the
@@ -390,12 +377,9 @@ class _Simulator:
                 ax_block=state.ax[blk], lam_block=state.lam[blk],
                 sender_iter=state.local_iter, sent_at=t, arrives_at=t + link_delay,
             )
-            msg.digest = _digest(f"{{ax:{_floats(ax_r[blk])},edge:{i!r},"
-                                 f"lam:{_floats(lam_r[blk])},"
-                                 f"sender_iter:{state.local_iter!r},to:{neighbor!r}}}")
             payload = {"to": neighbor, "edge": i, "sender_iter": state.local_iter,
                        "ax": ax[blk], "lam": lam[blk]}
-            self._log("send", k, state.local_iter, t, payload, digest=msg.digest)
+            self._log("send", k, state.local_iter, t, payload)
             self._push(msg.arrives_at, "arrival", msg)
         self._try_close_cycle(k, t)
 
@@ -420,11 +404,10 @@ class _Simulator:
                 args = (msg.lam_block, state.lam[own_blk], msg.ax_block, state.ax[own_blk])
             z_new = z_update(e, args[0], args[1], args[2], args[3], z_prev_blk, self.params)
             self.z_global[self.problem.edge_slice(i)] = z_new
-            z = z_new.tolist()
             self._log("z_update", k, state.local_iter, t, {
-                "edge": i, "with": msg.sender, "sender_iter": msg.sender_iter, "z": z,
-            }, _digest(f"{{edge:{i!r},sender_iter:{msg.sender_iter!r},with:{msg.sender!r},"
-                       f"z:{_floats(map(repr, z))}}}"))
+                "edge": i, "with": msg.sender, "sender_iter": msg.sender_iter,
+                "z": z_new.tolist(),
+            })
         prev = self.snapshot_prev[k - 1]
         state.z = self.problem.region_z(self.z_global, k)
         state.residue = residue(state, prev)
@@ -477,7 +460,7 @@ class _Simulator:
                 self._log("receive", k, self.states[k - 1].local_iter, t, {
                     "from": msg.sender, "edge": msg.edge_index,
                     "sender_iter": msg.sender_iter,
-                }, digest=msg.digest)
+                })
                 held = self.inbox[k].get(msg.edge_index)
                 superseded = msg.sender_iter <= self.consumed_iter[k].get(msg.edge_index, -1)
                 if not superseded and (held is None or msg.sender_iter >= held.sender_iter):

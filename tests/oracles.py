@@ -161,7 +161,7 @@ def _read_event(trace: EventTrace, line: str, line_no: int, offset: int) -> bool
     parts = line.split(" ", 5)
     if len(parts) != 6:
         raise ParseError("malformed event record", line=line_no, offset=offset)
-    kind, worker_s, iter_s, time_s, digest, payload_s = parts
+    kind, worker_s, iter_s, time_s, _digest, payload_s = parts
     try:
         worker = int(worker_s)
         local_iter = int(iter_s)
@@ -174,7 +174,7 @@ def _read_event(trace: EventTrace, line: str, line_no: int, offset: int) -> bool
     if not isinstance(payload, dict):
         raise ParseError("event payload is not a JSON object", line=line_no, offset=offset)
     kind = sys.intern(kind)
-    trace.events.append(TraceEvent(kind, worker, local_iter, time, payload, digest))
+    trace.events.append(TraceEvent(kind, worker, local_iter, time, payload))
     if kind == "end":
         trace.status = payload.get("status", "incomplete")
         trace.end_time = time

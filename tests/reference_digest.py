@@ -2,8 +2,9 @@
 oracle for :func:`asyncadmm.engine.payload_digest`.
 
 This is the original recursive canonicalisation: one ``_canonical`` call per
-value and per list element. The engine renders flat payloads without the
-per-element recursion, and its digests must equal these for every payload.
+value and per list element. The engine renders numeric payloads from their
+JSON text without the recursion, and its digests must equal these for every
+JSON payload with string keys.
 Not collected as tests.
 """
 

@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from asyncadmm import caseio
 from asyncadmm.analysis import (
     DiagnosticConstants,
     GlobalIterationAssignment,
@@ -20,6 +22,7 @@ from asyncadmm.analysis import (
     verify_slicing_rules,
     verify_trace_wellformed,
 )
+from asyncadmm.cli import main
 from asyncadmm.engine import DelayModel, DelaySpec, EventTrace, StoppingRule, run
 from asyncadmm.kernel import AdmmParams
 from asyncadmm.problem import make_toy_consensus
@@ -223,7 +226,7 @@ class TestStalenessBound:
             if ev.kind == "z_update":
                 payload["z"] = [2.0 * v for v in payload["z"]]
             scaled_events.append(type(ev)(ev.kind, ev.worker, ev.local_iter,
-                                          ev.time, payload, ev.digest))
+                                          ev.time, payload))
         meta = dict(res.trace.meta)
         meta["z0"] = [2.0 * v for v in meta["z0"]]
         scaled = EventTrace(meta=meta, events=scaled_events,
@@ -313,3 +316,34 @@ class TestAggregateReport:
                            events=events, end_time=2.0)
         checks = verify_trace_wellformed(trace)
         assert not checks["receives_match_sends"]
+
+    # each fault in a message's identity, and the check that must report it
+    @pytest.mark.parametrize("fault, check", [
+        ("receive-without-send", "receives_match_sends"),
+        ("arrival-before-send", "arrivals_after_sends"),
+        ("second-send", "receives_match_sends"),
+        ("receive-at-another-worker", "receives_match_sends"),
+    ])
+    def test_wellformed_matches_messages_by_identity(self, tmp_path, fault, check):
+        _, res = async_run(seed=21)
+        events = res.trace.events
+        r = next(i for i, ev in enumerate(events) if ev.kind == "receive")
+        receive, p = events[r], events[r].payload
+        s = next(i for i, ev in enumerate(events[:r]) if ev.kind == "send"
+                 and (ev.worker, ev.payload["edge"], ev.payload["sender_iter"])
+                 == (p["from"], p["edge"], p["sender_iter"]))
+        if fault == "receive-without-send":
+            del events[s]
+        elif fault == "arrival-before-send":
+            receive.time = events[s].time / 2
+        elif fault == "second-send":
+            events.insert(s + 1, events[s])
+        else:
+            receive.worker = p["from"]
+        checks = verify_trace_wellformed(res.trace)
+        assert checks[check] is False
+        # the same verdicts from analyze on the written trace
+        path = tmp_path / "trace.log"
+        caseio.write_trace(res.trace, path)
+        assert main(["analyze", str(path), "--out", str(tmp_path / "report.json")]) == 0
+        assert json.loads((tmp_path / "report.json").read_text())["wellformed"] == checks

@@ -138,8 +138,8 @@ class TestAsyncRuns:
                 StoppingRule(tol=1e-3, max_local_iters=500))
         assert len(a.trace.events) == len(b.trace.events)
         for e1, e2 in zip(a.trace.events, b.trace.events):
-            assert (e1.kind, e1.worker, e1.local_iter, e1.time, e1.digest) == \
-                (e2.kind, e2.worker, e2.local_iter, e2.time, e2.digest)
+            assert (e1.kind, e1.worker, e1.local_iter, e1.time, e1.payload) == \
+                (e2.kind, e2.worker, e2.local_iter, e2.time, e2.payload)
 
     def test_caps_flag_not_converged(self):
         problem = make_toy_consensus([0.0, 2.0])
@@ -195,12 +195,15 @@ class TestTraceInvariants:
 
     def test_receives_match_sends(self):
         _, res = self.run_async()
-        sends = {}
+        sends = {}  # by (sender, edge, sender_iter)
         for ev in res.trace.events:
             if ev.kind == "send":
-                sends[ev.digest] = ev
+                key = (ev.worker, ev.payload["edge"], ev.payload["sender_iter"])
+                assert key not in sends
+                sends[key] = ev
             elif ev.kind == "receive":
-                src = sends.get(ev.digest)
+                p = ev.payload
+                src = sends.get((p["from"], p["edge"], p["sender_iter"]))
                 assert src is not None
                 assert src.time <= ev.time
                 assert src.payload["to"] == ev.worker

@@ -20,7 +20,7 @@ def outcome(read, path):
     except ParseError as err:
         return "error", str(err), err.line, err.offset
     return (repr(trace.meta), trace.status, trace.end_time.hex(),
-            [(e.kind, e.worker, e.local_iter, e.time.hex(), repr(e.payload), e.digest)
+            [(e.kind, e.worker, e.local_iter, e.time.hex(), repr(e.payload))
              for e in trace.events])
 
 
