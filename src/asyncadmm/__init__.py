@@ -31,7 +31,7 @@ from .kernel import (
     x_update,
     z_update,
 )
-from .localsolver import SolveError, SolverConfig, SolveResult, solve_local
+from .localsolver import SolveError, SolveResult, solve_local
 from .opf import (
     OpfCase,
     Partition,

@@ -350,16 +350,6 @@ def slot_snapshots(trace: EventTrace, assignment: GlobalIterationAssignment,
     raise TraceError("compute_end records give a worker x or lam of differing shapes")
 
 
-@dataclass
-class StalenessBoundReport:
-    lhs: float
-    rhs_stated: float
-    rhs_tight: float
-    omega: int
-    holds: bool
-    holds_tight: bool
-
-
 def _dots(d: np.ndarray) -> np.ndarray:
     """``float(row @ row)`` for each row of d, bit for bit: the matmul inner
     loop that ``row @ row`` runs, over the stack of rows."""
@@ -380,8 +370,9 @@ def _fields(updates: list[UpdateRecord], *names: str) -> tuple[np.ndarray, ...]:
 def check_staleness_bound(trace: EventTrace, assignment: GlobalIterationAssignment,
                           snapshots: SlotSnapshots | None = None,
                           omega: int | None = None,
-                          index: TraceIndex | None = None) -> StalenessBoundReport:
-    """Consensus-staleness inequality over the whole trace.
+                          index: TraceIndex | None = None) -> dict:
+    """Consensus-staleness inequality over the whole trace, as the report's
+    ``staleness_bound`` section.
 
     The staleness each updater saw, summed over all updates,
 
@@ -416,15 +407,8 @@ def check_staleness_bound(trace: EventTrace, assignment: GlobalIterationAssignme
     else:
         holds = lhs <= rhs_stated + slack
         holds_tight = lhs <= rhs_tight + slack
-    return StalenessBoundReport(lhs, rhs_stated, rhs_tight, omega, holds, holds_tight)
-
-
-@dataclass
-class LambdaBoundViolation:
-    slot: int
-    worker: int
-    lhs: float
-    rhs: float
+    return {"lhs": lhs, "rhs_stated": rhs_stated, "rhs_tight": rhs_tight, "holds": holds,
+            "holds_tight_factor": holds_tight, "omega": omega}
 
 
 def check_lambda_bound(
@@ -434,9 +418,10 @@ def check_lambda_bound(
     m1: float,
     snapshots: SlotSnapshots | None = None,
     index: TraceIndex | None = None,
-) -> list[LambdaBoundViolation]:
+) -> list[dict]:
     """Per-slot multiplier movement bound ||lam^{nu+1} - lam^nu||^2 <=
-    c m1^2 ||x^{nu+1} - x^nu||^2, checked for every updater of every slot.
+    c m1^2 ||x^{nu+1} - x^nu||^2, checked for every updater of every slot;
+    each violation as ``{slot, worker, lhs, rhs}``.
 
     Each worker's first update is exempt: the bound rests on local
     stationarity holding at both ends of the difference, and the supplied
@@ -458,8 +443,9 @@ def check_lambda_bound(
         lhs[rows] = _dots(snap.lam[k][after] - snap.lam[k][before])
         rhs[rows] = c_const * m1 * m1 * _dots(snap.x[k][after] - snap.x[k][before])
     violated = lhs > rhs + 1e-5 * np.where(rhs > 1.0, rhs, 1.0)
-    return [LambdaBoundViolation(updates[i].finish_slot, updates[i].worker, float(lhs[i]),
-                                 float(rhs[i])) for i in np.flatnonzero(violated).tolist()]
+    return [{"slot": updates[i].finish_slot, "worker": updates[i].worker,
+             "lhs": float(lhs[i]), "rhs": float(rhs[i])}
+            for i in np.flatnonzero(violated).tolist()]
 
 
 # --------------------------------------------------------------------------
@@ -508,44 +494,23 @@ def parameter_bounds(consts: DiagnosticConstants, rho: float) -> tuple[float, fl
     return rho_min, alpha_min
 
 
-@dataclass
-class KktReport:
-    stationarity: list[float]
-    multiplier: list[float]
-    primal: list[float]
-    tol: float
-
-    @property
-    def max_stationarity(self) -> float:
-        return max(self.stationarity, default=0.0)
-
-    @property
-    def max_multiplier(self) -> float:
-        return max(self.multiplier, default=0.0)
-
-    @property
-    def max_primal(self) -> float:
-        return max(self.primal, default=0.0)
-
-    @property
-    def passed(self) -> bool:
-        return max(self.max_stationarity, self.max_multiplier, self.max_primal) <= self.tol
-
-
 def check_kkt(
     problem: PartitionedProblem,
     x_all: list[Array],
     z_global: Array,
     lam_all: list[Array],
     tol: float = 1e-3,
-) -> KktReport:
-    """First-order optimality residuals of a candidate solution.
+) -> dict:
+    """First-order optimality residuals of a candidate solution, as the
+    report's ``kkt`` section.
 
     Three families: per-region stationarity of the local Lagrangian (the
     indicator of the feasible set is represented by the projected gradient
     at the box, with equality multipliers estimated by least squares on the
     inactive coordinates), per-edge multiplier consistency
     ||lam_k + lam_l||_inf, and per-region primal agreement ||A x - z||_inf.
+    ``passed`` holds when every residual is at most ``tol``, so a NaN
+    residual fails.
     """
     stationarity = []
     primal = []
@@ -572,27 +537,19 @@ def check_kkt(
         lk = np.asarray(lam_all[e.k - 1], dtype=float)[e.block_of(e.k)]
         ll = np.asarray(lam_all[e.l - 1], dtype=float)[e.block_of(e.l)]
         multiplier.append(float(np.max(np.abs(lk + ll), initial=0.0)))
-    return KktReport(stationarity=stationarity, multiplier=multiplier,
-                     primal=primal, tol=tol)
+    passed = all(v <= tol for v in (*stationarity, *multiplier, *primal))
+    return {"stationarity": stationarity, "multiplier_consistency": multiplier,
+            "primal": primal, "tol": tol, "passed": passed}
 
 
-@dataclass(frozen=True)
-class ObjectiveGap:
-    percent: float | None
-    absolute: float
-
-    @property
-    def defined(self) -> bool:
-        return self.percent is not None
-
-
-def objective_gap(distributed_objective: float, centralized_objective: float) -> ObjectiveGap:
-    """100 |f_dist - f_cent| / |f_cent|; undefined against a zero baseline,
-    in which case only the absolute difference is meaningful."""
-    diff = abs(distributed_objective - centralized_objective)
-    if centralized_objective == 0.0:
-        return ObjectiveGap(percent=None, absolute=diff)
-    return ObjectiveGap(percent=100.0 * diff / abs(centralized_objective), absolute=diff)
+def objective_gap(distributed: float, centralized: float) -> dict:
+    """The report's ``baseline`` section: both objectives, the absolute gap
+    |f_dist - f_cent| and the percent gap 100 |f_dist - f_cent| / |f_cent|,
+    None against a zero baseline, where only the absolute gap is meaningful."""
+    diff = abs(distributed - centralized)
+    return {"centralized_objective": centralized, "distributed_objective": distributed,
+            "gap_percent": None if centralized == 0.0 else 100.0 * diff / abs(centralized),
+            "gap_absolute": diff}
 
 
 # --------------------------------------------------------------------------
@@ -706,15 +663,7 @@ def analyze_trace(
     }
     report["omega"] = omega
     snapshots = slot_snapshots(trace, assignment, index)
-    staleness = check_staleness_bound(trace, assignment, snapshots, omega)
-    report["staleness_bound"] = {
-        "lhs": staleness.lhs,
-        "rhs_stated": staleness.rhs_stated,
-        "rhs_tight": staleness.rhs_tight,
-        "holds": staleness.holds,
-        "holds_tight_factor": staleness.holds_tight,
-        "omega": staleness.omega,
-    }
+    report["staleness_bound"] = check_staleness_bound(trace, assignment, snapshots, omega)
     if constants is not None:
         violations = check_lambda_bound(trace, assignment, constants.c, constants.m1,
                                         snapshots)
@@ -727,10 +676,7 @@ def analyze_trace(
             c=constants.c, omega=omega,
         )
         rho_min, alpha_min = parameter_bounds(consts_here, rho)
-        report["lambda_bound"] = {
-            "violations": [vars(v) for v in violations],
-            "num_violations": len(violations),
-        }
+        report["lambda_bound"] = {"violations": violations, "num_violations": len(violations)}
         report["parameter_bounds"] = {
             "rho": rho,
             "rho_min": rho_min,
@@ -741,14 +687,7 @@ def analyze_trace(
     final = _final_state(index, problem) if problem is not None else None
     if final is not None:
         x_all, lam_all, z_final = final
-        kkt = check_kkt(problem, x_all, z_final, lam_all, tol=kkt_tol)
-        report["kkt"] = {
-            "stationarity": kkt.stationarity,
-            "multiplier_consistency": kkt.multiplier,
-            "primal": kkt.primal,
-            "tol": kkt.tol,
-            "passed": kkt.passed,
-        }
+        report["kkt"] = check_kkt(problem, x_all, z_final, lam_all, tol=kkt_tol)
         report["objective"] = problem.total_objective(x_all)
     report["timing"] = timing_from_trace(trace, index)
     return report

@@ -43,7 +43,7 @@ from .kernel import (
     x_update,
     z_update,
 )
-from .localsolver import SolveError, SolverConfig
+from .localsolver import SolveError
 from .problem import Array, PartitionedProblem, flat_start
 
 
@@ -262,12 +262,11 @@ class RunResult:
 
 
 class _Simulator:
-    def __init__(self, problem, params, delays, stop, solver_config, x0, descriptor):
+    def __init__(self, problem, params, delays, stop, x0, descriptor):
         self.problem = problem
         self.params = params
         self.delays = delays
         self.stop = stop
-        self.solver_config = solver_config
         K = problem.num_regions
         if x0 is None:
             x0 = [flat_start(problem.region(k)) for k in range(1, K + 1)]
@@ -277,7 +276,6 @@ class _Simulator:
         self.inbox: dict[int, dict[int, BoundaryMessage]] = {k: {} for k in range(1, K + 1)}
         self.consumed_iter: dict[int, dict[int, int]] = {k: {} for k in range(1, K + 1)}
         self.solver_warm: dict[int, tuple | None] = {k: None for k in range(1, K + 1)}
-        self.snapshot_prev = [s.z.copy() for s in self.states]
         # streams: one per worker, then two per edge (k->l, l->k), in order
         ss = np.random.SeedSequence(delays.seed)
         children = ss.spawn(K + 2 * len(problem.edges))
@@ -345,8 +343,7 @@ class _Simulator:
         state = self.states[k - 1]
         region = self.problem.regions[k - 1]
         try:
-            result = x_update(region, state, self.params, self.solver_config,
-                              warm_state=self.solver_warm[k])
+            result = x_update(region, state, self.params, warm_state=self.solver_warm[k])
         except SolveError as err:
             self.status = "aborted"
             self.trace.status = "aborted"
@@ -408,10 +405,8 @@ class _Simulator:
                 "edge": i, "with": msg.sender, "sender_iter": msg.sender_iter,
                 "z": z_new.tolist(),
             })
-        prev = self.snapshot_prev[k - 1]
-        state.z = self.problem.region_z(self.z_global, k)
+        prev, state.z = state.z, self.problem.region_z(self.z_global, k)
         state.residue = residue(state, prev)
-        self.snapshot_prev[k - 1] = state.z
         state.local_iter += 1
         self.cycles_closed += 1
         self._record_iteration(t)
@@ -495,7 +490,6 @@ def run(
     params: AdmmParams,
     delays: DelayModel,
     stop: StoppingRule,
-    solver_config: SolverConfig | None = None,
     x0: list[Array] | None = None,
     problem_descriptor: dict | None = None,
 ) -> RunResult:
@@ -507,6 +501,5 @@ def run(
     solver failure raises :class:`EngineAbort` carrying the partial trace;
     cap exhaustion returns normally with ``converged=False``.
     """
-    sim = _Simulator(problem, params, delays, stop,
-                     solver_config or SolverConfig(), x0, problem_descriptor)
+    sim = _Simulator(problem, params, delays, stop, x0, problem_descriptor)
     return sim.run()

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .localsolver import NewtonModel, SolverConfig, _clip, _max, last_point_memo, solve_local
+from .localsolver import NewtonModel, _clip, _max, last_point_memo, solve_local
 from .problem import Array, CouplingEdge, PartitionedProblem, RegionSpec
 
 
@@ -133,7 +133,6 @@ def x_update(
     region: RegionSpec,
     state: WorkerState,
     params: AdmmParams,
-    solver: SolverConfig,
     warm_state: tuple | None = None,
 ):
     """Solve the local x-subproblem
@@ -152,8 +151,8 @@ def x_update(
         cached = region.penalty_curvature[params.rho] = (
             penalty.curvature, NewtonModel(region, penalty.curvature[0]))
     eq_mult, pen = warm_state if warm_state is not None else (None, None)
-    return solve_local(region, penalty, state.x, solver,
-                       eq_multipliers=eq_mult, penalty_start=pen, model=cached[1])
+    return solve_local(region, penalty, state.x, eq_multipliers=eq_mult, penalty_start=pen,
+                       model=cached[1])
 
 
 def lambda_update(state: WorkerState, ax_new: Array, z_snapshot: Array, params: AdmmParams) -> Array:

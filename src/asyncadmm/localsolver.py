@@ -19,8 +19,8 @@ changes (the non-convex toy); per iterate: h and J, so the line search's h
 at the accepted point serves the gradient, the Newton model and the
 stage-end residual. The hot loop calls numpy's ufuncs, their reductions and
 the LAPACK solve gufunc directly, without the Python wrappers around them.
-The loops are bounded by ``SolverConfig.max_iters`` outer stages of at
-most ``inner_max_iters`` inner iterations each.
+The loops are bounded by ``_MAX_STAGES`` outer stages of at most
+``_INNER_MAX_ITERS`` inner iterations each.
 Everything is deterministic: identical inputs produce bitwise-identical
 outputs.
 """
@@ -50,26 +50,12 @@ _ARMIJO = 1e-4
 _STEP_MIN = 1e-14
 _STEP_MAX = 1e12
 _PENALTY_MAX = 1e12
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Tolerances and loop caps for the local solver."""
-
-    max_iters: int = 60
-    grad_tol: float = 1e-6
-    constraint_tol: float = 1e-6
-    penalty_init: float = 10.0
-    penalty_growth: float = 10.0
-    inner_max_iters: int = 3000
-
-    def __post_init__(self):
-        if self.grad_tol <= 0 or self.constraint_tol <= 0 or self.penalty_init <= 0:
-            raise ValueError("tolerances and penalty_init must be positive")
-        if self.penalty_growth <= 1:
-            raise ValueError("penalty_growth must exceed 1")
-        if self.max_iters < 1 or self.inner_max_iters < 1:
-            raise ValueError("iteration caps must be at least 1")
+_MAX_STAGES = 60  # augmented-Lagrangian outer stages
+_INNER_MAX_ITERS = 3000  # inner iterations per stage
+_GRAD_TOL = 1e-6  # relative to the start point's gradient magnitude
+_CONSTRAINT_TOL = 1e-6
+_PENALTY_INIT = 10.0
+_PENALTY_GROWTH = 10.0
 
 
 @dataclass
@@ -188,10 +174,11 @@ def _newton_direction(H, g, x, lo_in, hi_in, D, eye):
     return None
 
 
-def _pg_minimize(value, grad, x, v, g, model, tol, max_iters, metric, hess):
+def _pg_minimize(value, grad, x, v, g, model, tol, metric, hess):
     """Monotone projected descent with backtracking Armijo line search along
     the box-projection arc, from ``x`` (inside the box of ``model``) with
-    value ``v`` and gradient ``g`` there.
+    value ``v`` and gradient ``g`` there, for at most ``_INNER_MAX_ITERS``
+    iterations.
 
     The search direction is a two-metric Newton step (free coordinates take
     a damped Newton step from ``hess``, bound-pinned coordinates a scaled
@@ -208,7 +195,7 @@ def _pg_minimize(value, grad, x, v, g, model, tol, max_iters, metric, hess):
     it = 0
     stalled = False
     pgn = _projected_gradient_norm(x, g, lo, hi)
-    while pgn > tol and it < max_iters:
+    while pgn > tol and it < _INNER_MAX_ITERS:
         direction = _newton_direction(hess(x), g, x, lo_in, hi_in, D, eye)
         accepted = False
         if direction is not None:
@@ -260,7 +247,6 @@ def solve_local(
     region: RegionSpec,
     extra,
     x_start,
-    config: SolverConfig,
     eq_multipliers: Array | None = None,
     penalty_start: float | None = None,
     model: NewtonModel | None = None,
@@ -284,7 +270,7 @@ def solve_local(
     (an ADMM penalty) dominates instead, Gauss-Newton is as good and cheaper.
 
     On success the returned point satisfies the box exactly, the equality
-    constraints to ``constraint_tol`` (infinity norm), and the projected
+    constraints to ``_CONSTRAINT_TOL`` (infinity norm), and the projected
     gradient of the local Lagrangian is below the gradient tolerance. The
     gradient tolerance is relative to the objective's gradient magnitude at
     the start point (floored at 1), so problems stated in large units are
@@ -294,10 +280,10 @@ def solve_local(
     The only early exit short of the tolerances is the numeric floor: a
     feasible stage whose line search can certify no further decrease
     returns with ``at_numeric_floor`` set. Otherwise a failing solve runs
-    to the caps: ``max_iters`` stages of ``inner_max_iters`` inner
-    iterations each (180,000 at the defaults), every inner iteration with
-    one Newton model and up to 90 trial values. A box-only solve has one
-    stage, so at most ``inner_max_iters`` iterations.
+    to the caps: ``_MAX_STAGES`` stages of ``_INNER_MAX_ITERS`` inner
+    iterations each (180,000), every inner iteration with one Newton model
+    and up to 90 trial values. A box-only solve has one stage, so at most
+    ``_INNER_MAX_ITERS`` iterations.
     """
     x = _clip(np.asarray(x_start, dtype=float), region.lower, region.upper)
     extra_hess_diag = getattr(extra, "hess_diag", None)
@@ -334,12 +320,11 @@ def solve_local(
 
     g0 = phi_grad(x)
     grad_scale = max(1.0, float(_max(np.abs(g0), initial=0.0)))
-    grad_tol = config.grad_tol * grad_scale
+    grad_tol = _GRAD_TOL * grad_scale
 
     if region.equality is None:
         x, _, g, pgn, it, stalled = _pg_minimize(phi, phi_grad, x, phi(x), g0, model,
-                                                 grad_tol, config.inner_max_iters,
-                                                 phi_hess_diag(x), phi_hess)
+                                                 grad_tol, phi_hess_diag(x), phi_hess)
         if pgn > grad_tol and not stalled:
             raise SolveError(
                 f"projected gradient stopped at |pg|={pgn:.3e} > {grad_tol:.1e}",
@@ -353,13 +338,13 @@ def solve_local(
     eq_hess = region.equality_hessian
     y = (np.asarray(eq_multipliers, dtype=float).copy()
          if eq_multipliers is not None else np.zeros(region.eq_dim))
-    mu = float(penalty_start) if penalty_start else config.penalty_init
+    mu = float(penalty_start) if penalty_start else _PENALTY_INIT
     merit_path: list[tuple[float, float]] = []
     total_inner = 0
     best = (np.inf, np.inf)  # (constraint norm, pg norm) of the most feasible stage
     prev_hnorm = math.inf
 
-    for outer in range(1, config.max_iters + 1):
+    for outer in range(1, _MAX_STAGES + 1):
 
         def al_value(xv, y=y, mu=mu):
             h = h_at(xv)
@@ -382,8 +367,7 @@ def solve_local(
         metric = phi_hess_diag(x) + mu * (J0 * J0).sum(axis=0)
         start_val = al_value(x)
         x, end_val, g, pgn, it, stalled = _pg_minimize(
-            al_value, al_grad, x, start_val, al_grad(x), model, grad_tol,
-            config.inner_max_iters, metric, al_hess,
+            al_value, al_grad, x, start_val, al_grad(x), model, grad_tol, metric, al_hess,
         )
         merit_path.append((start_val, end_val))
         total_inner += it
@@ -391,10 +375,10 @@ def solve_local(
         hnorm = float(_max(np.abs(h), initial=0.0))
         if hnorm < best[0]:
             best = (hnorm, pgn)
-        if hnorm <= config.constraint_tol and pgn <= grad_tol:
+        if hnorm <= _CONSTRAINT_TOL and pgn <= grad_tol:
             return SolveResult(x, pgn, hnorm, outer, total_inner, y + mu * h,
                                penalty=mu, merit_path=merit_path)
-        if hnorm <= config.constraint_tol and stalled:
+        if hnorm <= _CONSTRAINT_TOL and stalled:
             # feasible, and descent is no longer certifiable at this
             # precision: report the achieved floor instead of spinning
             return SolveResult(x, pgn, hnorm, outer, total_inner, y + mu * h,
@@ -404,8 +388,8 @@ def solve_local(
         # feasibility is not improving fast enough, and always out of a
         # stall (a sharper feasibility valley restores resolvable descent)
         y = y + mu * h
-        if hnorm > config.constraint_tol and (stalled or hnorm > 0.25 * prev_hnorm):
-            mu = min(mu * config.penalty_growth, _PENALTY_MAX)
+        if hnorm > _CONSTRAINT_TOL and (stalled or hnorm > 0.25 * prev_hnorm):
+            mu = min(mu * _PENALTY_GROWTH, _PENALTY_MAX)
         prev_hnorm = hnorm
 
     raise SolveError(

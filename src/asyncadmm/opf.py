@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .localsolver import SolverConfig, SolveResult, last_point_memo, solve_local
+from .localsolver import SolveResult, last_point_memo, solve_local
 from .problem import Array, CouplingEdge, PartitionedProblem, RegionSpec, flat_start
 
 DEFAULT_BETA_MINUS = 2.0
@@ -290,7 +290,6 @@ class RegionLayout:
 class OpfLayout:
     case: OpfCase
     regions: list[RegionLayout]
-    ref_bus: int
 
     def region(self, k: int) -> RegionLayout:
         return self.regions[k - 1]
@@ -554,7 +553,7 @@ def build_regional_subproblems(
             equality_hessian=equality_hessian if exact_curvature else None,
         ))
     problem = PartitionedProblem(regions=tuple(regions), edges=tuple(edges))
-    return problem, OpfLayout(case=case, regions=layouts, ref_bus=ref)
+    return problem, OpfLayout(case=case, regions=layouts)
 
 
 # --------------------------------------------------------------------------
@@ -564,17 +563,13 @@ def build_regional_subproblems(
 @dataclass
 class CentralizedResult:
     objective: float
-    x: Array
-    layout: OpfLayout
     V: Array
     P: Array
     Q: Array
     diagnostics: SolveResult
 
 
-def centralized_reference_solve(
-    case: OpfCase, config: SolverConfig | None = None, x0: Array | None = None
-) -> CentralizedResult:
+def centralized_reference_solve(case: OpfCase) -> CentralizedResult:
     """Solve the undecomposed problem (single region, no coupling); used as
     the baseline for objective-gap reporting. The region carries the exact
     constraint curvature, so the local solver takes full Newton steps on the
@@ -582,23 +577,23 @@ def centralized_reference_solve(
     problem, layout = build_regional_subproblems(case, single_region_partition(case),
                                                  exact_curvature=True)
     region = problem.region(1)
-    start = flat_start(region) if x0 is None else np.asarray(x0, dtype=float)
-    result = solve_local(region, None, start, config or SolverConfig())
+    result = solve_local(region, None, flat_start(region))
     V, P, Q = layout.assemble_network_solution([result.x])
     return CentralizedResult(
-        objective=layout.total_cost([result.x]),
-        x=result.x, layout=layout, V=V, P=P, Q=Q, diagnostics=result,
+        objective=layout.total_cost([result.x]), V=V, P=P, Q=Q, diagnostics=result,
     )
 
 
-def newton_power_flow(case: OpfCase, tol: float = 1e-10, max_iters: int = 60):
-    """Newton-Raphson power flow used for warm starts.
+def newton_power_flow(case: OpfCase):
+    """Newton-Raphson power flow used for warm starts, run until every
+    mismatch is below 1e-10, for at most 60 iterations.
 
     The first generator's bus is slack, other generator buses hold voltage
     magnitude at the midpoint of their band with P fixed at the midpoint of
     their box; load buses start flat. Returns (V, P_bus, Q_bus) in per unit,
     where the slack bus absorbs the network imbalance.
     """
+    tol, max_iters = 1e-10, 60
     if not case.generators:
         raise BuildError("power flow warm start needs at least one generator")
     base = case.base_mva

@@ -244,16 +244,16 @@ def flat_start(region: RegionSpec) -> Array:
     return np.clip(mid, region.lower, region.upper)
 
 
-def _quadratic_region(target: float, bound: float | None = None) -> RegionSpec:
-    lo = np.array([-np.inf if bound is None else -bound])
-    hi = np.array([np.inf if bound is None else bound])
+def _quadratic_region(target: float, rows: int, bound: float = np.inf) -> RegionSpec:
+    """Scalar x in [-bound, bound] minimising (x - target)^2, its value
+    repeated on ``rows`` boundary rows."""
     return RegionSpec(
         dim_x=1,
         objective=lambda x, c=target: float((x[0] - c) ** 2),
         gradient=lambda x, c=target: np.array([2.0 * (x[0] - c)]),
-        boundary_map=np.ones((1, 1)),
-        lower=lo,
-        upper=hi,
+        boundary_map=np.ones((rows, 1)),
+        lower=np.array([-bound]),
+        upper=np.array([bound]),
         name=f"quadratic(target={target})",
         hessian_diag=lambda x: np.array([2.0]),
     )
@@ -271,22 +271,8 @@ def make_toy_consensus(c) -> PartitionedProblem:
     if len(targets) < 2 or not np.isfinite(targets).all():
         raise ValueError("a consensus toy needs at least two finite targets")
     K = len(targets)
-    regions = []
-    for k in range(1, K + 1):
-        n_edges = (1 if k > 1 else 0) + (1 if k < K else 0)
-        t = targets[k - 1]
-        regions.append(
-            RegionSpec(
-                dim_x=1,
-                objective=lambda x, c=t: float((x[0] - c) ** 2),
-                gradient=lambda x, c=t: np.array([2.0 * (x[0] - c)]),
-                boundary_map=np.ones((n_edges, 1)),
-                lower=np.array([-np.inf]),
-                upper=np.array([np.inf]),
-                name=f"consensus(target={t})",
-                hessian_diag=lambda x: np.array([2.0]),
-            )
-        )
+    # one boundary row per chain neighbour
+    regions = [_quadratic_region(t, (k > 1) + (k < K)) for k, t in enumerate(targets, start=1)]
     edges = []
     for k in range(1, K):
         # region k's rows: [edge to k-1] then [edge to k+1]
@@ -318,6 +304,6 @@ def make_nonconvex_toy() -> PartitionedProblem:
         name="double-well",
         hessian_diag=lambda x: np.array([12.0 * x[0] ** 2 - 4.0]),
     )
-    quadratic = _quadratic_region(0.5, bound=b)
+    quadratic = _quadratic_region(0.5, 1, bound=b)
     edge = CouplingEdge(k=1, l=2, block_k=(0, 1), block_l=(0, 1))
     return PartitionedProblem(regions=(double_well, quadratic), edges=(edge,))

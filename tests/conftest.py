@@ -203,18 +203,14 @@ def assert_analysis_matches_reference(trace: EventTrace, c_const: float = 1.0,
     def exact(value):
         return value.hex() if isinstance(value, float) else value
 
-    def bound(report) -> dict:
-        return {name: exact(value) for name, value in vars(report).items()}
-
-    def violations(found) -> list:
-        return [(v.slot, v.worker, v.lhs.hex(), v.rhs.hex()) for v in found]
+    def row(section: dict) -> dict:
+        return {name: exact(value) for name, value in section.items()}
 
     def split(timing) -> dict:
-        return {k: {name: exact(value) for name, value in row.items()}
-                for k, row in timing.items()}
+        return {k: row(section) for k, section in timing.items()}
 
-    assert bound(analysis.check_staleness_bound(trace, assignment, snap, omega)) == \
-        bound(reference.check_staleness_bound(trace, assignment, old, omega))
-    assert violations(analysis.check_lambda_bound(trace, assignment, c_const, m1, snap)) == \
-        violations(reference.check_lambda_bound(trace, assignment, c_const, m1, old))
+    assert row(analysis.check_staleness_bound(trace, assignment, snap, omega)) == \
+        row(reference.check_staleness_bound(trace, assignment, old, omega))
+    assert list(map(row, analysis.check_lambda_bound(trace, assignment, c_const, m1, snap))) == \
+        list(map(row, reference.check_lambda_bound(trace, assignment, c_const, m1, old)))
     assert split(analysis.timing_from_trace(trace)) == split(reference.timing_from_trace(trace))

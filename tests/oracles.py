@@ -25,7 +25,6 @@ from asyncadmm.kernel import (
     x_update,
     z_update,
 )
-from asyncadmm.localsolver import SolverConfig
 from asyncadmm.opf import OpfCase, RegionLayout, admittance_matrix
 from asyncadmm.problem import (
     NONCONVEX_TOY_BOUND,
@@ -307,7 +306,6 @@ class SyncRun:
 def run_sync_reference(
     problem: PartitionedProblem,
     params: AdmmParams,
-    solver_config: SolverConfig | None = None,
     x0: list[Array] | None = None,
     tol: float = 1e-3,
     max_iters: int = 1000,
@@ -316,7 +314,6 @@ def run_sync_reference(
     solve and multiplier step, each iteration); ground truth for equivalence
     tests. With one region and no edges the first local solve is the
     centralized problem."""
-    solver_config = solver_config or SolverConfig()
     K = problem.num_regions
     if x0 is None:
         x0 = [flat_start(problem.region(k)) for k in range(1, K + 1)]
@@ -348,8 +345,7 @@ def run_sync_reference(
                 region_index=k, x=x[k - 1], lam=lam[k - 1], z=z_k,
                 ax=region.boundary_map @ x[k - 1],
             )
-            result = x_update(region, state, params, solver_config,
-                              warm_state=solver_warm[k])
+            result = x_update(region, state, params, warm_state=solver_warm[k])
             solver_warm[k] = result.warm_state
             ax_new = region.boundary_map @ result.x
             lam_new = lambda_update(state, ax_new, z_k, params)

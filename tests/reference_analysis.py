@@ -24,8 +24,6 @@ import numpy as np
 
 from asyncadmm.analysis import (
     GlobalIterationAssignment,
-    LambdaBoundViolation,
-    StalenessBoundReport,
     TraceError,
     UpdateRecord,
     _trace_dims,
@@ -221,7 +219,7 @@ def slot_snapshots(trace: EventTrace, assignment: GlobalIterationAssignment):
 
 def check_staleness_bound(trace: EventTrace, assignment: GlobalIterationAssignment,
                           snapshots: tuple | None = None,
-                          omega: int | None = None) -> StalenessBoundReport:
+                          omega: int | None = None) -> dict:
     """Consensus-staleness inequality over the whole trace.
 
     The staleness each updater saw, summed over all updates,
@@ -263,7 +261,8 @@ def check_staleness_bound(trace: EventTrace, assignment: GlobalIterationAssignme
     else:
         holds = lhs <= rhs_stated + slack
         holds_tight = lhs <= rhs_tight + slack
-    return StalenessBoundReport(lhs, rhs_stated, rhs_tight, omega, holds, holds_tight)
+    return {"lhs": lhs, "rhs_stated": rhs_stated, "rhs_tight": rhs_tight, "holds": holds,
+            "holds_tight_factor": holds_tight, "omega": omega}
 
 
 def check_lambda_bound(
@@ -272,7 +271,7 @@ def check_lambda_bound(
     c_const: float,
     m1: float,
     snapshots: tuple | None = None,
-) -> list[LambdaBoundViolation]:
+) -> list[dict]:
     """Per-slot multiplier movement bound ||lam^{nu+1} - lam^nu||^2 <=
     c m1^2 ||x^{nu+1} - x^nu||^2, checked for every updater of every slot.
 
@@ -284,7 +283,7 @@ def check_lambda_bound(
     are user estimates, so violations are reported for inspection rather
     than raised. ``snapshots`` as for :func:`check_staleness_bound`."""
     _, x_at, lam_at = snapshots or slot_snapshots(trace, assignment)
-    out: list[LambdaBoundViolation] = []
+    out: list[dict] = []
     for u in assignment.updates:
         nu = u.finish_slot
         if nu < 1 or u.cycle == 0:
@@ -298,7 +297,7 @@ def check_lambda_bound(
         lhs = float(dl @ dl)
         rhs = float(c_const * m1 * m1 * (dx @ dx))
         if lhs > rhs + 1e-5 * max(1.0, rhs):
-            out.append(LambdaBoundViolation(slot=nu, worker=k, lhs=lhs, rhs=rhs))
+            out.append({"slot": nu, "worker": k, "lhs": lhs, "rhs": rhs})
     return out
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import platform
 
 import numpy as np
@@ -456,6 +457,24 @@ def test_analyze_reproduces_run_report(tmp_path, config):
     for key in ("wall_time_s", "baseline"):
         run_report.pop(key, None)
     assert json.loads((out / "analyze.json").read_text()) == run_report
+
+
+def test_nan_residual_fails_kkt(tmp_path):
+    # a NaN multiplier makes NaN residuals, which compare false against
+    # anything: the verdict must still fail although every finite residual
+    # left in its family maximum is within the tolerance
+    out = tmp_path / "out"
+    assert main(["run", str(CASES_DIR / "toy_sync.cfg"), "--set", f"outdir={out}"]) == 0
+    header, *events = (out / "trace.log").read_text().splitlines(keepends=True)
+    _, events = _set_final_key(2, "lam", [math.nan])(None, events)
+    edited = tmp_path / "nan.log"
+    edited.write_text(header + "".join(events))
+    assert main(["analyze", str(edited), "--out", str(tmp_path / "analyze.json")]) == 0
+    kkt = json.loads((tmp_path / "analyze.json").read_text())["kkt"]
+    assert [math.isnan(v) for v in kkt["multiplier_consistency"]] == [True]
+    assert [math.isnan(v) for v in kkt["stationarity"]] == [False, True]
+    assert kkt["stationarity"][0] <= kkt["tol"] and max(kkt["primal"]) <= kkt["tol"]
+    assert kkt["passed"] is False
 
 
 # sha256 prefixes of diagnostics.json less `wall_time_s`, rendered with

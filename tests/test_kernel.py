@@ -14,7 +14,6 @@ from asyncadmm.kernel import (
     x_update,
     z_update,
 )
-from asyncadmm.localsolver import SolverConfig
 from asyncadmm.problem import CouplingEdge, RegionSpec, make_toy_consensus
 
 from oracles import augmented_lagrangian, run_sync_reference
@@ -65,7 +64,7 @@ class TestXUpdate:
                                lambda v: np.array([2.0 * v[0]]),
                                hess=lambda v: np.array([2.0]))
         state = make_state(0.0, 0.0, 4.0, region)
-        result = x_update(region, state, AdmmParams(rho=2.0), SolverConfig())
+        result = x_update(region, state, AdmmParams(rho=2.0))
         assert result.x[0] == pytest.approx(2.0, abs=1e-8)
 
     def test_stationary_point_unchanged(self):
@@ -73,7 +72,7 @@ class TestXUpdate:
                                lambda v: np.array([2.0 * (v[0] - 3.0)]),
                                hess=lambda v: np.array([2.0]))
         state = make_state(3.0, 0.0, 3.0, region)  # z = A x_prev at the minimum
-        result = x_update(region, state, AdmmParams(rho=1.0), SolverConfig())
+        result = x_update(region, state, AdmmParams(rho=1.0))
         assert result.x[0] == pytest.approx(3.0, abs=1e-10)
 
     def test_nonconvex_against_grid(self):
@@ -87,7 +86,7 @@ class TestXUpdate:
             hess=lambda v: np.array([12.0 * v[0] ** 2 - 4.0]),
         )
         state = make_state(0.5, 0.0, 0.9, region)
-        result = x_update(region, state, AdmmParams(rho=10.0), SolverConfig())
+        result = x_update(region, state, AdmmParams(rho=10.0))
         assert result.x[0] == pytest.approx(expected, abs=1e-4)
 
 

@@ -4,10 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from asyncadmm import caseio, kernel
+from asyncadmm import caseio, kernel, localsolver
 from asyncadmm.cli import main
 from asyncadmm.kernel import BoundaryPenalty
-from asyncadmm.localsolver import SolveError, SolverConfig, _newton_direction, solve_local
+from asyncadmm.localsolver import SolveError, _newton_direction, solve_local
 from asyncadmm.opf import build_regional_subproblems
 from asyncadmm.problem import RegionSpec, flat_start
 
@@ -43,25 +43,16 @@ def equality_region():
     )
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(grad_tol=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(penalty_growth=1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(max_iters=0)
-
-
 def test_box_qp_active_bound():
     # KKT of min x^2 on [1, 2]: the lower bound is active, x* = 1
-    result = solve_local(box_quadratic(), None, np.array([1.7]), SolverConfig())
+    result = solve_local(box_quadratic(), None, np.array([1.7]))
     assert result.x[0] == pytest.approx(1.0, abs=1e-9)
     assert result.constraint_norm == 0.0
 
 
 def test_equality_constrained_closed_form():
     # Lagrange: 2x + y_mult = 0, 2y + y_mult = 0, x + y = 2 -> (1, 1)
-    result = solve_local(equality_region(), None, np.array([3.0, -1.0]), SolverConfig())
+    result = solve_local(equality_region(), None, np.array([3.0, -1.0]))
     assert result.x == pytest.approx([1.0, 1.0], abs=1e-6)
     assert result.constraint_norm <= 1e-6
     # converged multiplier estimate matches the closed form -2
@@ -70,8 +61,8 @@ def test_equality_constrained_closed_form():
 
 def test_warm_start_at_minimum_returns_immediately():
     region = equality_region()
-    first = solve_local(region, None, np.array([0.0, 0.0]), SolverConfig())
-    again = solve_local(region, None, first.x, SolverConfig(),
+    first = solve_local(region, None, np.array([0.0, 0.0]))
+    again = solve_local(region, None, first.x,
                         eq_multipliers=first.eq_multipliers,
                         penalty_start=first.penalty)
     assert again.outer_iters == 1
@@ -80,8 +71,8 @@ def test_warm_start_at_minimum_returns_immediately():
 
 def test_deterministic():
     region = equality_region()
-    a = solve_local(region, None, np.array([4.0, -2.0]), SolverConfig())
-    b = solve_local(region, None, np.array([4.0, -2.0]), SolverConfig())
+    a = solve_local(region, None, np.array([4.0, -2.0]))
+    b = solve_local(region, None, np.array([4.0, -2.0]))
     assert np.array_equal(a.x, b.x)
     assert a.inner_iters == b.inner_iters
     assert a.merit_path == b.merit_path
@@ -89,7 +80,7 @@ def test_deterministic():
 
 def test_merit_monotone_within_stages():
     region = equality_region()
-    result = solve_local(region, None, np.array([5.0, 5.0]), SolverConfig())
+    result = solve_local(region, None, np.array([5.0, 5.0]))
     for start, end in result.merit_path:
         assert end <= start + 1e-12
 
@@ -107,7 +98,7 @@ def test_matches_grid_oracle_1d():
     )
     xs = np.arange(0.0, 1.0 + 5e-5, 1e-4)
     oracle = xs[int(np.argmin((xs - 0.37) ** 2))]
-    result = solve_local(region, None, np.array([0.9]), SolverConfig())
+    result = solve_local(region, None, np.array([0.9]))
     assert result.x[0] == pytest.approx(oracle, abs=1e-3)
 
 
@@ -142,7 +133,7 @@ def test_matches_grid_oracle_2d():
         if V[r, c] < best[0]:
             best = (V[r, c], start + r, c)
     _, i, j = best
-    result = solve_local(region, None, np.array([0.5, -0.5]), SolverConfig())
+    result = solve_local(region, None, np.array([0.5, -0.5]))
     assert result.x[0] == pytest.approx(grid[i], abs=1e-3)
     assert result.x[1] == pytest.approx(gy[j], abs=1e-3)
 
@@ -162,7 +153,7 @@ def test_failure_carries_best_iterate():
         hessian_diag=lambda x: np.array([2.0]),
     )
     with pytest.raises(SolveError) as err:
-        solve_local(region, None, np.array([0.5]), SolverConfig(max_iters=8))
+        solve_local(region, None, np.array([0.5]))
     assert err.value.constraint_norm == pytest.approx(4.0, abs=1e-6)
 
 
@@ -173,20 +164,20 @@ def test_numeric_floor_return_on_ring5_async(tmp_path, monkeypatch):
     floors = []
     real_solve = kernel.solve_local
 
-    def recording(region, extra, x_start, config, **kwargs):
-        result = real_solve(region, extra, x_start, config, **kwargs)
+    def recording(region, extra, x_start, **kwargs):
+        result = real_solve(region, extra, x_start, **kwargs)
         if result.at_numeric_floor:
-            floors.append((region, config, result))
+            floors.append((region, result))
         return result
 
     monkeypatch.setattr(kernel, "solve_local", recording)
     assert main(["run", str(CASES_DIR / "ring5_async.cfg"), "--set", f"outdir={tmp_path}",
                  "--set", "baseline=false"]) == 0
     assert len(floors) == 1
-    region, config, result = floors[0]
-    assert result.constraint_norm <= config.constraint_tol
-    assert result.grad_norm > config.grad_tol  # stopped short of the tolerance
-    assert result.outer_iters == len(result.merit_path) < config.max_iters
+    region, result = floors[0]
+    assert result.constraint_norm <= localsolver._CONSTRAINT_TOL
+    assert result.grad_norm > localsolver._GRAD_TOL  # stopped short of the tolerance
+    assert result.outer_iters == len(result.merit_path) < localsolver._MAX_STAGES
     assert all(end <= start for start, end in result.merit_path)
     assert np.all((region.lower <= result.x) & (result.x <= region.upper))
 
@@ -211,8 +202,8 @@ def test_equality_and_jacobian_evaluated_once_per_iterate():
 
     counting = replace(region, equality=counted("h", region.equality),
                        equality_jacobian=counted("J", region.equality_jacobian))
-    plain = solve_local(region, extra, x0, SolverConfig())
-    result = solve_local(counting, extra, x0, SolverConfig())
+    plain = solve_local(region, extra, x0)
+    result = solve_local(counting, extra, x0)
     assert result.inner_iters > 0
     for name in ("h", "J"):
         assert seen[name] and max(seen[name].values()) == 1, name

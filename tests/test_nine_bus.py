@@ -44,7 +44,7 @@ def test_sync_admm_gap(nine_problem, nine_central):
     assert sync.converged
     gap = objective_gap(problem.total_objective(sync.iterates[-1].x),
                         nine_central.objective)
-    assert gap.percent < 1.0
+    assert gap["gap_percent"] < 1.0
 
 
 def test_async_admm_converges_with_staleness_bound(nine_problem, nine_central):
@@ -56,6 +56,6 @@ def test_async_admm_converges_with_staleness_bound(nine_problem, nine_central):
     assert res.converged
     assert max(s.constraint_violation for s in res.states) <= 1e-3
     gap = objective_gap(problem.total_objective(res.x), nine_central.objective)
-    assert gap.percent < 1.0
+    assert gap["gap_percent"] < 1.0
     report = check_staleness_bound(res.trace, assign_global_iterations(res.trace))
-    assert report.holds
+    assert report["holds"]
