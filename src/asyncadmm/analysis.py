@@ -15,20 +15,22 @@ is an addition to the first four: without it a maximal slicing can place an
 update's start and finish in one slot, which would break the guarantee
 nu_bar < nu that the delay-window bookkeeping relies on.
 
-The trace is indexed once (:class:`TraceIndex`) and every pass reads the
-index. The slicing is one sweep over the sorted start times, every rule a
-(key, time) pair under a suffix minimum; snapshots and bounds work on one
-array per edge and worker and add in a loop's order, so the analysis costs
-O(E log E) for E events and matches the event-by-event loops bit for bit.
+The trace is indexed once (:class:`TraceIndex`), and every pass takes that
+index, or the assignment and snapshots built from it, as its input. The
+slicing is one sweep over the sorted start times, every rule a (key, time)
+pair under a suffix minimum, and it keeps one array per update field;
+snapshots and bounds work on one array per edge and worker and add in a
+loop's order, so the analysis costs O(E log E) for E events and matches the
+event-by-event loops bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import reduce
-from operator import add, attrgetter
+from operator import add
 from typing import NamedTuple
 
 import numpy as np
@@ -46,12 +48,14 @@ class TraceError(ValueError):
 
 
 class TraceIndex:
-    """One trace's events read once: ``time`` and ``worker`` per event, keys
-    ``by_worker`` that order events by worker, then log position, and
-    :meth:`of`, the log-ordered positions of some kinds' events. One serves
-    all passes of :func:`analyze_trace`; rebuild it after changing events."""
+    """One trace read once: its ``meta`` and ``end_time``, ``time`` and
+    ``worker`` per event, keys ``by_worker`` that order events by worker,
+    then log position, and :meth:`of`, the log-ordered positions of some
+    kinds' events. It is the trace input of every pass; rebuild it after
+    changing events."""
 
     def __init__(self, trace: EventTrace):
+        self.meta, self.end_time = trace.meta, trace.end_time
         self.events = events = trace.events
         kinds = [e.kind for e in events]
         self.time = np.array([e.time for e in events], dtype=float)
@@ -106,21 +110,12 @@ def _receives(index: TraceIndex) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass
-class UpdateRecord:
-    """One finished x-update: who, which local cycle, when, and the slots
-    containing its start (nu_bar) and finish (nu)."""
-
-    worker: int
-    cycle: int
-    start_time: float
-    end_time: float
-    start_slot: int = -1
-    finish_slot: int = -1
-
-
-@dataclass
 class GlobalIterationAssignment:
-    """Slot boundaries, per-slot updater sets, and per-update back-pointers.
+    """Slot boundaries and the finished x-updates as columns, one entry per
+    update in the order of their ends: ``worker``, local ``cycle``, start
+    and end time, and the slots containing the start (``start_slot``,
+    nu_bar) and the finish (``finish_slot``, nu). ``receives`` holds the
+    (start time, receive time) pairs that the quiet-after-start rule reads.
 
     Slot nu (nu >= 1) is (boundaries[nu-1], boundaries[nu]] with the final
     slot closed by the end of the trace; everything at or before
@@ -130,16 +125,17 @@ class GlobalIterationAssignment:
     boundaries: list[float]
     end_time: float
     num_workers: int
-    updates: list[UpdateRecord]
-    membership: dict[int, set] = field(default_factory=dict)
-    receives: tuple | None = None  # from _receives; None: re-read the trace
+    worker: np.ndarray
+    cycle: np.ndarray
+    start_t: np.ndarray
+    end_t: np.ndarray
+    start_slot: np.ndarray
+    finish_slot: np.ndarray
+    receives: tuple[np.ndarray, np.ndarray]
 
     @property
     def num_slots(self) -> int:
         return len(self.boundaries)
-
-    def members(self, nu: int) -> set:
-        return self.membership.get(nu, set())
 
 
 def _maximal_boundaries(starts: list[float], start_t, end_t, worker, receives) -> list[float]:
@@ -171,58 +167,54 @@ def _maximal_boundaries(starts: list[float], start_t, end_t, worker, receives) -
         boundaries.append(starts[max(last, nxt)])  # the shortest extension if none fits
 
 
-def assign_global_iterations(trace: EventTrace,
-                             index: TraceIndex | None = None) -> GlobalIterationAssignment:
+def assign_global_iterations(index: TraceIndex) -> GlobalIterationAssignment:
     """Greedy maximal slicing of the trace into global iterations."""
-    index = index or TraceIndex(trace)
     first, last, _ = _matched_updates(index)
     receives = _receives(index)
     start_pos = index.of("compute_start")
     starts = sorted(set(index.time[start_pos].tolist()))
-    end_time = trace.end_time or max(index.time.tolist(), default=0.0)
+    end_time = index.end_time or max(index.time.tolist(), default=0.0)
     num_workers = len(set(index.worker[start_pos].tolist()))
-    if not starts:
-        return GlobalIterationAssignment([], end_time, num_workers, [], receives=receives)
-
     start_t, end_t, worker = index.time[first], index.time[last], index.worker[last]
-    boundaries = _maximal_boundaries(starts, start_t, end_t, worker, receives)
-    finish_slots, workers = np.searchsorted(boundaries, end_t).tolist(), worker.tolist()
-    cycles = [index.events[i].local_iter for i in last.tolist()]
-    updates = list(map(UpdateRecord, workers, cycles, start_t.tolist(), end_t.tolist(),
-                       np.searchsorted(boundaries, start_t).tolist(), finish_slots))
-    assignment = GlobalIterationAssignment(boundaries, end_time, num_workers, updates,
-                                           receives=receives)
-    for nu, k in zip(finish_slots, workers):
-        assignment.membership.setdefault(nu, set()).add(k)
-    return assignment
+    boundaries = _maximal_boundaries(starts, start_t, end_t, worker, receives) if starts else []
+    cycle = np.fromiter((index.events[i].local_iter for i in last.tolist()), dtype=np.int64,
+                        count=len(last))
+    return GlobalIterationAssignment(
+        boundaries, end_time, num_workers, worker, cycle, start_t, end_t,
+        np.searchsorted(boundaries, start_t), np.searchsorted(boundaries, end_t), receives)
 
 
-def verify_slicing_rules(assignment: GlobalIterationAssignment, trace: EventTrace,
-                         index: TraceIndex | None = None) -> dict:
+def verify_slicing_rules(assignment: GlobalIterationAssignment, index: TraceIndex) -> dict:
     """Machine check of the slicing invariants on a finished assignment:
     boundaries sit on x-update start times, no worker finishes twice in one
     slot, a worker that started an update receives nothing else inside the
     slot holding that start, and every update's start and finish straddle a
     boundary."""
-    index = index or TraceIndex(trace)
     starts = set(index.time[index.of("compute_start")].tolist())
     bounds = assignment.boundaries
-    S = assignment.num_slots
-    finishes = [(u.finish_slot, u.worker) for u in assignment.updates if 1 <= u.finish_slot <= S]
-    receives = assignment.receives
-    if receives is None:
-        receives = _receives(index)
+    nu, worker = assignment.finish_slot, assignment.worker
+    inside = (nu >= 1) & (nu <= assignment.num_slots)
+    finishes = list(zip(nu[inside].tolist(), worker[inside].tolist()))
+    start_t, receive_t = assignment.receives
     # a boundary must separate a start from its worker's later receives; a
     # boundary placed exactly at the start time counts
-    after = np.array([*bounds, math.inf])[np.searchsorted(bounds, receives[0])]
-    quiet_after_start = bool(np.all(after < receives[1]))
+    after = np.array([*bounds, math.inf])[np.searchsorted(bounds, start_t)]
     return {
         "boundaries_on_start_times": all(b in starts for b in bounds),
         "one_finish_per_slot": len(set(finishes)) == len(finishes),
-        "no_receive_after_start_within_slot": quiet_after_start,
-        "updates_span_a_boundary": all(u.start_slot < u.finish_slot
-                                       for u in assignment.updates),
+        "no_receive_after_start_within_slot": bool(np.all(after < receive_t)),
+        "updates_span_a_boundary": bool(np.all(assignment.start_slot < nu)),
     }
+
+
+def membership_sizes(assignment: GlobalIterationAssignment) -> list[int]:
+    """The number of workers that finish an update in each slot 1..S."""
+    order = np.lexsort((assignment.worker, assignment.finish_slot))
+    nu, worker = assignment.finish_slot[order], assignment.worker[order]
+    first = np.ones(len(nu), dtype=bool)  # the first update of its (slot, worker) pair
+    first[1:] = (np.diff(nu) != 0) | (np.diff(worker) != 0)
+    S = assignment.num_slots
+    return np.bincount(nu[first], minlength=S + 1)[1:S + 1].tolist()
 
 
 def measure_omega(assignment: GlobalIterationAssignment) -> int:
@@ -231,13 +223,12 @@ def measure_omega(assignment: GlobalIterationAssignment) -> int:
     all workers): the largest gap between consecutive slots in which one
     worker appears, with slots 0 and S+1 counted as appearances."""
     S = assignment.num_slots
-    slots_of: dict[int, list[int]] = {k: [] for k in range(1, assignment.num_workers + 1)}
-    for u in assignment.updates:
-        slots_of.setdefault(u.worker, []).append(u.finish_slot)
+    nu, worker = assignment.finish_slot, assignment.worker
+    inside = (nu > 0) & (nu <= S)
     omega = 1
-    for slots in slots_of.values():
-        present = sorted({0, S + 1, *(nu for nu in slots if 0 < nu <= S)})
-        omega = max(omega, *(b - a for a, b in zip(present, present[1:])))
+    for k in set(range(1, assignment.num_workers + 1)).union(worker.tolist()):
+        present = np.unique(np.concatenate([[0, S + 1], nu[inside & (worker == k)]]))
+        omega = max(omega, int(np.diff(present).max()))
     return omega
 
 
@@ -245,10 +236,9 @@ def measure_omega(assignment: GlobalIterationAssignment) -> int:
 # snapshots along the slot boundaries
 
 
-def _trace_dims(trace: EventTrace):
+def _trace_dims(meta):
     """Start vectors x0 and z0, the z slice of each edge and each worker's z
     slices (in edge order) from the trace metadata, checked for consistency."""
-    meta = trace.meta
     if not isinstance(meta, dict):
         raise TraceError("trace metadata is not a JSON object")
     try:
@@ -277,22 +267,22 @@ class SlotSnapshots(NamedTuple):
     and z^{S+1} is taken at the end of the trace. Worker k's iterate and
     multiplier at phi are rows ``seen[k][phi]`` of ``x[k]`` and ``lam[k]``,
     where seen counts the worker's compute_end records measured by then; row
-    0 holds the start vector and, as no multiplier is known yet, zeros."""
+    0 holds the start vector and, as no multiplier is known yet, zeros.
+    ``blocks`` are each worker's z slices, in edge order."""
 
     z: np.ndarray
     x: dict[int, np.ndarray]
     lam: dict[int, np.ndarray]
     seen: dict[int, np.ndarray]
+    blocks: dict[int, list[slice]]
 
 
-def slot_snapshots(trace: EventTrace, assignment: GlobalIterationAssignment,
-                   index: TraceIndex | None = None) -> SlotSnapshots:
+def slot_snapshots(index: TraceIndex, assignment: GlobalIterationAssignment) -> SlotSnapshots:
     """The :class:`SlotSnapshots` along the assignment's slot boundaries.
     Each boundary measures the z_update and compute_end events in log order
     up to the first one later than it; each edge's z blocks and each
     worker's x and lam become one array."""
-    index = index or TraceIndex(trace)
-    x0, z0, slices, _ = _trace_dims(trace)
+    x0, z0, slices, z_blocks = _trace_dims(index.meta)
     times = np.maximum.accumulate(np.array([*assignment.boundaries, assignment.end_time]))
     pos = index.of("z_update", "compute_end")
     # an event is measured at the first boundary phi that reaches its time
@@ -333,7 +323,7 @@ def slot_snapshots(trace: EventTrace, assignment: GlobalIterationAssignment,
     except (KeyError, TypeError, ValueError, IndexError):
         pass  # find the first event that cannot be measured, as a loop would
     else:
-        return SlotSnapshots(z, x, lam, seen)
+        return SlotSnapshots(z, x, lam, seen, z_blocks)
     for ev in map(index.events.__getitem__, pos.tolist()):
         try:
             if ev.kind == "z_update":
@@ -361,16 +351,8 @@ def _fold(values: np.ndarray) -> float:
     return reduce(add, values.tolist(), 0.0)
 
 
-def _fields(updates: list[UpdateRecord], *names: str) -> tuple[np.ndarray, ...]:
-    """One integer array per named field of the update records."""
-    return tuple(np.fromiter(map(attrgetter(name), updates), dtype=np.int64, count=len(updates))
-                 for name in names)
-
-
-def check_staleness_bound(trace: EventTrace, assignment: GlobalIterationAssignment,
-                          snapshots: SlotSnapshots | None = None,
-                          omega: int | None = None,
-                          index: TraceIndex | None = None) -> dict:
+def check_staleness_bound(assignment: GlobalIterationAssignment, snapshots: SlotSnapshots,
+                          omega: int) -> dict:
     """Consensus-staleness inequality over the whole trace, as the report's
     ``staleness_bound`` section.
 
@@ -382,22 +364,19 @@ def check_staleness_bound(trace: EventTrace, assignment: GlobalIterationAssignme
     sum_phi ||z^{phi+1} - z^phi||^2. A tighter variant with factor
     (omega-1)^2 is also evaluated and reported alongside; the verdict uses
     the looser guaranteed factor. With omega = 1 the left side must vanish.
-    The :func:`slot_snapshots` and :func:`measure_omega` results are
-    computed here unless the caller passes them in. The sums add the same
-    terms in the same order as a loop over the updates and their blocks.
+    ``omega`` is :func:`measure_omega` of the assignment. The sums add the
+    same terms in the same order as a loop over the updates and their
+    blocks.
     """
-    *_, blocks = _trace_dims(trace)
-    z = (snapshots or slot_snapshots(trace, assignment, index)).z
-    nu_bar, nu, worker = _fields(assignment.updates, "start_slot", "finish_slot", "worker")
+    z = snapshots.z
+    nu_bar, nu, worker = assignment.start_slot, assignment.finish_slot, assignment.worker
     totals = np.zeros(len(nu))
-    for k, worker_blocks in blocks.items():
+    for k, worker_blocks in snapshots.blocks.items():
         rows = np.flatnonzero((worker == k) & (nu >= 1))
         for sl in worker_blocks:
             totals[rows] += _dots(z[nu_bar[rows] + 1, sl] - z[nu[rows], sl])
     lhs = _fold(totals)
     movement = _fold(_dots(np.diff(z[1:assignment.num_slots + 2], axis=0)))
-    if omega is None:
-        omega = measure_omega(assignment)
     rhs_stated = 2.0 * (omega - 1) ** 2 * movement
     rhs_tight = 1.0 * (omega - 1) ** 2 * movement
     slack = 1e-9 * max(1.0, movement)
@@ -411,14 +390,8 @@ def check_staleness_bound(trace: EventTrace, assignment: GlobalIterationAssignme
             "holds_tight_factor": holds_tight, "omega": omega}
 
 
-def check_lambda_bound(
-    trace: EventTrace,
-    assignment: GlobalIterationAssignment,
-    c_const: float,
-    m1: float,
-    snapshots: SlotSnapshots | None = None,
-    index: TraceIndex | None = None,
-) -> list[dict]:
+def check_lambda_bound(assignment: GlobalIterationAssignment, snapshots: SlotSnapshots,
+                       c_const: float, m1: float) -> list[dict]:
     """Per-slot multiplier movement bound ||lam^{nu+1} - lam^nu||^2 <=
     c m1^2 ||x^{nu+1} - x^nu||^2, checked for every updater of every slot;
     each violation as ``{slot, worker, lhs, rhs}``.
@@ -429,22 +402,20 @@ def check_lambda_bound(
     relative slack because the bound is tight for quadratic objectives and
     the local solver leaves a stationarity residual of its own. Constants
     are user estimates, so violations are reported for inspection rather
-    than raised. ``snapshots`` as for :func:`check_staleness_bound`."""
-    snap = snapshots or slot_snapshots(trace, assignment, index)
-    updates = assignment.updates
-    nu, worker, cycle = _fields(updates, "finish_slot", "worker", "cycle")
-    checked = (nu >= 1) & (cycle != 0)
-    lhs, rhs = np.full(len(updates), np.nan), np.zeros(len(updates))  # nan: not checked
-    for k, seen in snap.seen.items():
+    than raised."""
+    nu, worker = assignment.finish_slot, assignment.worker
+    checked = (nu >= 1) & (assignment.cycle != 0)
+    lhs, rhs = np.full(len(nu), np.nan), np.zeros(len(nu))  # nan: not checked
+    for k, seen in snapshots.seen.items():
         rows = np.flatnonzero(checked & (worker == k))
         after, before = seen[nu[rows] + 1], seen[nu[rows]]
         known = after > 0  # a multiplier after the slot
         rows, after, before = rows[known], after[known], before[known]
-        lhs[rows] = _dots(snap.lam[k][after] - snap.lam[k][before])
-        rhs[rows] = c_const * m1 * m1 * _dots(snap.x[k][after] - snap.x[k][before])
+        lhs[rows] = _dots(snapshots.lam[k][after] - snapshots.lam[k][before])
+        rhs[rows] = c_const * m1 * m1 * _dots(snapshots.x[k][after] - snapshots.x[k][before])
     violated = lhs > rhs + 1e-5 * np.where(rhs > 1.0, rhs, 1.0)
-    return [{"slot": updates[i].finish_slot, "worker": updates[i].worker,
-             "lhs": float(lhs[i]), "rhs": float(rhs[i])}
+    return [{"slot": int(nu[i]), "worker": int(worker[i]), "lhs": float(lhs[i]),
+             "rhs": float(rhs[i])}
             for i in np.flatnonzero(violated).tolist()]
 
 
@@ -476,22 +447,24 @@ class DiagnosticConstants:
             raise ValueError("omega must be a positive integer")
 
 
-def parameter_bounds(consts: DiagnosticConstants, rho: float) -> tuple[float, float]:
-    """Admissible lower bounds (rho_min, alpha_min) for the penalty and the
-    proximal weight:
+def parameter_bounds(consts: DiagnosticConstants, rho: float) -> dict:
+    """The report's ``parameter_bounds`` section: the admissible lower
+    bounds for the penalty and the proximal weight,
 
         rho_min  = (gamma + c m1^2) m2^2
                    + sqrt((gamma + c m1^2)^2 m2^4 + 4 c m1^2 m2^2)
-        alpha_min = (2 rho m2^4 + 1)(omega - 1)^2 / 2 - rho
+        alpha_min = (2 rho m2^4 + 1)(omega - 1)^2 / 2 - rho,
 
-    With omega = 1 the proximal bound is -rho, so alpha = 0 is admissible.
+    and whether ``rho`` exceeds rho_min and alpha = 0 meets alpha_min. With
+    omega = 1 the proximal bound is -rho, so alpha = 0 is admissible.
     """
     s = consts.gamma + consts.c * consts.m1**2
     rho_min = s * consts.m2**2 + math.sqrt(
         s**2 * consts.m2**4 + 4.0 * consts.c * consts.m1**2 * consts.m2**2
     )
     alpha_min = (2.0 * rho * consts.m2**4 + 1.0) * (consts.omega - 1) ** 2 / 2.0 - rho
-    return rho_min, alpha_min
+    return {"rho": rho, "rho_min": rho_min, "alpha_min": alpha_min,
+            "rho_admissible": rho > rho_min, "alpha_zero_admissible": alpha_min <= 0.0}
 
 
 def check_kkt(
@@ -556,16 +529,11 @@ def objective_gap(distributed: float, centralized: float) -> dict:
 # trace well-formedness and the aggregate report
 
 
-def verify_trace_wellformed(trace: EventTrace,
-                            assignment: GlobalIterationAssignment | None = None,
-                            index: TraceIndex | None = None) -> dict:
-    """Structural checks: per-worker start/end alternation, one send per
-    (sender, edge, sender_iter), every receive matching an earlier send to it
-    by that identity, causal timestamps. An assignment built from the trace
-    has already checked the alternation."""
-    index = index or TraceIndex(trace)
-    if assignment is None:
-        _matched_updates(index)  # raises TraceError on broken alternation
+def verify_trace_wellformed(index: TraceIndex) -> dict:
+    """Structural checks: one send per (sender, edge, sender_iter), every
+    receive matching an earlier send to it by that identity, causal
+    timestamps. The per-worker start/end alternation is checked by
+    :func:`assign_global_iterations`, which raises TraceError on a break."""
     sends, receive_ok, causal = {}, True, True  # sends by (sender, edge, sender_iter)
     for ev in map(index.events.__getitem__, index.of("send", "receive").tolist()):
         p, send = ev.payload, ev.kind == "send"
@@ -589,20 +557,19 @@ def verify_trace_wellformed(trace: EventTrace,
     }
 
 
-def timing_from_trace(trace: EventTrace, index: TraceIndex | None = None) -> dict[int, dict]:
+def timing_from_trace(index: TraceIndex) -> dict[int, dict]:
     """Compute-vs-wait split per worker over the full virtual timeline. A
     worker's compute time adds each finished update's end and subtracts its
     start in log order, then the update still open at the end."""
-    index = index or TraceIndex(trace)
     starts, ends, still_open = _matched_updates(index)
-    time, worker = index.time, index.worker[ends]
+    time, worker, end_time = index.time, index.worker[ends], index.end_time
     open_start = dict(zip(index.worker[still_open].tolist(), time[still_open].tolist()))
     out = {}
     for k in sorted(set(index.worker[index.of("compute_start")].tolist())):
         own = worker == k
         steps = np.column_stack([time[ends[own]], -time[starts[own]]]).ravel()
-        c = _fold(steps) + (max(trace.end_time - open_start[k], 0.0) if k in open_start else 0.0)
-        wait = max(trace.end_time - c, 0.0)
+        c = _fold(steps) + (max(end_time - open_start[k], 0.0) if k in open_start else 0.0)
+        wait = max(end_time - c, 0.0)
         total = c + wait
         out[k] = {
             "compute_ms": c,
@@ -614,8 +581,8 @@ def timing_from_trace(trace: EventTrace, index: TraceIndex | None = None) -> dic
 
 def _final_state(index: TraceIndex, problem: PartitionedProblem):
     """The final x, lam per region and z from the trace's ``final`` and
-    ``final_z`` records, checked against the problem's dimensions; None when
-    the trace has none (an aborted run)."""
+    ``final_z`` records, checked against the problem's dimensions and for
+    finite values; None when the trace has none (an aborted run)."""
     finals = [index.events[i].payload for i in index.of("final").tolist()]
     z_records = [index.events[i].payload for i in index.of("final_z").tolist()]
     if not finals or not z_records:
@@ -634,9 +601,13 @@ def _final_state(index: TraceIndex, problem: PartitionedProblem):
             raise TraceError(f"final record {k} holds x of shape {x.shape} and lam of shape "
                              f"{lam.shape}, region {k} needs ({region.dim_x},) and "
                              f"({region.boundary_rows},)")
+        if not (np.isfinite(x).all() and np.isfinite(lam).all()):
+            raise TraceError(f"final record {k} holds a non-finite x or lam")
     if z.shape != (problem.boundary_dim,):
         raise TraceError(f"final z has shape {z.shape}, the problem needs "
                          f"({problem.boundary_dim},)")
+    if not np.isfinite(z).all():
+        raise TraceError("final z holds a non-finite value")
     return x_all, lam_all, z
 
 
@@ -647,47 +618,34 @@ def analyze_trace(
     kkt_tol: float = 1e-3,
 ) -> dict:
     """Full diagnostic report over one trace, JSON-serialisable. The trace
-    is indexed once, and every pass reads that index."""
+    is indexed once, and every pass reads that index or what was built
+    from it."""
     report: dict = {"status": trace.status, "end_time_ms": trace.end_time}
     index = TraceIndex(trace)
-    assignment = assign_global_iterations(trace, index)
-    report["wellformed"] = verify_trace_wellformed(trace, assignment, index)
+    assignment = assign_global_iterations(index)
+    report["wellformed"] = verify_trace_wellformed(index)
     omega = measure_omega(assignment)
     report["global_iterations"] = {
         "boundaries": assignment.boundaries,
         "num_slots": assignment.num_slots,
-        "membership_sizes": [
-            len(assignment.members(nu)) for nu in range(1, assignment.num_slots + 1)
-        ],
-        "rules": verify_slicing_rules(assignment, trace, index),
+        "membership_sizes": membership_sizes(assignment),
+        "rules": verify_slicing_rules(assignment, index),
     }
     report["omega"] = omega
-    snapshots = slot_snapshots(trace, assignment, index)
-    report["staleness_bound"] = check_staleness_bound(trace, assignment, snapshots, omega)
+    snapshots = slot_snapshots(index, assignment)
+    report["staleness_bound"] = check_staleness_bound(assignment, snapshots, omega)
     if constants is not None:
-        violations = check_lambda_bound(trace, assignment, constants.c, constants.m1,
-                                        snapshots)
+        violations = check_lambda_bound(assignment, snapshots, constants.c, constants.m1)
         try:
             rho = float(trace.meta.get("params", {}).get("rho", 0.0)) or 1.0
         except (AttributeError, TypeError, ValueError):
             raise TraceError("trace metadata holds a malformed params.rho") from None
-        consts_here = DiagnosticConstants(
-            gamma=constants.gamma, m1=constants.m1, m2=constants.m2,
-            c=constants.c, omega=omega,
-        )
-        rho_min, alpha_min = parameter_bounds(consts_here, rho)
         report["lambda_bound"] = {"violations": violations, "num_violations": len(violations)}
-        report["parameter_bounds"] = {
-            "rho": rho,
-            "rho_min": rho_min,
-            "alpha_min": alpha_min,
-            "rho_admissible": rho > rho_min,
-            "alpha_zero_admissible": alpha_min <= 0.0,
-        }
+        report["parameter_bounds"] = parameter_bounds(replace(constants, omega=omega), rho)
     final = _final_state(index, problem) if problem is not None else None
     if final is not None:
         x_all, lam_all, z_final = final
         report["kkt"] = check_kkt(problem, x_all, z_final, lam_all, tol=kkt_tol)
         report["objective"] = problem.total_objective(x_all)
-    report["timing"] = timing_from_trace(trace, index)
+    report["timing"] = timing_from_trace(index)
     return report

@@ -3,16 +3,15 @@ trace.
 
 ``run`` takes a declarative config file (``key = value`` lines, ``#``
 comments) plus optional ``--set key=value`` overrides, executes the chosen
-mode and writes four artifacts into the output directory: the event trace
-(``trace.log``), the per-iteration convergence table (``convergence.csv``),
-the diagnostic report (``diagnostics.json``) and the per-worker
-compute/wait split (``timing.json``), a copy of the report's ``timing``
-section. Both are computed from the trace, so ``analyze`` reproduces them;
-a worker's idle time after it reaches ``max_local_iters`` counts as
-waiting. Exit codes: 0 converged, 2 a cap was exhausted, 1 any error. An
-error after the solve (trace analysis or the centralized baseline) prints
-one ``error:`` line and keeps the trace and the convergence table already
-written.
+mode and writes three artifacts into the output directory: the event trace
+(``trace.log``), the per-iteration convergence table (``convergence.csv``)
+and the diagnostic report (``diagnostics.json``), whose ``timing`` section
+is the per-worker compute/wait split. The report is computed from the
+trace, so ``analyze`` reproduces it; a worker's idle time after it reaches
+``max_local_iters`` counts as waiting. Exit codes: 0 converged, 2 a cap
+was exhausted, 1 any error. An error after the solve (trace analysis or
+the centralized baseline) prints one ``error:`` line and keeps the trace
+and the convergence table already written.
 
 Config keys (defaults in parentheses):
 
@@ -395,10 +394,9 @@ def cmd_run(args) -> int:
         else:
             _, central = toy_centralized_optimum(problem, descriptor)
         report["baseline"] = analysis.objective_gap(problem.total_objective(result.x), central)
-    for name, content in (("diagnostics.json", report), ("timing.json", report["timing"])):
-        (outdir / name).write_text(
-            json.dumps(content, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+    (outdir / "diagnostics.json").write_text(
+        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
     log.info("status=%s final_residue=%.3e", result.status, result.max_residue())
     print(f"{result.status}: {result.end_time:.3f} ms virtual, "
           f"max residue {result.max_residue():.3e}, artifacts in {outdir}")
@@ -413,15 +411,8 @@ def cmd_bounds(args) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    rho_min, alpha_min = analysis.parameter_bounds(consts, args.rho)
-    out = {
-        "rho": args.rho,
-        "rho_min": rho_min,
-        "rho_admissible": args.rho > rho_min,
-        "alpha_min": alpha_min,
-        "alpha_zero_admissible": alpha_min <= 0.0,
-    }
-    if alpha_min <= 0.0:
+    out = analysis.parameter_bounds(consts, args.rho)
+    if out["alpha_zero_admissible"]:
         out["message"] = "alpha=0 admissible"
     print(json.dumps(out, indent=2, sort_keys=True))
     return 0

@@ -496,7 +496,7 @@ def run(
     """Execute the asynchronous loop under the given delay model.
 
     Returns the trace and the final states; the compute/wait split is
-    :func:`asyncadmm.analysis.timing_from_trace` of the trace. Identical
+    :func:`asyncadmm.analysis.timing_from_trace` of the trace's index. Identical
     arguments (including the seed) produce a bitwise-identical trace. A local
     solver failure raises :class:`EngineAbort` carrying the partial trace;
     cap exhaustion returns normally with ``converged=False``.

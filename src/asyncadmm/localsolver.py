@@ -325,7 +325,7 @@ def solve_local(
     if region.equality is None:
         x, _, g, pgn, it, stalled = _pg_minimize(phi, phi_grad, x, phi(x), g0, model,
                                                  grad_tol, phi_hess_diag(x), phi_hess)
-        if pgn > grad_tol and not stalled:
+        if math.isnan(pgn) or (pgn > grad_tol and not stalled):
             raise SolveError(
                 f"projected gradient stopped at |pg|={pgn:.3e} > {grad_tol:.1e}",
                 pgn, 0.0,
@@ -341,7 +341,7 @@ def solve_local(
     mu = float(penalty_start) if penalty_start else _PENALTY_INIT
     merit_path: list[tuple[float, float]] = []
     total_inner = 0
-    best = (np.inf, np.inf)  # (constraint norm, pg norm) of the most feasible stage
+    best = (math.nan, math.nan)  # (constraint norm, pg norm) of the most feasible stage
     prev_hnorm = math.inf
 
     for outer in range(1, _MAX_STAGES + 1):
@@ -373,7 +373,7 @@ def solve_local(
         total_inner += it
         h = h_at(x)
         hnorm = float(_max(np.abs(h), initial=0.0))
-        if hnorm < best[0]:
+        if math.isnan(best[0]) or hnorm < best[0]:  # the first stage, or a more feasible one
             best = (hnorm, pgn)
         if hnorm <= _CONSTRAINT_TOL and pgn <= grad_tol:
             return SolveResult(x, pgn, hnorm, outer, total_inner, y + mu * h,

@@ -1,9 +1,20 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from asyncadmm import analysis, caseio, cli
-from asyncadmm.engine import EventTrace, TraceEvent
+from asyncadmm.engine import (
+    DelayModel,
+    DelaySpec,
+    EngineAbort,
+    EventTrace,
+    StoppingRule,
+    TraceEvent,
+    run,
+)
+from asyncadmm.kernel import AdmmParams
+from asyncadmm.problem import PartitionedProblem, RegionSpec, make_toy_consensus
 
 import reference_analysis as reference
 
@@ -168,17 +179,67 @@ STAGGERED_MEMBERSHIP = {1: {1, 2, 3}, 2: {1, 2}, 3: {1, 2}, 4: {1, 3}}
 STAGGERED_OMEGA = 3
 
 
+def aborted_trace() -> EventTrace:
+    """The partial trace of a run whose first local solve fails (region 1's
+    equality lies outside its box): both workers' compute_start, then the
+    ``end`` record, and no finished update."""
+    bad = RegionSpec(
+        dim_x=1,
+        objective=lambda x: float(x[0] ** 2),
+        gradient=lambda x: np.array([2.0 * x[0]]),
+        boundary_map=np.ones((1, 1)),
+        lower=np.array([0.0]),
+        upper=np.array([1.0]),
+        equality=lambda x: np.array([x[0] - 5.0]),
+        equality_jacobian=lambda x: np.array([[1.0]]),
+        eq_dim=1,
+    )
+    toy = make_toy_consensus([0.0, 2.0])
+    delays = DelayModel(compute=DelaySpec.constant(1.0), link=DelaySpec.constant(0.0), seed=0)
+    with pytest.raises(EngineAbort) as err:
+        run(PartitionedProblem(regions=(bad, toy.region(2)), edges=toy.edges),
+            AdmmParams(rho=1.0), delays, StoppingRule(tol=1e-3, max_local_iters=10))
+    return err.value.trace
+
+
+def membership(assignment: analysis.GlobalIterationAssignment) -> dict[int, set]:
+    """Slot -> the workers that finish an update in it, for the slots that
+    have one, from the assignment's columns."""
+    out: dict[int, set] = {}
+    for nu, k in zip(assignment.finish_slot.tolist(), assignment.worker.tolist()):
+        out.setdefault(nu, set()).add(k)
+    return out
+
+
+def as_records(assignment: analysis.GlobalIterationAssignment
+               ) -> reference.GlobalIterationAssignment:
+    """The same slicing in the reference's form, one record per update."""
+    updates = list(map(reference.UpdateRecord, assignment.worker.tolist(),
+                       assignment.cycle.tolist(), assignment.start_t.tolist(),
+                       assignment.end_t.tolist(), assignment.start_slot.tolist(),
+                       assignment.finish_slot.tolist()))
+    return reference.GlobalIterationAssignment(list(assignment.boundaries), assignment.end_time,
+                                               assignment.num_workers, updates,
+                                               membership(assignment))
+
+
 def assert_slicing_matches_reference(trace: EventTrace) -> None:
     """The slicing, omega and rule verdicts of ``asyncadmm.analysis`` equal
     those of the quadratic reference implementation on ``trace``."""
-    new = analysis.assign_global_iterations(trace)
+    index = analysis.TraceIndex(trace)
+    new = analysis.assign_global_iterations(index)
     old = reference.assign_global_iterations(trace)
     assert new.boundaries == old.boundaries
-    assert [(u.worker, u.cycle, u.start_slot, u.finish_slot) for u in new.updates] == \
-        [(u.worker, u.cycle, u.start_slot, u.finish_slot) for u in old.updates]
-    assert new.membership == old.membership
+    assert new.end_time == old.end_time and new.num_workers == old.num_workers
+    assert [(u.worker, u.cycle, u.start_time, u.end_time, u.start_slot, u.finish_slot)
+            for u in as_records(new).updates] == \
+        [(u.worker, u.cycle, u.start_time, u.end_time, u.start_slot, u.finish_slot)
+         for u in old.updates]
+    assert membership(new) == old.membership
+    assert analysis.membership_sizes(new) == \
+        [len(old.membership.get(nu, ())) for nu in range(1, old.num_slots + 1)]
     assert analysis.measure_omega(new) == reference.measure_omega(old)
-    assert analysis.verify_slicing_rules(new, trace) == \
+    assert analysis.verify_slicing_rules(new, index) == \
         reference.verify_slicing_rules(old, trace)
 
 
@@ -187,10 +248,12 @@ def assert_analysis_matches_reference(trace: EventTrace, c_const: float = 1.0,
     """The slot snapshots, the staleness and multiplier bounds and the
     compute/wait split of ``asyncadmm.analysis`` equal those of the
     event-by-event reference on ``trace``, bit for bit."""
-    assignment = analysis.assign_global_iterations(trace)
+    index = analysis.TraceIndex(trace)
+    assignment = analysis.assign_global_iterations(index)
+    records = as_records(assignment)
     omega = analysis.measure_omega(assignment)
-    snap = analysis.slot_snapshots(trace, assignment)
-    old = reference.slot_snapshots(trace, assignment)
+    snap = analysis.slot_snapshots(index, assignment)
+    old = reference.slot_snapshots(trace, records)
     z_at, x_at, lam_at = old
     for phi in range(1, assignment.num_slots + 2):
         assert snap.z[phi].tobytes() == z_at[phi].tobytes()
@@ -209,8 +272,8 @@ def assert_analysis_matches_reference(trace: EventTrace, c_const: float = 1.0,
     def split(timing) -> dict:
         return {k: row(section) for k, section in timing.items()}
 
-    assert row(analysis.check_staleness_bound(trace, assignment, snap, omega)) == \
-        row(reference.check_staleness_bound(trace, assignment, old, omega))
-    assert list(map(row, analysis.check_lambda_bound(trace, assignment, c_const, m1, snap))) == \
-        list(map(row, reference.check_lambda_bound(trace, assignment, c_const, m1, old)))
-    assert split(analysis.timing_from_trace(trace)) == split(reference.timing_from_trace(trace))
+    assert row(analysis.check_staleness_bound(assignment, snap, omega)) == \
+        row(reference.check_staleness_bound(trace, records, old, omega))
+    assert list(map(row, analysis.check_lambda_bound(assignment, snap, c_const, m1))) == \
+        list(map(row, reference.check_lambda_bound(trace, records, c_const, m1, old)))
+    assert split(analysis.timing_from_trace(index)) == split(reference.timing_from_trace(trace))

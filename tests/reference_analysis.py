@@ -11,24 +11,54 @@ with them exactly.
 The event-by-event passes below them (update matching, slot snapshots as
 per-slot dictionaries, the staleness and multiplier bounds with one dot
 product per block, the compute/wait split) are the loops that the indexed,
-array-based passes replaced; those must reproduce them bit for bit. Not
-collected as tests.
+array-based passes replaced; those must reproduce them bit for bit. They
+keep one record per update, where the analysis keeps one array per field.
+Not collected as tests.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from asyncadmm.analysis import (
-    GlobalIterationAssignment,
-    TraceError,
-    UpdateRecord,
-    _trace_dims,
-)
+from asyncadmm.analysis import TraceError, _trace_dims
 from asyncadmm.engine import EventTrace, TraceEvent
+
+
+@dataclass
+class UpdateRecord:
+    """One finished x-update: who, which local cycle, when, and the slots
+    containing its start (nu_bar) and finish (nu)."""
+
+    worker: int
+    cycle: int
+    start_time: float
+    end_time: float
+    start_slot: int = -1
+    finish_slot: int = -1
+
+
+@dataclass
+class GlobalIterationAssignment:
+    """Slot boundaries, per-slot updater sets, and per-update records.
+
+    Slot nu (nu >= 1) is (boundaries[nu-1], boundaries[nu]] with the final
+    slot closed by the end of the trace; everything at or before
+    boundaries[0] belongs to slot 0 (initialization).
+    """
+
+    boundaries: list[float]
+    end_time: float
+    num_workers: int
+    updates: list[UpdateRecord]
+    membership: dict[int, set] = field(default_factory=dict)
+
+    @property
+    def num_slots(self) -> int:
+        return len(self.boundaries)
 
 
 def _worker_updates(trace: EventTrace) -> tuple[list[UpdateRecord], list[tuple]]:
@@ -187,7 +217,7 @@ def slot_snapshots(trace: EventTrace, assignment: GlobalIterationAssignment):
     lam_at hold per-worker dictionaries at the same instants. Slots share
     the x and lam arrays that did not change between them: read-only.
     """
-    x0, z, slices, _ = _trace_dims(trace)
+    x0, z, slices, _ = _trace_dims(trace.meta)
     x = dict(enumerate(x0, start=1))
     lam = {k: None for k in x}
     times = list(assignment.boundaries) + [assignment.end_time]
@@ -233,7 +263,7 @@ def check_staleness_bound(trace: EventTrace, assignment: GlobalIterationAssignme
     The :func:`slot_snapshots` and :func:`measure_omega` results are
     computed here unless the caller passes them in.
     """
-    *_, blocks = _trace_dims(trace)
+    *_, blocks = _trace_dims(trace.meta)
     z_at = (snapshots or slot_snapshots(trace, assignment))[0]
     S = assignment.num_slots
     lhs = 0.0

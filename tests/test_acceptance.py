@@ -9,6 +9,7 @@ import pytest
 from asyncadmm import caseio
 from asyncadmm.analysis import (
     DiagnosticConstants,
+    TraceIndex,
     assign_global_iterations,
     check_kkt,
     check_lambda_bound,
@@ -16,6 +17,7 @@ from asyncadmm.analysis import (
     measure_omega,
     objective_gap,
     parameter_bounds,
+    slot_snapshots,
     timing_from_trace,
     verify_slicing_rules,
 )
@@ -107,7 +109,7 @@ def test_criterion_03_nonconvex_instance():
     consts = nonconvex_toy_constants()
     dc = DiagnosticConstants(gamma=consts["gamma"], m1=consts["m1"],
                              m2=consts["m2"], c=consts["c"], omega=1)
-    rho_min, _ = parameter_bounds(dc, 1.0)
+    rho_min = parameter_bounds(dc, 1.0)["rho_min"]
     rho = 500.0
     assert rho > rho_min
     problem = make_nonconvex_toy()
@@ -199,13 +201,15 @@ def test_criterion_05_trace_inequalities(chain3_case, ring5_case):
     staleness_failures = 0
     lambda_violations = 0
     for label, res in runs:
-        assignment = assign_global_iterations(res.trace)
-        staleness = check_staleness_bound(res.trace, assignment)
+        index = TraceIndex(res.trace)
+        assignment = assign_global_iterations(index)
+        snapshots = slot_snapshots(index, assignment)
+        staleness = check_staleness_bound(assignment, snapshots, measure_omega(assignment))
         if not staleness["holds"]:
             staleness_failures += 1
         if label == "quadratic":
             lambda_violations += len(
-                check_lambda_bound(res.trace, assignment, c_const=1.0, m1=2.0)
+                check_lambda_bound(assignment, snapshots, c_const=1.0, m1=2.0)
             )
     ok = staleness_failures == 0 and lambda_violations == 0
     report(5, ok, f"20 seeded runs: {staleness_failures} staleness-bound failures, "
@@ -215,11 +219,11 @@ def test_criterion_05_trace_inequalities(chain3_case, ring5_case):
 def test_criterion_06_parameter_bound_calculator():
     import math
 
-    rho_min, _ = parameter_bounds(
-        DiagnosticConstants(gamma=1.0, m1=1.0, m2=1.0, c=1.0, omega=1), 1.0)
+    rho_min = parameter_bounds(
+        DiagnosticConstants(gamma=1.0, m1=1.0, m2=1.0, c=1.0, omega=1), 1.0)["rho_min"]
     exact_rho = rho_min == 2.0 + math.sqrt(8.0)
-    _, alpha_min = parameter_bounds(
-        DiagnosticConstants(gamma=1.0, m1=1.0, m2=1.0, c=1.0, omega=3), 5.0)
+    alpha_min = parameter_bounds(
+        DiagnosticConstants(gamma=1.0, m1=1.0, m2=1.0, c=1.0, omega=3), 5.0)["alpha_min"]
     exact_alpha = alpha_min == 17.0
     monotone = True
     base = {"gamma": 1.0, "m1": 1.0, "m2": 1.0, "c": 1.0}
@@ -228,7 +232,7 @@ def test_criterion_06_parameter_bound_calculator():
         for v in np.linspace(1.0, 5.0, 10):
             kw = dict(base)
             kw[field] = float(v)
-            rm, _ = parameter_bounds(DiagnosticConstants(**kw, omega=1), 1.0)
+            rm = parameter_bounds(DiagnosticConstants(**kw, omega=1), 1.0)["rho_min"]
             monotone = monotone and rm > prev
             prev = rm
     ok = exact_rho and exact_alpha and monotone
@@ -238,13 +242,13 @@ def test_criterion_06_parameter_bound_calculator():
 
 
 def test_criterion_07_global_counter_reconstruction():
-    trace = staggered_trace()
-    assignment = assign_global_iterations(trace)
-    rules = verify_slicing_rules(assignment, trace)
+    index = TraceIndex(staggered_trace())
+    assignment = assign_global_iterations(index)
+    rules = verify_slicing_rules(assignment, index)
     omega = measure_omega(assignment)
     lockstep = run(make_toy_consensus([0.0, 2.0, 1.0]), AdmmParams(rho=5.0, p=1.0),
                    LOCKSTEP, StoppingRule(tol=1e-5, max_local_iters=200))
-    lock_omega = measure_omega(assign_global_iterations(lockstep.trace))
+    lock_omega = measure_omega(assign_global_iterations(TraceIndex(lockstep.trace)))
     ok = (all(rules.values()) and omega == STAGGERED_OMEGA
           and assignment.boundaries == STAGGERED_BOUNDARIES and lock_omega == 1)
     report(7, ok, f"staggered fixture boundaries {assignment.boundaries}, "
@@ -342,8 +346,10 @@ def test_criterion_10_time_accounting():
                    StoppingRule(tol=1e-4, max_local_iters=400))
     async_run = run(problem, AdmmParams(rho=5.0, p=0.1), slow,
                     StoppingRule(tol=1e-4, max_local_iters=400))
-    wf_sync = sum(t["wait_fraction"] for t in timing_from_trace(sync_run.trace).values()) / 4
-    wf_async = sum(t["wait_fraction"] for t in timing_from_trace(async_run.trace).values()) / 4
+    wf_sync = sum(t["wait_fraction"]
+                  for t in timing_from_trace(TraceIndex(sync_run.trace)).values()) / 4
+    wf_async = sum(t["wait_fraction"]
+                   for t in timing_from_trace(TraceIndex(async_run.trace)).values()) / 4
     ok = sync_run.converged and async_run.converged and wf_sync > wf_async
     report(10, ok, f"average wait fraction: lockstep {wf_sync:.3f} > "
                    f"threshold-0.1 {wf_async:.3f}")

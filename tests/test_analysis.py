@@ -9,7 +9,7 @@ from asyncadmm.analysis import (
     DiagnosticConstants,
     GlobalIterationAssignment,
     TraceError,
-    UpdateRecord,
+    TraceIndex,
     analyze_trace,
     assign_global_iterations,
     check_kkt,
@@ -32,6 +32,7 @@ from conftest import (
     STAGGERED_MEMBERSHIP,
     STAGGERED_OMEGA,
     event,
+    membership,
     staggered_trace,
 )
 
@@ -52,14 +53,30 @@ def async_run(targets=(0.0, 2.0), seed=42, tol=1e-4, p=0.1, rho=5.0):
                         StoppingRule(tol=tol, max_local_iters=1000))
 
 
+def staleness(trace: EventTrace) -> dict:
+    """The ``staleness_bound`` section of ``trace``."""
+    index = TraceIndex(trace)
+    a = assign_global_iterations(index)
+    return check_staleness_bound(a, slot_snapshots(index, a), measure_omega(a))
+
+
+def lambda_violations(trace: EventTrace, c_const: float, m1: float) -> list[dict]:
+    """The multiplier-bound violations of ``trace`` under c and m1."""
+    index = TraceIndex(trace)
+    a = assign_global_iterations(index)
+    return check_lambda_bound(a, slot_snapshots(index, a), c_const, m1)
+
+
 class TestAssignment:
     def test_lockstep_all_workers_every_slot(self):
         _, res = lockstep_run()
-        a = assign_global_iterations(res.trace)
+        index = TraceIndex(res.trace)
+        a = assign_global_iterations(index)
+        members = membership(a)
         for nu in range(1, a.num_slots + 1):
-            assert a.members(nu) == {1, 2, 3}
+            assert members[nu] == {1, 2, 3}
         assert measure_omega(a) == 1
-        assert all(verify_slicing_rules(a, res.trace).values())
+        assert all(verify_slicing_rules(a, index).values())
 
     def test_double_finish_forces_boundary(self):
         # one worker finishing twice with nothing in between: the second
@@ -72,51 +89,48 @@ class TestAssignment:
         ]
         trace = EventTrace(meta={"k": 1, "edges": [], "x0": [[0.0]], "z0": []},
                            events=events, end_time=2.0)
-        a = assign_global_iterations(trace)
+        a = assign_global_iterations(TraceIndex(trace))
         assert a.boundaries == [0.0, 1.0]
-        assert a.updates[0].finish_slot == 1
-        assert a.updates[1].finish_slot == 2
+        assert a.finish_slot[0] == 1
+        assert a.finish_slot[1] == 2
 
     def test_staggered_fixture_hand_derivation(self):
-        trace = staggered_trace()
-        a = assign_global_iterations(trace)
+        index = TraceIndex(staggered_trace())
+        a = assign_global_iterations(index)
         assert a.boundaries == STAGGERED_BOUNDARIES
-        got = {nu: a.members(nu) for nu in range(1, a.num_slots + 1)}
+        got = {nu: membership(a).get(nu, set()) for nu in range(1, a.num_slots + 1)}
         assert got == STAGGERED_MEMBERSHIP
         assert measure_omega(a) == STAGGERED_OMEGA
-        assert all(verify_slicing_rules(a, trace).values())
+        assert all(verify_slicing_rules(a, index).values())
 
     def test_start_slot_strictly_before_finish_slot(self):
         _, res = async_run(targets=(0.0, 1.0, 2.0, 3.0), seed=5)
-        a = assign_global_iterations(res.trace)
+        a = assign_global_iterations(TraceIndex(res.trace))
         omega = measure_omega(a)
-        for u in a.updates:
-            assert u.start_slot < u.finish_slot
-            assert u.start_slot >= max(u.finish_slot - omega, 0)
+        for start_slot, finish_slot in zip(a.start_slot.tolist(), a.finish_slot.tolist()):
+            assert start_slot < finish_slot
+            assert start_slot >= max(finish_slot - omega, 0)
 
     def test_malformed_trace_raises(self):
         events = [event("compute_end", 1, 0, 1.0)]
         trace = EventTrace(meta={"k": 1, "edges": [], "x0": [[0.0]], "z0": []},
                            events=events, end_time=1.0)
         with pytest.raises(TraceError):
-            assign_global_iterations(trace)
+            assign_global_iterations(TraceIndex(trace))
 
 
 class TestOmega:
     def assignment_with(self, pattern: dict, num_workers: int, slots: int):
-        updates = []
-        for worker, present in pattern.items():
-            for nu in present:
-                updates.append(UpdateRecord(worker=worker, cycle=0,
-                                            start_time=0.0, end_time=0.0,
-                                            start_slot=nu - 1, finish_slot=nu))
-        a = GlobalIterationAssignment(
+        worker = np.array([k for k, present in pattern.items() for _ in present], dtype=np.int64)
+        finish_slot = np.array([nu for present in pattern.values() for nu in present],
+                               dtype=np.int64)
+        zeros, no_receives = np.zeros(len(worker)), (np.empty(0), np.empty(0))
+        return GlobalIterationAssignment(
             boundaries=[float(i) for i in range(slots)], end_time=float(slots),
-            num_workers=num_workers, updates=updates,
+            num_workers=num_workers, worker=worker, cycle=zeros.astype(np.int64),
+            start_t=zeros, end_t=zeros, start_slot=finish_slot - 1, finish_slot=finish_slot,
+            receives=no_receives,
         )
-        for u in updates:
-            a.membership.setdefault(u.finish_slot, set()).add(u.worker)
-        return a
 
     def test_lockstep_is_one(self):
         a = self.assignment_with({1: range(1, 8), 2: range(1, 8)}, 2, 7)
@@ -137,19 +151,17 @@ class TestOmega:
 class TestParameterBounds:
     def test_unit_constants_exact(self):
         consts = DiagnosticConstants(gamma=1.0, m1=1.0, m2=1.0, c=1.0, omega=1)
-        rho_min, alpha_min = parameter_bounds(consts, 5.0)
-        assert rho_min == 2.0 + math.sqrt(8.0)
-        assert alpha_min == -5.0
+        bounds = parameter_bounds(consts, 5.0)
+        assert bounds["rho_min"] == 2.0 + math.sqrt(8.0)
+        assert bounds["alpha_min"] == -5.0
 
     def test_hand_computed_alpha(self):
         consts = DiagnosticConstants(gamma=1.0, m1=1.0, m2=1.0, c=1.0, omega=3)
-        _, alpha_min = parameter_bounds(consts, 5.0)
-        assert alpha_min == 17.0
+        assert parameter_bounds(consts, 5.0)["alpha_min"] == 17.0
 
     def test_omega_one_admits_zero_alpha(self):
         consts = DiagnosticConstants(gamma=2.0, m1=3.0, m2=1.5, c=1.0, omega=1)
-        _, alpha_min = parameter_bounds(consts, 7.0)
-        assert alpha_min == -7.0
+        assert parameter_bounds(consts, 7.0)["alpha_min"] == -7.0
 
     @pytest.mark.parametrize("field", ["gamma", "m1", "m2", "c"])
     def test_rho_min_monotone_in_each_constant(self, field):
@@ -158,8 +170,7 @@ class TestParameterBounds:
         for v in np.linspace(1.0, 4.0, 10):
             kw = dict(base)
             kw[field] = float(v)
-            rho_min, _ = parameter_bounds(DiagnosticConstants(**kw, omega=1), 1.0)
-            values.append(rho_min)
+            values.append(parameter_bounds(DiagnosticConstants(**kw, omega=1), 1.0)["rho_min"])
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_constants_validation(self):
@@ -203,8 +214,7 @@ class TestKkt:
 class TestStalenessBound:
     def test_lockstep_sides_vanish(self):
         _, res = lockstep_run()
-        a = assign_global_iterations(res.trace)
-        rep = check_staleness_bound(res.trace, a)
+        rep = staleness(res.trace)
         assert rep["omega"] == 1
         assert rep["lhs"] == pytest.approx(0.0, abs=1e-15)
         assert rep["holds"]
@@ -212,14 +222,12 @@ class TestStalenessBound:
     def test_async_fixtures_hold(self):
         for seed in (1, 2, 3, 4, 5):
             _, res = async_run(targets=(0.0, 1.0, 2.0, 3.0), seed=seed)
-            a = assign_global_iterations(res.trace)
-            rep = check_staleness_bound(res.trace, a)
+            rep = staleness(res.trace)
             assert rep["holds"], f"seed {seed}: {rep}"
 
     def test_scaling_z_payloads_is_homogeneous(self):
         _, res = async_run(seed=9)
-        a = assign_global_iterations(res.trace)
-        base = check_staleness_bound(res.trace, a)
+        base = staleness(res.trace)
         scaled_events = []
         for ev in res.trace.events:
             payload = dict(ev.payload)
@@ -231,7 +239,7 @@ class TestStalenessBound:
         meta["z0"] = [2.0 * v for v in meta["z0"]]
         scaled = EventTrace(meta=meta, events=scaled_events,
                             status=res.trace.status, end_time=res.trace.end_time)
-        rep = check_staleness_bound(scaled, assign_global_iterations(scaled))
+        rep = staleness(scaled)
         assert rep["lhs"] == pytest.approx(4.0 * base["lhs"], rel=1e-12)
         assert rep["rhs_stated"] == pytest.approx(4.0 * base["rhs_stated"], rel=1e-12)
         assert rep["holds"] == base["holds"]
@@ -241,33 +249,30 @@ class TestLambdaBound:
     def test_quadratic_toy_analytic_constants_clean(self):
         for seed in (11, 12, 13):
             _, res = async_run(seed=seed)
-            a = assign_global_iterations(res.trace)
-            violations = check_lambda_bound(res.trace, a, c_const=1.0, m1=2.0)
-            assert violations == []
+            assert lambda_violations(res.trace, c_const=1.0, m1=2.0) == []
 
     def test_idle_slots_trivially_satisfied(self):
         # workers outside an updater set move neither x nor lambda, so both
         # sides of the bound are zero; verified through the snapshots
         _, res = async_run(targets=(0.0, 1.0, 2.0, 3.0), seed=8)
-        a = assign_global_iterations(res.trace)
-        snap = slot_snapshots(res.trace, a)
+        index = TraceIndex(res.trace)
+        a = assign_global_iterations(index)
+        snap = slot_snapshots(index, a)
+        members = membership(a)
         for nu in range(1, a.num_slots):
             for k in range(1, 5):
                 seen = snap.seen[k]
-                if k not in a.members(nu) and seen[nu] > 0:
+                if k not in members.get(nu, set()) and seen[nu] > 0:
                     dx = snap.x[k][seen[nu + 1]] - snap.x[k][seen[nu]]
                     dl = snap.lam[k][seen[nu + 1]] - snap.lam[k][seen[nu]]
-                    updated_later = any(
-                        u.worker == k and u.finish_slot == nu + 1 for u in a.updates
-                    )
+                    updated_later = bool(np.any((a.worker == k) & (a.finish_slot == nu + 1)))
                     if not updated_later:
                         assert float(dx @ dx) == 0.0
                         assert float(dl @ dl) == 0.0
 
     def test_understated_constant_reports_violations(self):
         _, res = async_run(seed=14)
-        a = assign_global_iterations(res.trace)
-        violations = check_lambda_bound(res.trace, a, c_const=1.0, m1=0.01)
+        violations = lambda_violations(res.trace, c_const=1.0, m1=0.01)
         assert len(violations) > 0  # diagnostic only: reported, not raised
 
 
@@ -314,7 +319,7 @@ class TestAggregateReport:
         ]
         trace = EventTrace(meta={"k": 1, "edges": [], "x0": [[0.0]], "z0": []},
                            events=events, end_time=2.0)
-        checks = verify_trace_wellformed(trace)
+        checks = verify_trace_wellformed(TraceIndex(trace))
         assert not checks["receives_match_sends"]
 
     # each fault in a message's identity, and the check that must report it
@@ -340,7 +345,7 @@ class TestAggregateReport:
             events.insert(s + 1, events[s])
         else:
             receive.worker = p["from"]
-        checks = verify_trace_wellformed(res.trace)
+        checks = verify_trace_wellformed(TraceIndex(res.trace))
         assert checks[check] is False
         # the same verdicts from analyze on the written trace
         path = tmp_path / "trace.log"

@@ -2,15 +2,23 @@
 loops they replaced (``tests/reference_analysis.py``), bit for bit, on
 every pinned run: slot snapshots, the staleness bound, the multiplier bound
 under the constants gamma 2, m1 2, m2 1, c 1 (no pinned hash covers that
-section) and the compute/wait split. The invariant sweep runs the same
-comparison on its 72 traces."""
+section) and the compute/wait split, and on the partial trace of an
+aborted run. The invariant sweep runs the same comparison on its 72
+traces."""
 
 import pytest
 
 from asyncadmm import analysis, caseio
 
 import reference_analysis as reference
-from conftest import PINNED_CONFIGS, assert_analysis_matches_reference, events_of, staggered_trace
+from conftest import (
+    PINNED_CONFIGS,
+    aborted_trace,
+    as_records,
+    assert_analysis_matches_reference,
+    events_of,
+    staggered_trace,
+)
 
 
 @pytest.mark.parametrize("config", PINNED_CONFIGS)
@@ -19,10 +27,23 @@ def test_analysis_matches_reference_on_pinned_runs(pinned_run, config):
     assert_analysis_matches_reference(trace, c_const=1.0, m1=2.0)
 
 
-def _snapshot_error(module, trace) -> str:
-    with pytest.raises(analysis.TraceError) as err:
-        module.slot_snapshots(trace, analysis.assign_global_iterations(trace))
-    return str(err.value)
+def test_analysis_matches_reference_on_an_aborted_run():
+    # no update finished: one slot, and every sum is over no update
+    assert_analysis_matches_reference(aborted_trace())
+
+
+def _snapshot_errors(trace) -> list[str]:
+    """The TraceError messages of the analysis's and the reference's
+    snapshots of ``trace``, in that order."""
+    index = analysis.TraceIndex(trace)
+    assignment = analysis.assign_global_iterations(index)
+    errors = []
+    for measure in (lambda: analysis.slot_snapshots(index, assignment),
+                    lambda: reference.slot_snapshots(trace, as_records(assignment))):
+        with pytest.raises(analysis.TraceError) as err:
+            measure()
+        errors.append(str(err.value))
+    return errors
 
 
 EDITS = {
@@ -42,7 +63,8 @@ def test_snapshot_errors_match_reference(pinned_run, edit):
     kind, nth, change = EDITS[edit]
     trace = caseio.read_trace(pinned_run("ring5_async") / "trace.log")
     change(events_of(trace, kind)[nth].payload)
-    assert _snapshot_error(analysis, trace) == _snapshot_error(reference, trace)
+    new, old = _snapshot_errors(trace)
+    assert new == old
 
 
 def test_analysis_matches_reference_out_of_time_order(pinned_run):
@@ -73,15 +95,15 @@ def test_alternation_errors_match_reference(pinned_run, moves):
     for source, target in moves:
         trace.events.insert(pairs[target], trace.events.pop(pairs[source]))
     errors = []
-    for module in (analysis, reference):
+    for assign in (lambda: analysis.assign_global_iterations(analysis.TraceIndex(trace)),
+                   lambda: reference.assign_global_iterations(trace)):
         with pytest.raises(analysis.TraceError) as err:
-            module.assign_global_iterations(trace)
+            assign()
         errors.append(str(err.value))
     assert errors[0] == errors[1]
 
 
 def test_snapshot_error_on_the_staggered_fixture():
     # its compute_end events carry no state
-    trace = staggered_trace()
-    assert _snapshot_error(analysis, trace) == _snapshot_error(reference, trace) == \
-        "malformed compute_end event at t=2.0: 'x'"
+    new, old = _snapshot_errors(staggered_trace())
+    assert new == old == "malformed compute_end event at t=2.0: 'x'"

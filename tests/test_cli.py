@@ -12,6 +12,7 @@ from asyncadmm.cli import (
     build_run_config,
     main,
     parse_config_text,
+    problem_from_descriptor,
     toy_centralized_optimum,
 )
 from asyncadmm.localsolver import SolveError
@@ -82,8 +83,9 @@ class TestRunCommand:
         report = json.loads((out / "diagnostics.json").read_text())
         assert report["status"] == "converged"
         assert report["omega"] == 1
-        timing = json.loads((out / "timing.json").read_text())
-        assert set(timing) == {"1", "2"}
+        assert set(report["timing"]) == {"1", "2"}
+        assert sorted(path.name for path in out.iterdir()) == \
+            ["convergence.csv", "diagnostics.json", "trace.log"]
 
     def test_flat_start_at_bound_midpoints(self, tmp_path):
         cfg = write_config(tmp_path, TOY_CONFIG + f"outdir = {tmp_path / 'out'}\n")
@@ -459,22 +461,34 @@ def test_analyze_reproduces_run_report(tmp_path, config):
     assert json.loads((out / "analyze.json").read_text()) == run_report
 
 
-def test_nan_residual_fails_kkt(tmp_path):
+def test_nan_residual_fails_kkt(tmp_path, capsys):
     # a NaN multiplier makes NaN residuals, which compare false against
     # anything: the verdict must still fail although every finite residual
     # left in its family maximum is within the tolerance
     out = tmp_path / "out"
     assert main(["run", str(CASES_DIR / "toy_sync.cfg"), "--set", f"outdir={out}"]) == 0
-    header, *events = (out / "trace.log").read_text().splitlines(keepends=True)
-    _, events = _set_final_key(2, "lam", [math.nan])(None, events)
-    edited = tmp_path / "nan.log"
-    edited.write_text(header + "".join(events))
-    assert main(["analyze", str(edited), "--out", str(tmp_path / "analyze.json")]) == 0
-    kkt = json.loads((tmp_path / "analyze.json").read_text())["kkt"]
+    trace = caseio.read_trace(out / "trace.log")
+    problem, _ = problem_from_descriptor(trace.meta["problem"])
+    x_all = [np.asarray(e.payload["x"]) for e in trace.events if e.kind == "final"]
+    lam_all = [np.asarray(e.payload["lam"]) for e in trace.events if e.kind == "final"]
+    z = np.asarray(next(e.payload["z"] for e in trace.events if e.kind == "final_z"))
+    lam_all[1] = np.array([math.nan])
+    kkt = analysis.check_kkt(problem, x_all, z, lam_all, tol=1e-3)
     assert [math.isnan(v) for v in kkt["multiplier_consistency"]] == [True]
     assert [math.isnan(v) for v in kkt["stationarity"]] == [False, True]
     assert kkt["stationarity"][0] <= kkt["tol"] and max(kkt["primal"]) <= kkt["tol"]
     assert kkt["passed"] is False
+    # a trace whose final state holds the NaN cannot be reported in strict
+    # JSON: analyze ends with one error line
+    header, *events = (out / "trace.log").read_text().splitlines(keepends=True)
+    _, events = _set_final_key(2, "lam", [math.nan])(None, events)
+    edited = tmp_path / "nan.log"
+    edited.write_text(header + "".join(events))
+    capsys.readouterr()
+    assert main(["analyze", str(edited), "--out", str(tmp_path / "analyze.json")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not (tmp_path / "analyze.json").exists()
 
 
 # sha256 prefixes of diagnostics.json less `wall_time_s`, rendered with
@@ -540,7 +554,7 @@ def test_pinned_outputs_are_strict_json(pinned_run, config):
     tol = build_run_config(parse_config_text(cfg.read_text())).tol
     assert main(["analyze", str(out / "trace.log"), "--gamma", "2", "--m1", "2", "--m2", "1",
                  "--c", "1", "--tol", repr(tol), "--out", str(out / "analyze.json")]) == 0
-    for name in ("diagnostics.json", "timing.json", "analyze.json"):
+    for name in ("diagnostics.json", "analyze.json"):
         json.loads((out / name).read_text(), parse_constant=_no_constant)
 
 
@@ -564,13 +578,13 @@ def test_penalty_curvature_built_once_per_region(tmp_path, monkeypatch):
 def test_capped_run_timing_is_the_report_section(tmp_path):
     # capped at 50 cycles with an unreachable tolerance, the 16 workers reach
     # the cap at different times; a worker's idle time from its cap to the
-    # end of the run counts as waiting, in timing.json as in the report
+    # end of the run counts as waiting
     cfg = config_path("toy_chain16", tmp_path)
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--set", f"outdir={out}", "--set", "max_local_iters=50",
                  "--set", "tol=1e-12"]) == 2
     report = json.loads((out / "diagnostics.json").read_text())
-    timing = json.loads((out / "timing.json").read_text())
-    assert timing == report["timing"] and len(timing) == 16
+    timing = report["timing"]
+    assert len(timing) == 16
     for t in timing.values():
         assert t["compute_ms"] + t["wait_ms"] == pytest.approx(report["end_time_ms"], rel=1e-12)

@@ -2,11 +2,10 @@
 import numpy as np
 import pytest
 
-from asyncadmm.analysis import timing_from_trace
+from asyncadmm.analysis import TraceIndex, timing_from_trace
 from asyncadmm.engine import (
     DelayModel,
     DelaySpec,
-    EngineAbort,
     StoppingRule,
     ready_to_update,
     run,
@@ -14,7 +13,7 @@ from asyncadmm.engine import (
 from asyncadmm.kernel import AdmmParams
 from asyncadmm.problem import PartitionedProblem, RegionSpec, make_toy_consensus
 
-from conftest import events_of
+from conftest import aborted_trace, events_of
 from oracles import run_sync_reference
 
 ZERO_LINK = DelayModel(compute=DelaySpec.constant(1.0), link=DelaySpec.constant(0.0), seed=0)
@@ -156,33 +155,16 @@ class TestAsyncRuns:
                   StoppingRule(tol=1e-12, max_local_iters=10**6, time_cap_ms=7.5))
         assert mid.status == "time_cap" and mid.end_time == 7.5
         assert mid.trace.events[-1].time == 7.5
-        for row in timing_from_trace(mid.trace).values():
+        for row in timing_from_trace(TraceIndex(mid.trace)).values():
             assert row["compute_ms"] == 7.5 and row["wait_ms"] == 0.0
 
     def test_solver_failure_aborts_with_partial_trace(self):
-        bad = RegionSpec(
-            dim_x=1,
-            objective=lambda x: float(x[0] ** 2),
-            gradient=lambda x: np.array([2.0 * x[0]]),
-            boundary_map=np.ones((1, 1)),
-            lower=np.array([0.0]),
-            upper=np.array([1.0]),
-            equality=lambda x: np.array([x[0] - 5.0]),  # unreachable in the box
-            equality_jacobian=lambda x: np.array([[1.0]]),
-            eq_dim=1,
-        )
-        good = make_toy_consensus([0.0, 2.0]).region(2)
-        problem = PartitionedProblem(
-            regions=(bad, good),
-            edges=make_toy_consensus([0.0, 2.0]).edges,
-        )
-        with pytest.raises(EngineAbort) as err:
-            run(problem, AdmmParams(rho=1.0), ZERO_LINK,
-                StoppingRule(tol=1e-3, max_local_iters=10))
-        assert err.value.trace.status == "aborted"
-        assert any(e.kind == "compute_start" for e in err.value.trace.events)
+        # region 1's equality lies outside its box: its first solve fails
+        trace = aborted_trace()  # the run raised EngineAbort carrying this trace
+        assert trace.status == "aborted"
+        assert any(e.kind == "compute_start" for e in trace.events)
         # the partial trace is closed and stays machine-readable
-        assert err.value.trace.events[-1].kind == "end"
+        assert trace.events[-1].kind == "end"
 
 
 class TestTraceInvariants:
@@ -264,9 +246,10 @@ class TestTimeAccounting:
         async_run = run(problem, AdmmParams(rho=5.0, p=0.1), slow,
                         StoppingRule(tol=1e-4, max_local_iters=400))
         assert sync_run.converged and async_run.converged
-        sync_timing = timing_from_trace(sync_run.trace)
+        sync_timing = timing_from_trace(TraceIndex(sync_run.trace))
         wf_sync = sum(t["wait_fraction"] for t in sync_timing.values()) / 4
-        wf_async = sum(t["wait_fraction"] for t in timing_from_trace(async_run.trace).values()) / 4
+        async_timing = timing_from_trace(TraceIndex(async_run.trace))
+        wf_async = sum(t["wait_fraction"] for t in async_timing.values()) / 4
         assert wf_sync > wf_async
         # the fast workers idle most of each lockstep round
         fast_waits = [sync_timing[k]["wait_fraction"] for k in (2, 3, 4)]
@@ -276,7 +259,7 @@ class TestTimeAccounting:
         problem = make_toy_consensus([0.0, 2.0])
         res = run(problem, AdmmParams(rho=5.0, p=1.0), ZERO_LINK,
                   StoppingRule(tol=1e-3, max_local_iters=100))
-        for t in timing_from_trace(res.trace).values():
+        for t in timing_from_trace(TraceIndex(res.trace)).values():
             assert t["compute_ms"] + t["wait_ms"] == pytest.approx(res.end_time, abs=1e-9)
         # iteration-capped chain 1-2-3 with a slow end worker: workers 1 and
         # 2 reach the cap of 10 one-millisecond cycles at t = 10; worker 3's
@@ -288,5 +271,5 @@ class TestTimeAccounting:
                   StoppingRule(tol=1e-12, max_local_iters=10))
         assert (res.status, res.end_time) == ("iteration_cap", 16.0)
         split = {k: (t["compute_ms"], t["wait_ms"])
-                 for k, t in timing_from_trace(res.trace).items()}
+                 for k, t in timing_from_trace(TraceIndex(res.trace)).items()}
         assert split == {1: (10.0, 6.0), 2: (10.0, 6.0), 3: (16.0, 0.0)}

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from asyncadmm.analysis import (
+    TraceIndex,
     assign_global_iterations,
     check_staleness_bound,
     measure_omega,
+    slot_snapshots,
     verify_slicing_rules,
     verify_trace_wellformed,
 )
@@ -42,13 +44,16 @@ def test_invariants_hold(num_regions, p, alpha, pattern):
     res = run(problem, AdmmParams(rho=5.0, alpha=alpha, p=p),
               DELAY_PATTERNS[pattern], StoppingRule(tol=1e-3, max_local_iters=4000))
     assert res.converged
-    assert all(verify_trace_wellformed(res.trace).values())
-    assignment = assign_global_iterations(res.trace)
-    assert all(verify_slicing_rules(assignment, res.trace).values())
+    index = TraceIndex(res.trace)
+    assert all(verify_trace_wellformed(index).values())
+    assignment = assign_global_iterations(index)
+    assert all(verify_slicing_rules(assignment, index).values())
     omega = measure_omega(assignment)
-    for u in assignment.updates:
-        assert max(u.finish_slot - omega, 0) <= u.start_slot < u.finish_slot
-    assert check_staleness_bound(res.trace, assignment)["holds"]
+    for start_slot, finish_slot in zip(assignment.start_slot.tolist(),
+                                       assignment.finish_slot.tolist()):
+        assert max(finish_slot - omega, 0) <= start_slot < finish_slot
+    snapshots = slot_snapshots(index, assignment)
+    assert check_staleness_bound(assignment, snapshots, omega)["holds"]
     assert_slicing_matches_reference(res.trace)
     assert_analysis_matches_reference(res.trace)
     mean = float(np.mean(targets))

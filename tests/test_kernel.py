@@ -257,7 +257,7 @@ class TestAugmentedLagrangian:
         # penalty above the admissible bound computed from the quadratic
         # toy's exact constants (curvature 2, identity boundary maps)
         consts = DiagnosticConstants(gamma=2.0, m1=2.0, m2=1.0, c=1.0, omega=1)
-        rho_min, _ = parameter_bounds(consts, 1.0)
+        rho_min = parameter_bounds(consts, 1.0)["rho_min"]
         params = AdmmParams(rho=float(np.ceil(rho_min) + 1))
         problem = make_toy_consensus([0.0, 2.0])
         run = run_sync_reference(problem, params, tol=1e-9, max_iters=60)

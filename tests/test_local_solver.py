@@ -157,6 +157,42 @@ def test_failure_carries_best_iterate():
     assert err.value.constraint_norm == pytest.approx(4.0, abs=1e-6)
 
 
+def test_nan_gradient_raises():
+    # NaN compares false against any tolerance: a box-only solve whose
+    # gradient is NaN fails instead of returning its start as converged
+    region = RegionSpec(
+        dim_x=1,
+        objective=lambda x: float(x[0] ** 2),
+        gradient=lambda x: np.array([np.nan]),
+        boundary_map=np.zeros((0, 1)),
+        lower=np.array([-1.0]),
+        upper=np.array([1.0]),
+    )
+    with pytest.raises(SolveError) as err:
+        solve_local(region, None, np.array([0.5]))
+    assert np.isnan(err.value.grad_norm)
+
+
+def test_nan_constraint_reports_its_residuals():
+    # an equality that evaluates to NaN fails every stage; the error reports
+    # the NaN residuals of those stages, not the infinite placeholder
+    region = RegionSpec(
+        dim_x=1,
+        objective=lambda x: float(x[0] ** 2),
+        gradient=lambda x: np.array([2.0 * x[0]]),
+        boundary_map=np.zeros((0, 1)),
+        lower=np.array([-1.0]),
+        upper=np.array([1.0]),
+        equality=lambda x: np.array([np.nan]),
+        equality_jacobian=lambda x: np.array([[1.0]]),
+        eq_dim=1,
+    )
+    with pytest.raises(SolveError) as err:
+        solve_local(region, None, np.array([0.5]))
+    assert np.isnan(err.value.constraint_norm) and np.isnan(err.value.grad_norm)
+    assert "|h|=nan" in str(err.value)
+
+
 def test_numeric_floor_return_on_ring5_async(tmp_path, monkeypatch):
     # the one exit short of the tolerances: a feasible stage whose line
     # search can certify no further decrease reports its point as the

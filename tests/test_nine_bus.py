@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from asyncadmm import caseio
-from asyncadmm.analysis import assign_global_iterations, check_staleness_bound, objective_gap
+from asyncadmm.analysis import (
+    TraceIndex,
+    assign_global_iterations,
+    check_staleness_bound,
+    measure_omega,
+    objective_gap,
+    slot_snapshots,
+)
 from asyncadmm.engine import DelayModel, DelaySpec, StoppingRule, run
 from asyncadmm.kernel import AdmmParams
 from asyncadmm.opf import build_regional_subproblems, centralized_reference_solve, power_flow_residual
@@ -57,5 +64,8 @@ def test_async_admm_converges_with_staleness_bound(nine_problem, nine_central):
     assert max(s.constraint_violation for s in res.states) <= 1e-3
     gap = objective_gap(problem.total_objective(res.x), nine_central.objective)
     assert gap["gap_percent"] < 1.0
-    report = check_staleness_bound(res.trace, assign_global_iterations(res.trace))
+    index = TraceIndex(res.trace)
+    assignment = assign_global_iterations(index)
+    report = check_staleness_bound(assignment, slot_snapshots(index, assignment),
+                                   measure_omega(assignment))
     assert report["holds"]

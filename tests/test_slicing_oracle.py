@@ -1,21 +1,26 @@
 """The one-sweep slicing against the quadratic reference implementation in
 ``reference_analysis``: equal boundaries, per-update slots, membership, omega
 and slicing-rule verdicts on the staggered fixture, the network runs of
-acceptance criterion 05 and hypothesis-generated traces with tied
-timestamps and zero-length updates. The invariant sweep applies the same
-comparison to each of its runs."""
+acceptance criterion 05, the partial trace of an aborted run and
+hypothesis-generated traces with tied timestamps and zero-length updates.
+The invariant sweep applies the same comparison to each of its runs."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asyncadmm.analysis import assign_global_iterations, verify_slicing_rules
+from asyncadmm.analysis import (
+    TraceIndex,
+    analyze_trace,
+    assign_global_iterations,
+    verify_slicing_rules,
+)
 from asyncadmm.engine import DelayModel, DelaySpec, EventTrace, StoppingRule, run
 from asyncadmm.kernel import AdmmParams
 from asyncadmm.opf import Partition, build_regional_subproblems
 
 import reference_analysis as reference
-from conftest import assert_slicing_matches_reference, event, staggered_trace
+from conftest import aborted_trace, assert_slicing_matches_reference, event, staggered_trace
 
 
 def test_staggered_fixture():
@@ -46,8 +51,20 @@ def test_zero_length_update_takes_shortest_extension():
     ]
     trace = EventTrace(meta={"k": 1, "edges": [], "x0": [[0.0]], "z0": []},
                        events=events, end_time=1.0)
-    assert assign_global_iterations(trace).boundaries == [0.0, 1.0]
+    assert assign_global_iterations(TraceIndex(trace)).boundaries == [0.0, 1.0]
     assert_slicing_matches_reference(trace)
+
+
+def test_aborted_run_without_a_finished_update():
+    # compute starts only, then the end record: one slot that no update
+    # finishes in, and omega 2 since no worker appears between slots 0 and 2
+    trace = aborted_trace()
+    assert [e.kind for e in trace.events] == ["compute_start", "compute_start", "end"]
+    assert_slicing_matches_reference(trace)
+    report = analyze_trace(trace)
+    assert report["global_iterations"]["num_slots"] == 1
+    assert report["global_iterations"]["membership_sizes"] == [0]
+    assert report["omega"] == 2
 
 
 def test_rules_flag_a_receive_at_the_next_boundary():
@@ -62,11 +79,12 @@ def test_rules_flag_a_receive_at_the_next_boundary():
     ]
     trace = EventTrace(meta={"k": 2, "edges": [], "x0": [[0.0], [0.0]], "z0": []},
                        events=events, end_time=3.0)
-    assignment = assign_global_iterations(trace)
-    assignment.boundaries = [0.0, 2.0]
-    rules = verify_slicing_rules(assignment, trace)
+    index = TraceIndex(trace)
+    assignment, old = assign_global_iterations(index), reference.assign_global_iterations(trace)
+    assignment.boundaries = old.boundaries = [0.0, 2.0]
+    rules = verify_slicing_rules(assignment, index)
     assert rules["no_receive_after_start_within_slot"] is False
-    assert rules == reference.verify_slicing_rules(assignment, trace)
+    assert rules == reference.verify_slicing_rules(old, trace)
 
 
 @st.composite
