@@ -9,9 +9,9 @@ and the diagnostic report (``diagnostics.json``), whose ``timing`` section
 is the per-worker compute/wait split. The report is computed from the
 trace, so ``analyze`` reproduces it; a worker's idle time after it reaches
 ``max_local_iters`` counts as waiting. Exit codes: 0 converged, 2 a cap
-was exhausted, 1 any error. An error after the solve (trace analysis or
-the centralized baseline) prints one ``error:`` line and keeps the trace
-and the convergence table already written.
+was exhausted. Any failure of ``run``, ``analyze`` or ``bounds``, I/O
+included, prints one ``error:`` line and exits 1; artifacts already written
+stay (a failed local solve leaves the partial ``trace.log``).
 
 Config keys (defaults in parentheses):
 
@@ -339,40 +339,33 @@ def _start_vectors(config: RunConfig, problem, layout, descriptor):
 def cmd_run(args) -> int:
     try:
         text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as err:
-        print(f"error: cannot read config {args.config}: {err}", file=sys.stderr)
-        return 1
-    try:
-        entries = parse_config_text(text)
-        for override in args.set or []:
-            if "=" not in override:
-                raise ConfigError(f"--set needs key=value, got {override!r}")
-            key, value = override.split("=", 1)
-            entries[key.strip()] = (value.strip(), None)
-        config = build_run_config(entries)
-        stop = engine.StoppingRule(
-            tol=config.tol,
-            max_local_iters=config.max_local_iters,
-            time_cap_ms=config.time_cap_ms,
-        )
-        problem, layout, descriptor = _resolve_problem(config)
-        x0 = _start_vectors(config, problem, layout, descriptor)
-    except (ConfigError, caseio.ParseError, opf.BuildError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"cannot read config {args.config}: {err}") from err
+    entries = parse_config_text(text)
+    for override in args.set or []:
+        if "=" not in override:
+            raise ConfigError(f"--set needs key=value, got {override!r}")
+        key, value = override.split("=", 1)
+        entries[key.strip()] = (value.strip(), None)
+    config = build_run_config(entries)
+    stop = engine.StoppingRule(
+        tol=config.tol,
+        max_local_iters=config.max_local_iters,
+        time_cap_ms=config.time_cap_ms,
+    )
+    problem, layout, descriptor = _resolve_problem(config)
+    x0 = _start_vectors(config, problem, layout, descriptor)
+    outdir = Path(config.outdir)
     wall_start = time.monotonic()
     try:
         result = engine.run(problem, config.params, config.delays, stop,
                             x0=x0, problem_descriptor=descriptor)
     except engine.EngineAbort as err:
-        outdir = Path(config.outdir)
         outdir.mkdir(parents=True, exist_ok=True)
         caseio.write_trace(err.trace, outdir / "trace.log")
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        raise
 
     wall_s = time.monotonic() - wall_start
-    outdir = Path(config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     caseio.write_trace(result.trace, outdir / "trace.log")
     caseio.write_results(result.iteration_log, outdir / "convergence.csv")
@@ -380,8 +373,7 @@ def cmd_run(args) -> int:
     try:
         report = analysis.analyze_trace(result.trace, problem=problem, kkt_tol=config.tol)
     except analysis.TraceError as err:
-        print(f"error: trace analysis failed: {err}", file=sys.stderr)
-        return 1
+        raise analysis.TraceError(f"trace analysis failed: {err}") from err
     # virtual time is the primary axis everywhere; wall time alongside
     report["wall_time_s"] = wall_s
     if config.baseline:
@@ -389,11 +381,11 @@ def cmd_run(args) -> int:
             try:
                 central = opf.centralized_reference_solve(layout.case).objective
             except SolveError as err:
-                print(f"error: centralized baseline solve failed: {err}", file=sys.stderr)
-                return 1
+                raise SolveError(f"centralized baseline solve failed: {err}",
+                                 err.grad_norm, err.constraint_norm) from err
         else:
             _, central = toy_centralized_optimum(problem, descriptor)
-        report["baseline"] = analysis.objective_gap(problem.total_objective(result.x), central)
+        report["baseline"] = analysis.objective_gap(report["objective"], central)
     (outdir / "diagnostics.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
@@ -404,13 +396,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    try:
-        consts = analysis.DiagnosticConstants(
-            gamma=args.gamma, m1=args.m1, m2=args.m2, c=args.c, omega=args.omega
-        )
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    consts = analysis.DiagnosticConstants(
+        gamma=args.gamma, m1=args.m1, m2=args.m2, c=args.c, omega=args.omega
+    )
     out = analysis.parameter_bounds(consts, args.rho)
     if out["alpha_zero_admissible"]:
         out["message"] = "alpha=0 admissible"
@@ -420,42 +408,25 @@ def cmd_bounds(args) -> int:
 
 def cmd_analyze(args) -> int:
     if not 0 < args.tol < math.inf:
-        print(f"error: --tol must be positive and finite, got {args.tol!r}", file=sys.stderr)
-        return 1
+        raise ValueError(f"--tol must be positive and finite, got {args.tol!r}")
     try:
         trace = caseio.read_trace(args.trace)
-    except caseio.ParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
     except OSError as err:
-        print(f"error: cannot read trace {args.trace}: {err}", file=sys.stderr)
-        return 1
-    constants = None
+        raise OSError(f"cannot read trace {args.trace}: {err}") from err
     given = [args.gamma, args.m1, args.m2, args.c]
-    if any(v is not None for v in given):
-        if any(v is None for v in given):
-            print("error: constants need all of --gamma --m1 --m2 --c", file=sys.stderr)
-            return 1
-        try:
-            constants = analysis.DiagnosticConstants(
-                gamma=args.gamma, m1=args.m1, m2=args.m2, c=args.c
-            )
-        except ValueError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 1
+    if None in given and any(v is not None for v in given):
+        raise ValueError("constants need all of --gamma --m1 --m2 --c")
+    constants = None if args.gamma is None else analysis.DiagnosticConstants(
+        gamma=args.gamma, m1=args.m1, m2=args.m2, c=args.c
+    )
     # malformed metadata other than the descriptor is reported by the analysis
     meta = trace.meta if isinstance(trace.meta, dict) else {}
     try:
         problem, _ = problem_from_descriptor(meta.get("problem", {}))
-    except (caseio.ParseError, opf.BuildError, KeyError, TypeError, ValueError) as err:
-        print(f"error: embedded problem does not rebuild: {err}", file=sys.stderr)
-        return 1
-    try:
-        report = analysis.analyze_trace(trace, problem=problem, constants=constants,
-                                        kkt_tol=args.tol)
-    except analysis.TraceError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    except (KeyError, TypeError, ValueError) as err:
+        raise ValueError(f"embedded problem does not rebuild: {err}") from err
+    report = analysis.analyze_trace(trace, problem=problem, constants=constants,
+                                    kkt_tol=args.tol)
     del trace  # the report holds no event: rendering it can reuse the events' memory
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
@@ -466,7 +437,6 @@ def cmd_analyze(args) -> int:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("ASYNCADMM_LOG", "WARNING").upper())
     parser = argparse.ArgumentParser(
         prog="asyncadmm",
         description="partition-based asynchronous ADMM with a delay simulator",
@@ -499,7 +469,14 @@ def main(argv=None) -> int:
     p_an.set_defaults(fn=cmd_analyze)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    # the one failure boundary: every subcommand raises, and a failure is one
+    # error line and exit code 1 (a bad ASYNCADMM_LOG level included)
+    try:
+        logging.basicConfig(level=os.environ.get("ASYNCADMM_LOG", "WARNING").upper())
+        return args.fn(args)
+    except (OSError, ValueError, SolveError, engine.EngineAbort) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

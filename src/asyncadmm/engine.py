@@ -232,10 +232,9 @@ def ready_to_update(num_neighbors: int, fresh_neighbors: int, p: float) -> bool:
 class EngineAbort(RuntimeError):
     """A local solve failed mid-run; carries the partial trace."""
 
-    def __init__(self, message: str, trace: EventTrace, cause: SolveError):
+    def __init__(self, message: str, trace: EventTrace):
         super().__init__(message)
         self.trace = trace
-        self.cause = cause
 
 
 @dataclass
@@ -247,10 +246,6 @@ class RunResult:
     status: str
     end_time: float
     iteration_log: list[tuple]
-
-    @property
-    def x(self) -> list[Array]:
-        return [s.x for s in self.states]
 
     def max_residue(self) -> float:
         vals = [s.residue for s in self.states if s.residue is not None]
@@ -353,7 +348,7 @@ class _Simulator:
                                        "error": str(err)})
             raise EngineAbort(
                 f"worker {k} local solve failed at cycle {state.local_iter}: {err}",
-                self.trace, err,
+                self.trace,
             ) from err
         self.solver_warm[k] = result.warm_state
         state.x = result.x

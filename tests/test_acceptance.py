@@ -152,7 +152,8 @@ def test_criterion_04_opf_end_to_end_gap(ring5_case, ring5_problem):
     ok = central.objective > 0
     for label, result in (("sync", sync), ("async", asyn)):
         mismatch = max(s.constraint_violation for s in result.states)
-        gap = objective_gap(problem.total_objective(result.x), central.objective)
+        gap = objective_gap(problem.total_objective([s.x for s in result.states]),
+                            central.objective)
         gaps.append((label, gap["gap_percent"]))
         ok = ok and result.converged and result.max_residue() <= 1e-3 \
             and mismatch <= 1e-3 and gap["gap_percent"] < 1.0

@@ -1,12 +1,17 @@
 import hashlib
 import json
 import math
+import os
 import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from asyncadmm import analysis, caseio, kernel, opf
+import asyncadmm
+from asyncadmm import analysis, caseio, engine, kernel, opf
 from asyncadmm.cli import (
     ConfigError,
     build_run_config,
@@ -245,6 +250,30 @@ outdir = {tmp_path / 'opf'}
         assert (tmp_path / "out" / "convergence.csv").exists()
         assert not (tmp_path / "out" / "diagnostics.json").exists()
 
+    def test_failed_local_solve_keeps_partial_trace(self, tmp_path, capsys, monkeypatch):
+        # the lockstep toy's fifth local solve is worker 1's at cycle 2
+        real, calls = engine.x_update, []
+
+        def flaky(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 5:
+                raise SolveError("forced failure", 1.0, 1.0)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "x_update", flaky)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, TOY_CONFIG + f"outdir = {out}\n")
+        assert main(["run", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: worker 1 local solve failed at cycle 2: forced failure"]
+        assert not captured.out
+        assert (out / "trace.log").exists()
+        assert not (out / "convergence.csv").exists()
+        assert not (out / "diagnostics.json").exists()
+        assert main(["analyze", str(out / "trace.log")]) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "aborted"
+
 
 class TestToyReference:
     def test_consensus_optimum_is_the_mean_of_unbounded_targets(self, tmp_path):
@@ -443,6 +472,84 @@ class TestMalformedTraceAnalysis:
                      "--c", "1"]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+
+
+def _config_not_utf8(tmp_path):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(TOY_CONFIG.encode() + b"# caf\xe9\n")
+    return ["run", str(cfg)]
+
+
+def _case_is_a_directory(tmp_path):
+    return ["run", str(write_config(tmp_path, f"problem = opf\ncase = {tmp_path}\n"
+                                              f"partition = {CASES_DIR / 'chain3.part'}\n"))]
+
+
+def _outdir_at(relative):
+    def argv(tmp_path):
+        (tmp_path / "afile").write_text("not a directory\n")
+        return ["run", str(write_config(tmp_path, TOY_CONFIG)),
+                "--set", f"outdir={tmp_path / relative}"]
+    return argv
+
+
+def _analyze_out_under_missing_directory(tmp_path):
+    cfg = write_config(tmp_path, TOY_CONFIG + f"outdir = {tmp_path / 'out'}\n")
+    assert main(["run", str(cfg)]) == 0
+    return ["analyze", str(tmp_path / "out" / "trace.log"),
+            "--out", str(tmp_path / "missing" / "report.json")]
+
+
+@pytest.mark.parametrize("argv_for", [
+    _config_not_utf8,
+    _case_is_a_directory,
+    _outdir_at("afile"),
+    _outdir_at("afile/sub"),
+    _analyze_out_under_missing_directory,
+], ids=["config-not-utf8", "case-is-a-directory", "outdir-is-a-file", "outdir-under-a-file",
+        "analyze-out-under-missing-directory"])
+def test_io_failure_is_one_error_line(tmp_path, capsys, argv_for):
+    """Unreadable inputs and unwritable outputs end in one ``error:`` line
+    and exit code 1, never a traceback."""
+    argv = argv_for(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert not captured.out
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["run", "{cfg}", "--set", "rho"], "error: --set needs key=value, got 'rho'"),
+    (["analyze", "{missing}"], "error: cannot read trace {missing}: "
+                               "[Errno 2] No such file or directory: '{missing}'"),
+    (["analyze", "{trace}", "--gamma", "1"], "error: constants need all of --gamma --m1 --m2 --c"),
+], ids=["set-without-equals", "missing-trace", "partial-constants"])
+def test_failure_keeps_its_text(tmp_path, capsys, argv, line):
+    cfg = write_config(tmp_path, TOY_CONFIG + f"outdir = {tmp_path / 'out'}\n")
+    assert main(["run", str(cfg)]) == 0
+    paths = {"cfg": cfg, "missing": tmp_path / "none.log", "trace": tmp_path / "out" / "trace.log"}
+    capsys.readouterr()
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [line.format(**paths)]
+    assert not captured.out
+
+
+def test_bad_log_level_is_one_error_line():
+    # in a fresh interpreter: under pytest the root logger already has a
+    # handler, and logging.basicConfig would not look at the level
+    env = dict(os.environ, ASYNCADMM_LOG="chatty",
+               PYTHONPATH=str(Path(asyncadmm.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "asyncadmm.cli", "bounds", "--gamma", "1", "--m1", "1",
+         "--m2", "1", "--c", "1", "--rho", "5"],
+        env=env, capture_output=True, text=True, check=False,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["error: Unknown level: 'CHATTY'"]
+    assert not proc.stdout
 
 
 @pytest.mark.parametrize("config", ["toy_sync", "ring5_async", "nine_sync"])

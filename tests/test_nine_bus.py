@@ -62,7 +62,8 @@ def test_async_admm_converges_with_staleness_bound(nine_problem, nine_central):
               StoppingRule(tol=5e-4, max_local_iters=3000))
     assert res.converged
     assert max(s.constraint_violation for s in res.states) <= 1e-3
-    gap = objective_gap(problem.total_objective(res.x), nine_central.objective)
+    gap = objective_gap(problem.total_objective([s.x for s in res.states]),
+                        nine_central.objective)
     assert gap["gap_percent"] < 1.0
     index = TraceIndex(res.trace)
     assignment = assign_global_iterations(index)
