@@ -114,8 +114,10 @@ class GlobalIterationAssignment:
     """Slot boundaries and the finished x-updates as columns, one entry per
     update in the order of their ends: ``worker``, local ``cycle``, start
     and end time, and the slots containing the start (``start_slot``,
-    nu_bar) and the finish (``finish_slot``, nu). ``receives`` holds the
-    (start time, receive time) pairs that the quiet-after-start rule reads.
+    nu_bar) and the finish (``finish_slot``, nu). ``open_start`` maps each
+    worker whose update is still open at the end to its start time.
+    ``receives`` holds the (start time, receive time) pairs that the
+    quiet-after-start rule reads.
 
     Slot nu (nu >= 1) is (boundaries[nu-1], boundaries[nu]] with the final
     slot closed by the end of the trace; everything at or before
@@ -131,6 +133,7 @@ class GlobalIterationAssignment:
     end_t: np.ndarray
     start_slot: np.ndarray
     finish_slot: np.ndarray
+    open_start: dict[int, float]
     receives: tuple[np.ndarray, np.ndarray]
 
     @property
@@ -169,7 +172,7 @@ def _maximal_boundaries(starts: list[float], start_t, end_t, worker, receives) -
 
 def assign_global_iterations(index: TraceIndex) -> GlobalIterationAssignment:
     """Greedy maximal slicing of the trace into global iterations."""
-    first, last, _ = _matched_updates(index)
+    first, last, still_open = _matched_updates(index)
     receives = _receives(index)
     start_pos = index.of("compute_start")
     starts = sorted(set(index.time[start_pos].tolist()))
@@ -181,7 +184,8 @@ def assign_global_iterations(index: TraceIndex) -> GlobalIterationAssignment:
                         count=len(last))
     return GlobalIterationAssignment(
         boundaries, end_time, num_workers, worker, cycle, start_t, end_t,
-        np.searchsorted(boundaries, start_t), np.searchsorted(boundaries, end_t), receives)
+        np.searchsorted(boundaries, start_t), np.searchsorted(boundaries, end_t),
+        dict(zip(index.worker[still_open].tolist(), index.time[still_open].tolist())), receives)
 
 
 def verify_slicing_rules(assignment: GlobalIterationAssignment, index: TraceIndex) -> dict:
@@ -557,17 +561,17 @@ def verify_trace_wellformed(index: TraceIndex) -> dict:
     }
 
 
-def timing_from_trace(index: TraceIndex) -> dict[int, dict]:
-    """Compute-vs-wait split per worker over the full virtual timeline. A
-    worker's compute time adds each finished update's end and subtracts its
-    start in log order, then the update still open at the end."""
-    starts, ends, still_open = _matched_updates(index)
-    time, worker, end_time = index.time, index.worker[ends], index.end_time
-    open_start = dict(zip(index.worker[still_open].tolist(), time[still_open].tolist()))
+def timing_from_trace(assignment: GlobalIterationAssignment, end_time: float
+                      ) -> dict[int, dict]:
+    """Compute-vs-wait split per worker over the virtual timeline up to
+    ``end_time``, the trace's own, from the assignment's columns. A worker's
+    compute time adds each finished update's end and subtracts its start in
+    log order, then the update still open at the end."""
+    worker, open_start = assignment.worker, assignment.open_start
     out = {}
-    for k in sorted(set(index.worker[index.of("compute_start")].tolist())):
+    for k in sorted(open_start.keys() | set(worker.tolist())):
         own = worker == k
-        steps = np.column_stack([time[ends[own]], -time[starts[own]]]).ravel()
+        steps = np.column_stack([assignment.end_t[own], -assignment.start_t[own]]).ravel()
         c = _fold(steps) + (max(end_time - open_start[k], 0.0) if k in open_start else 0.0)
         wait = max(end_time - c, 0.0)
         total = c + wait
@@ -647,5 +651,5 @@ def analyze_trace(
         x_all, lam_all, z_final = final
         report["kkt"] = check_kkt(problem, x_all, z_final, lam_all, tol=kkt_tol)
         report["objective"] = problem.total_objective(x_all)
-    report["timing"] = timing_from_trace(index)
+    report["timing"] = timing_from_trace(assignment, trace.end_time)
     return report

@@ -285,18 +285,15 @@ def _resolve_problem(config: RunConfig):
     elif config.problem_kind == "nonconvex_toy":
         descriptor = {"kind": "nonconvex_toy"}
     else:
+        descriptor = {"kind": "opf"}
         for label, path in (("case", config.case_path), ("partition", config.partition_path)):
             if not path:
                 raise ConfigError(f"problem = opf needs a {label} file")
-            if not os.path.exists(path):
-                raise ConfigError(f"{label} file not found: {path}")
-        descriptor = {
-            "kind": "opf",
-            "case": Path(config.case_path).read_text(encoding="utf-8"),
-            "partition": Path(config.partition_path).read_text(encoding="utf-8"),
-            "beta_minus": config.beta_minus,
-            "beta_plus": config.beta_plus,
-        }
+            try:
+                descriptor[label] = Path(path).read_text(encoding="utf-8")
+            except (OSError, UnicodeDecodeError) as err:
+                raise ConfigError(f"cannot read {label} {path}: {err}") from err
+        descriptor.update(beta_minus=config.beta_minus, beta_plus=config.beta_plus)
     return (*problem_from_descriptor(descriptor), descriptor)
 
 

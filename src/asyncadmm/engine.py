@@ -2,10 +2,15 @@
 
 K simulated workers advance a shared virtual clock. Each worker cycles
 through: local x-solve (takes a sampled compute delay), multiplier update,
-sending its boundary values to every neighbour (each message takes a sampled
-link delay), then waiting until enough neighbours have arrived, closing the
-cycle with a consensus update on the arrived edges. Setting the waiting
-threshold p = 1 yields lockstep synchronous execution.
+sending its boundary values and multiplier block to every neighbour (each
+message takes a sampled link delay and carries the sender's local
+iteration), then waiting. A worker takes a message only if its iteration is
+newer than that of every message it took on the edge before; an older one
+that arrives late is logged and dropped. Once taken messages are held on
+ceil(p * |N_k|) distinct edges, the worker closes the cycle with a consensus
+update on each of them. Setting p = 1 yields lockstep synchronous execution.
+The run stops at the first cycle close whose ``convergence.csv`` row has
+``max_residue`` and ``constraint_mismatch`` both at most ``tol``.
 
 The simulation is deterministic: delays are drawn from per-worker and
 per-link substreams of a single seed, and events at equal times are ordered
@@ -174,25 +179,6 @@ class TraceEvent:
 
 
 @dataclass
-class BoundaryMessage:
-    """The only inter-worker data: one edge's boundary value and multiplier
-    block, stamped with send and arrival times."""
-
-    sender: int
-    receiver: int
-    edge_index: int
-    ax_block: Array
-    lam_block: Array
-    sender_iter: int
-    sent_at: float
-    arrives_at: float
-
-    def __post_init__(self):
-        if self.arrives_at < self.sent_at:
-            raise ValueError("message arrival precedes its send time")
-
-
-@dataclass
 class EventTrace:
     """Globally ordered event log of one run; the final states are its
     ``final`` and ``final_z`` events."""
@@ -205,8 +191,8 @@ class EventTrace:
 
 @dataclass(frozen=True)
 class StoppingRule:
-    """Run until every worker's residue and constraint mismatch fall below
-    ``tol``, or a cap is hit."""
+    """Run until the last ``iteration_log`` row's max residue and constraint
+    mismatch are both at most ``tol``, or a cap is hit."""
 
     tol: float = 1e-3
     max_local_iters: int = 1000
@@ -221,7 +207,7 @@ class StoppingRule:
 
 def ready_to_update(num_neighbors: int, fresh_neighbors: int, p: float) -> bool:
     """Waiting rule: a worker may update once at least ceil(p * |N_k|)
-    distinct neighbours have fresh, unconsumed messages — and never with
+    distinct neighbours have a message held — and never with
     zero arrivals when it has neighbours at all."""
     if num_neighbors == 0:
         return True
@@ -248,8 +234,9 @@ class RunResult:
     iteration_log: list[tuple]
 
     def max_residue(self) -> float:
-        vals = [s.residue for s in self.states if s.residue is not None]
-        return max(vals) if vals else math.inf
+        """The last ``iteration_log`` row's max residue: ``inf`` until every
+        worker has closed a cycle."""
+        return self.iteration_log[-1][2] if self.iteration_log else math.inf
 
 
 # --------------------------------------------------------------------------
@@ -268,8 +255,10 @@ class _Simulator:
         self.z_global = initial_z(problem, x0)
         self.states = [WorkerState.initial(problem, k, x0[k - 1], self.z_global)
                        for k in range(1, K + 1)]
-        self.inbox: dict[int, dict[int, BoundaryMessage]] = {k: {} for k in range(1, K + 1)}
-        self.consumed_iter: dict[int, dict[int, int]] = {k: {} for k in range(1, K + 1)}
+        # per worker: the held message of each edge, and the sender_iter of
+        # the newest message taken on each edge
+        self.inbox: dict[int, dict[int, tuple]] = {k: {} for k in range(1, K + 1)}
+        self.newest: dict[int, dict[int, int]] = {k: {} for k in range(1, K + 1)}
         self.solver_warm: dict[int, tuple | None] = {k: None for k in range(1, K + 1)}
         # streams: one per worker, then two per edge (k->l, l->k), in order
         ss = np.random.SeedSequence(delays.seed)
@@ -289,7 +278,7 @@ class _Simulator:
         self.objectives = [r.objective(s.x) for r, s in zip(problem.regions, self.states)]
         self.heap: list = []
         self.seq = 0
-        self.phase = {k: "idle" for k in range(1, K + 1)}
+        self.waiting: set[int] = set()
         self.iteration_log: list[tuple] = []
         self.cycles_closed = 0
         self.status = "running"
@@ -322,15 +311,9 @@ class _Simulator:
     def _log(self, kind, worker, local_iter, time, payload):
         self.trace.events.append(TraceEvent(kind, worker, local_iter, time, payload))
 
-    def _threshold_met(self, k: int) -> bool:
-        return ready_to_update(
-            len(self.problem.neighbors(k)), len(self.inbox[k]), self.params.p
-        )
-
     def _start_compute(self, k: int, t: float):
         state = self.states[k - 1]
         self._log("compute_start", k, state.local_iter, t, {"z": state.z.tolist()})
-        self.phase[k] = "computing"
         delay = self.delays.compute_spec(k).sample(self.compute_rng[k])
         self._push(t + delay, "done", k)
 
@@ -361,44 +344,39 @@ class _Simulator:
                   {"x": state.x.tolist(), "lam": lam, "ax": ax,
                    "feas": float(result.constraint_norm)})
         for i, neighbor, blk, spec, rng in self.links[k]:
-            link_delay = spec.sample(rng)
-            # state vectors are replaced, never written in place, so the
-            # message blocks (and the snapshots below) can be views
-            msg = BoundaryMessage(
-                sender=k, receiver=neighbor, edge_index=i,
-                ax_block=state.ax[blk], lam_block=state.lam[blk],
-                sender_iter=state.local_iter, sent_at=t, arrives_at=t + link_delay,
-            )
             payload = {"to": neighbor, "edge": i, "sender_iter": state.local_iter,
                        "ax": ax[blk], "lam": lam[blk]}
             self._log("send", k, state.local_iter, t, payload)
-            self._push(msg.arrives_at, "arrival", msg)
+            # state vectors are replaced, never written in place, so the
+            # message blocks (and the snapshots below) can be views
+            self._push(t + spec.sample(rng), "arrival",
+                       (neighbor, k, i, state.local_iter, state.ax[blk], state.lam[blk]))
         self._try_close_cycle(k, t)
 
     def _try_close_cycle(self, k: int, t: float):
-        if not self._threshold_met(k):
-            self.phase[k] = "waiting"
+        if not ready_to_update(len(self.problem.neighbors(k)), len(self.inbox[k]),
+                               self.params.p):
+            self.waiting.add(k)
             return
+        self.waiting.discard(k)
         state = self.states[k - 1]
-        # consensus update on every arrived edge, freshest message per edge;
+        # consensus update on every edge with a held message, the newest taken;
         # the proximal centre is this worker's own snapshot of the block
         # (its previous local iterate), which also makes simultaneous
         # duplicate updates of a shared block bitwise identical
-        for i in sorted(self.inbox[k]):
-            msg = self.inbox[k].pop(i)
-            self.consumed_iter[k][i] = msg.sender_iter
+        inbox = self.inbox[k]
+        for i in sorted(inbox):
+            sender, sender_iter, ax_blk, lam_blk = inbox.pop(i)
             e = self.problem.edges[i]
             own_blk = e.block_of(k)
-            z_prev_blk = state.z[own_blk]
             if k == e.k:
-                args = (state.lam[own_blk], msg.lam_block, state.ax[own_blk], msg.ax_block)
+                args = (state.lam[own_blk], lam_blk, state.ax[own_blk], ax_blk)
             else:
-                args = (msg.lam_block, state.lam[own_blk], msg.ax_block, state.ax[own_blk])
-            z_new = z_update(e, args[0], args[1], args[2], args[3], z_prev_blk, self.params)
+                args = (lam_blk, state.lam[own_blk], ax_blk, state.ax[own_blk])
+            z_new = z_update(e, *args, state.z[own_blk], self.params)
             self.z_global[self.problem.edge_slice(i)] = z_new
             self._log("z_update", k, state.local_iter, t, {
-                "edge": i, "with": msg.sender, "sender_iter": msg.sender_iter,
-                "z": z_new.tolist(),
+                "edge": i, "with": sender, "sender_iter": sender_iter, "z": z_new.tolist(),
             })
         prev, state.z = state.z, self.problem.region_z(self.z_global, k)
         state.residue = residue(state, prev)
@@ -408,10 +386,8 @@ class _Simulator:
         if self._global_stop():
             self.status = "converged"
             return
-        if state.local_iter >= self.stop.max_local_iters:
-            self.phase[k] = "idle"
-            return
-        self._start_compute(k, t)
+        if state.local_iter < self.stop.max_local_iters:
+            self._start_compute(k, t)
 
     def _record_iteration(self, t: float):
         residues = [s.residue for s in self.states]
@@ -423,12 +399,8 @@ class _Simulator:
         )
 
     def _global_stop(self) -> bool:
-        for s in self.states:
-            if s.residue is None or s.residue > self.stop.tol:
-                return False
-            if s.constraint_violation > self.stop.tol:
-                return False
-        return True
+        _, _, max_res, _, mismatch = self.iteration_log[-1]
+        return max_res <= self.stop.tol and mismatch <= self.stop.tol
 
     # -- main loop ---------------------------------------------------------
 
@@ -445,18 +417,14 @@ class _Simulator:
             if kind == "done":
                 self._finish_compute(data, t)
             else:
-                msg: BoundaryMessage = data
-                k = msg.receiver
-                self._log("receive", k, self.states[k - 1].local_iter, t, {
-                    "from": msg.sender, "edge": msg.edge_index,
-                    "sender_iter": msg.sender_iter,
-                })
-                held = self.inbox[k].get(msg.edge_index)
-                superseded = msg.sender_iter <= self.consumed_iter[k].get(msg.edge_index, -1)
-                if not superseded and (held is None or msg.sender_iter >= held.sender_iter):
-                    self.inbox[k][msg.edge_index] = msg
-                if self.phase[k] == "waiting":
-                    self._try_close_cycle(k, t)
+                k, sender, i, sender_iter, ax_blk, lam_blk = data
+                self._log("receive", k, self.states[k - 1].local_iter, t,
+                          {"from": sender, "edge": i, "sender_iter": sender_iter})
+                if sender_iter > self.newest[k].get(i, -1):
+                    self.newest[k][i] = sender_iter
+                    self.inbox[k][i] = (sender, sender_iter, ax_blk, lam_blk)
+                    if k in self.waiting:
+                        self._try_close_cycle(k, t)
         if self.status == "running":
             self.status = "iteration_cap"
         end = self.now
@@ -491,7 +459,7 @@ def run(
     """Execute the asynchronous loop under the given delay model.
 
     Returns the trace and the final states; the compute/wait split is
-    :func:`asyncadmm.analysis.timing_from_trace` of the trace's index. Identical
+    :func:`asyncadmm.analysis.timing_from_trace` of the trace's slicing. Identical
     arguments (including the seed) produce a bitwise-identical trace. A local
     solver failure raises :class:`EngineAbort` carrying the partial trace;
     cap exhaustion returns normally with ``converged=False``.

@@ -142,8 +142,6 @@ class OpfCase:
 
 
 def _connected(ids: set[int], branches) -> bool:
-    if not ids:
-        return True
     adj: dict[int, set[int]] = {i: set() for i in ids}
     for br in branches:
         if br.from_bus in ids and br.to_bus in ids:

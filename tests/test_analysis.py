@@ -129,7 +129,7 @@ class TestOmega:
             boundaries=[float(i) for i in range(slots)], end_time=float(slots),
             num_workers=num_workers, worker=worker, cycle=zeros.astype(np.int64),
             start_t=zeros, end_t=zeros, start_slot=finish_slot - 1, finish_slot=finish_slot,
-            receives=no_receives,
+            open_start={}, receives=no_receives,
         )
 
     def test_lockstep_is_one(self):

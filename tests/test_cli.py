@@ -92,6 +92,25 @@ class TestRunCommand:
         assert sorted(path.name for path in out.iterdir()) == \
             ["convergence.csv", "diagnostics.json", "trace.log"]
 
+    def test_printed_max_residue_is_the_last_csv_row(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, TOY_CONFIG + f"outdir = {out}\n")
+        assert main(["run", str(cfg)]) == 0
+        rows = read_results(out / "convergence.csv")
+        assert capsys.readouterr().out == (f"converged: {rows[-1][1]:.3f} ms virtual, max residue "
+                                           f"{rows[-1][2]:.3e}, artifacts in {out}\n")
+        # worker 1's first compute outlasts the time cap, so no row has a
+        # finite max residue although workers 2 and 3 close cycles
+        capped = TOY_CONFIG.replace("targets = 0, 2", "targets = 0, 1, 2").replace(
+            "mode = sync", "mode = async\np = 0.1")
+        cfg = write_config(tmp_path, capped + f"outdir = {out}\ncompute_delay.1 = constant:100.0\n"
+                                               "time_cap_ms = 10\n")
+        assert main(["run", str(cfg)]) == 2
+        rows = read_results(out / "convergence.csv")
+        assert rows and all(row[2] == math.inf for row in rows)
+        assert capsys.readouterr().out == \
+            f"time_cap: 10.000 ms virtual, max residue inf, artifacts in {out}\n"
+
     def test_flat_start_at_bound_midpoints(self, tmp_path):
         cfg = write_config(tmp_path, TOY_CONFIG + f"outdir = {tmp_path / 'out'}\n")
         main(["run", str(cfg)])
@@ -485,6 +504,11 @@ def _case_is_a_directory(tmp_path):
                                               f"partition = {CASES_DIR / 'chain3.part'}\n"))]
 
 
+def _case_is_missing(tmp_path):
+    return ["run", str(write_config(tmp_path, f"problem = opf\ncase = {tmp_path / 'none.case'}\n"
+                                              f"partition = {CASES_DIR / 'chain3.part'}\n"))]
+
+
 def _outdir_at(relative):
     def argv(tmp_path):
         (tmp_path / "afile").write_text("not a directory\n")
@@ -502,12 +526,13 @@ def _analyze_out_under_missing_directory(tmp_path):
 
 @pytest.mark.parametrize("argv_for", [
     _config_not_utf8,
+    _case_is_missing,
     _case_is_a_directory,
     _outdir_at("afile"),
     _outdir_at("afile/sub"),
     _analyze_out_under_missing_directory,
-], ids=["config-not-utf8", "case-is-a-directory", "outdir-is-a-file", "outdir-under-a-file",
-        "analyze-out-under-missing-directory"])
+], ids=["config-not-utf8", "case-is-missing", "case-is-a-directory", "outdir-is-a-file",
+        "outdir-under-a-file", "analyze-out-under-missing-directory"])
 def test_io_failure_is_one_error_line(tmp_path, capsys, argv_for):
     """Unreadable inputs and unwritable outputs end in one ``error:`` line
     and exit code 1, never a traceback."""
@@ -520,16 +545,28 @@ def test_io_failure_is_one_error_line(tmp_path, capsys, argv_for):
     assert not captured.out
 
 
+OPF_FILES = ["--set", "problem=opf", "--set", "case={case}", "--set", "partition={part}"]
+
+
 @pytest.mark.parametrize("argv, line", [
     (["run", "{cfg}", "--set", "rho"], "error: --set needs key=value, got 'rho'"),
     (["analyze", "{missing}"], "error: cannot read trace {missing}: "
                                "[Errno 2] No such file or directory: '{missing}'"),
     (["analyze", "{trace}", "--gamma", "1"], "error: constants need all of --gamma --m1 --m2 --c"),
-], ids=["set-without-equals", "missing-trace", "partial-constants"])
+    (["run", "{cfg}", *OPF_FILES, "--set", "case={missing}"],
+     "error: cannot read case {missing}: [Errno 2] No such file or directory: '{missing}'"),
+    (["run", "{cfg}", *OPF_FILES, "--set", "case={dir}"],
+     "error: cannot read case {dir}: [Errno 21] Is a directory: '{dir}'"),
+    (["run", "{cfg}", *OPF_FILES, "--set", "partition={missing}"],
+     "error: cannot read partition {missing}: [Errno 2] No such file or directory: '{missing}'"),
+], ids=["set-without-equals", "missing-trace", "partial-constants", "missing-case",
+        "case-is-a-directory", "missing-partition"])
 def test_failure_keeps_its_text(tmp_path, capsys, argv, line):
     cfg = write_config(tmp_path, TOY_CONFIG + f"outdir = {tmp_path / 'out'}\n")
     assert main(["run", str(cfg)]) == 0
-    paths = {"cfg": cfg, "missing": tmp_path / "none.log", "trace": tmp_path / "out" / "trace.log"}
+    paths = {"cfg": cfg, "missing": tmp_path / "none.log", "trace": tmp_path / "out" / "trace.log",
+             "dir": tmp_path, "case": CASES_DIR / "chain3.case",
+             "part": CASES_DIR / "chain3.part"}
     capsys.readouterr()
     assert main([arg.format(**paths) for arg in argv]) == 1
     captured = capsys.readouterr()
@@ -607,6 +644,7 @@ DIAGNOSTICS_PREFIXES = {
     "toy_chain16": "cbe2c798caa5ed2e",
     "nine_sync_warm": "8efaef4a115c9057",
     "nonconvex": "b4e3433f1dbb7ec1",
+    "toy_chain16_overtaking": "3580d3acaea04e89",
 }
 
 
@@ -618,6 +656,8 @@ DIAGNOSTICS_PREFIXES = {
     # the one pinned run from a power-flow warm start
     ("nine_sync_warm", "94930b90ee8fba87"),
     ("nonconvex", "7b8d878ad32bb10c"),
+    # the one pinned run that drops messages overtaken on their edge
+    ("toy_chain16_overtaking", "5bbd3cf149b7004f"),
 ])
 def test_shipped_trace_hashes(tmp_path, config, prefix):
     # a change that claims to preserve behaviour keeps these traces byte for

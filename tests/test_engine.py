@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from asyncadmm.analysis import TraceIndex, timing_from_trace
+from asyncadmm import caseio
+from asyncadmm.analysis import TraceIndex, assign_global_iterations, timing_from_trace
 from asyncadmm.engine import (
     DelayModel,
     DelaySpec,
@@ -17,6 +18,11 @@ from conftest import aborted_trace, events_of
 from oracles import run_sync_reference
 
 ZERO_LINK = DelayModel(compute=DelaySpec.constant(1.0), link=DelaySpec.constant(0.0), seed=0)
+
+
+def timing(trace):
+    """The compute/wait split of a trace, as ``analyze_trace`` reports it."""
+    return timing_from_trace(assign_global_iterations(TraceIndex(trace)), trace.end_time)
 
 
 class TestDelaySpecs:
@@ -155,7 +161,7 @@ class TestAsyncRuns:
                   StoppingRule(tol=1e-12, max_local_iters=10**6, time_cap_ms=7.5))
         assert mid.status == "time_cap" and mid.end_time == 7.5
         assert mid.trace.events[-1].time == 7.5
-        for row in timing_from_trace(TraceIndex(mid.trace)).values():
+        for row in timing(mid.trace).values():
             assert row["compute_ms"] == 7.5 and row["wait_ms"] == 0.0
 
     def test_solver_failure_aborts_with_partial_trace(self):
@@ -211,6 +217,30 @@ class TestTraceInvariants:
                 assert ev.payload["sender_iter"] > last[key]
             last[key] = ev.payload["sender_iter"]
 
+    def test_overtaken_messages_are_dropped(self, pinned_run):
+        # on the pinned overtaking run, receives on an edge arrive out of
+        # order; one no newer than a message already taken on its edge is
+        # dropped, and each z_update consumes the newest message taken, so
+        # its sender_iter strictly increases per (worker, edge)
+        trace = caseio.read_trace(pinned_run("toy_chain16_overtaking") / "trace.log")
+        taken: dict = {}
+        consumed: dict = {}
+        dropped = {"older than consumed": 0, "older than held": 0}
+        for ev in trace.events:
+            if ev.kind not in ("receive", "z_update"):
+                continue
+            key, sender_iter = (ev.worker, ev.payload["edge"]), ev.payload["sender_iter"]
+            if ev.kind == "z_update":
+                assert sender_iter == taken[key] > consumed.get(key, -1)
+                consumed[key] = sender_iter
+            elif sender_iter <= consumed.get(key, -1):
+                dropped["older than consumed"] += 1
+            elif sender_iter <= taken.get(key, -1):
+                dropped["older than held"] += 1
+            else:
+                taken[key] = sender_iter
+        assert dropped == {"older than consumed": 1821, "older than held": 464}
+
     def test_compute_events_alternate(self):
         _, res = self.run_async()
         state: dict = {}
@@ -246,9 +276,9 @@ class TestTimeAccounting:
         async_run = run(problem, AdmmParams(rho=5.0, p=0.1), slow,
                         StoppingRule(tol=1e-4, max_local_iters=400))
         assert sync_run.converged and async_run.converged
-        sync_timing = timing_from_trace(TraceIndex(sync_run.trace))
+        sync_timing = timing(sync_run.trace)
         wf_sync = sum(t["wait_fraction"] for t in sync_timing.values()) / 4
-        async_timing = timing_from_trace(TraceIndex(async_run.trace))
+        async_timing = timing(async_run.trace)
         wf_async = sum(t["wait_fraction"] for t in async_timing.values()) / 4
         assert wf_sync > wf_async
         # the fast workers idle most of each lockstep round
@@ -259,7 +289,7 @@ class TestTimeAccounting:
         problem = make_toy_consensus([0.0, 2.0])
         res = run(problem, AdmmParams(rho=5.0, p=1.0), ZERO_LINK,
                   StoppingRule(tol=1e-3, max_local_iters=100))
-        for t in timing_from_trace(TraceIndex(res.trace)).values():
+        for t in timing(res.trace).values():
             assert t["compute_ms"] + t["wait_ms"] == pytest.approx(res.end_time, abs=1e-9)
         # iteration-capped chain 1-2-3 with a slow end worker: workers 1 and
         # 2 reach the cap of 10 one-millisecond cycles at t = 10; worker 3's
@@ -271,5 +301,5 @@ class TestTimeAccounting:
                   StoppingRule(tol=1e-12, max_local_iters=10))
         assert (res.status, res.end_time) == ("iteration_cap", 16.0)
         split = {k: (t["compute_ms"], t["wait_ms"])
-                 for k, t in timing_from_trace(TraceIndex(res.trace)).items()}
+                 for k, t in timing(res.trace).items()}
         assert split == {1: (10.0, 6.0), 2: (10.0, 6.0), 3: (16.0, 0.0)}

@@ -330,6 +330,36 @@ class TestNewtonPowerFlow:
             assert np.all(x >= region.lower - 1e-12)
             assert np.all(x <= region.upper + 1e-12)
 
+    # bench/grids.py rejects a generated grid by these exits
+    @pytest.mark.parametrize("load, message", [
+        ((1000.0, 0.0), "power flow diverged"),
+        ((435.0, 200.0), "power flow did not converge in 60 iterations"),
+    ])
+    def test_heavy_load_is_a_build_error(self, load, message):
+        with pytest.raises(BuildError) as err:
+            newton_power_flow(two_bus_case(load=load))
+        assert str(err.value) == message
+
+    def test_isolated_bus_makes_the_jacobian_singular(self):
+        # two parallel branches whose reactances cancel leave bus 2 with no
+        # admittance at all, so its Jacobian rows are zero
+        case = OpfCase(base_mva=100.0, buses=(Bus(1), Bus(2, 50.0, 10.0)),
+                       branches=(Branch(1, 2, 0.0, 0.06), Branch(1, 2, 0.0, -0.06)),
+                       generators=(Generator(1, 0, 200, -100, 100),))
+        with pytest.raises(BuildError, match="power flow Jacobian is singular"):
+            newton_power_flow(case)
+
+    def test_case_without_generators(self):
+        # the angle reference falls back to the lowest bus id, and there is
+        # no slack bus for a power flow
+        case = OpfCase(base_mva=100.0, buses=(Bus(3), Bus(2, 50.0, 10.0)),
+                       branches=(Branch(3, 2, 0.02, 0.06),), generators=())
+        assert reference_bus(case) == 2
+        problem, layout = build_regional_subproblems(case, single_region_partition(case))
+        with pytest.raises(BuildError) as err:
+            warm_start(layout, problem)
+        assert str(err.value) == "power flow warm start needs at least one generator"
+
 
 class TestCentralized:
     def test_linear_cost_dispatch_matches_grid(self):
