@@ -561,13 +561,12 @@ def verify_trace_wellformed(index: TraceIndex) -> dict:
     }
 
 
-def timing_from_trace(assignment: GlobalIterationAssignment, end_time: float
-                      ) -> dict[int, dict]:
-    """Compute-vs-wait split per worker over the virtual timeline up to
-    ``end_time``, the trace's own, from the assignment's columns. A worker's
-    compute time adds each finished update's end and subtracts its start in
-    log order, then the update still open at the end."""
-    worker, open_start = assignment.worker, assignment.open_start
+def timing_from_trace(assignment: GlobalIterationAssignment) -> dict[int, dict]:
+    """Compute-vs-wait split per worker over the virtual timeline up to the
+    assignment's ``end_time``, from its columns. A worker's compute time adds
+    each finished update's end and subtracts its start in log order, then the
+    update still open at the end."""
+    worker, open_start, end_time = assignment.worker, assignment.open_start, assignment.end_time
     out = {}
     for k in sorted(open_start.keys() | set(worker.tolist())):
         own = worker == k
@@ -651,5 +650,5 @@ def analyze_trace(
         x_all, lam_all, z_final = final
         report["kkt"] = check_kkt(problem, x_all, z_final, lam_all, tol=kkt_tol)
         report["objective"] = problem.total_objective(x_all)
-    report["timing"] = timing_from_trace(assignment, trace.end_time)
+    report["timing"] = timing_from_trace(assignment)
     return report

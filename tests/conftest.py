@@ -282,5 +282,5 @@ def assert_analysis_matches_reference(trace: EventTrace, c_const: float = 1.0,
         row(reference.check_staleness_bound(trace, records, old, omega))
     assert list(map(row, analysis.check_lambda_bound(assignment, snap, c_const, m1))) == \
         list(map(row, reference.check_lambda_bound(trace, records, c_const, m1, old)))
-    assert split(analysis.timing_from_trace(assignment, trace.end_time)) == \
+    assert split(analysis.timing_from_trace(assignment)) == \
         split(reference.timing_from_trace(trace))

@@ -349,7 +349,7 @@ def test_criterion_10_time_accounting():
                     StoppingRule(tol=1e-4, max_local_iters=400))
     wf_sync, wf_async = (
         sum(t["wait_fraction"] for t in timing_from_trace(
-            assign_global_iterations(TraceIndex(trace)), trace.end_time).values()) / 4
+            assign_global_iterations(TraceIndex(trace))).values()) / 4
         for trace in (sync_run.trace, async_run.trace))
     ok = sync_run.converged and async_run.converged and wf_sync > wf_async
     report(10, ok, f"average wait fraction: lockstep {wf_sync:.3f} > "

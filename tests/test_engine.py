@@ -22,7 +22,7 @@ ZERO_LINK = DelayModel(compute=DelaySpec.constant(1.0), link=DelaySpec.constant(
 
 def timing(trace):
     """The compute/wait split of a trace, as ``analyze_trace`` reports it."""
-    return timing_from_trace(assign_global_iterations(TraceIndex(trace)), trace.end_time)
+    return timing_from_trace(assign_global_iterations(TraceIndex(trace)))
 
 
 class TestDelaySpecs:
