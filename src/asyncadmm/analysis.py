@@ -30,7 +30,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from functools import reduce
-from operator import add
+from operator import add, itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -47,27 +47,75 @@ class TraceError(ValueError):
 # the event index
 
 
+_MISSING = object()  # a payload key that the record lacks
+
+# kind -> (row list, payload keys, value of an absent key): per event of the kind, in log
+# order, the values' tuple (one key: the value); a message's peer is a send's to, a receive's from
+_ROWS = {
+    "send": ("messages", ("to", "edge", "sender_iter"), None),
+    "receive": ("messages", ("from", "edge", "sender_iter"), None),
+    "compute_end": ("updates", ("x", "lam"), _MISSING),
+    "z_update": ("z_updates", ("edge", "z"), _MISSING),
+    "final": ("finals", ("x", "lam"), _MISSING),
+    "final_z": ("final_z", ("z",), _MISSING),
+    "end": ("ends", ("status",), "incomplete"),
+}
+
+
 class TraceIndex:
-    """One trace read once: its ``meta`` and ``end_time``, ``time`` and
-    ``worker`` per event, keys ``by_worker`` that order events by worker,
-    then log position, and :meth:`of`, the log-ordered positions of some
-    kinds' events. It is the trace input of every pass; rebuild it after
-    changing events."""
+    """One trace read once, as columns, keeping no event or payload: ``meta``, ``status``,
+    ``end_time``; per event its kind ``kinds[code]``, ``worker``, ``local_iter``, ``time`` and a
+    key ``by_worker`` (worker, then log position); :meth:`of`, the log-ordered positions of some
+    kinds' events; the ``_ROWS`` lists. Every pass reads it; rebuild it after changing events."""
 
     def __init__(self, trace: EventTrace):
-        self.meta, self.end_time = trace.meta, trace.end_time
-        self.events = events = trace.events
-        kinds = [e.kind for e in events]
-        self.time = np.array([e.time for e in events], dtype=float)
-        self.worker = np.array([e.worker for e in events], dtype=np.int64)
-        self.by_worker = self.worker * len(events) + np.arange(len(events))
-        codes = {kind: i for i, kind in enumerate(dict.fromkeys(kinds))}
-        code = np.fromiter(map(codes.__getitem__, kinds), dtype=np.intp, count=len(kinds))
-        self._positions = {kind: np.flatnonzero(code == i) for kind, i in codes.items()}
+        self._fill(trace.meta, ((e.kind, e.worker, e.local_iter, e.time, e.payload)
+                                for e in trace.events))
+        self.status, self.end_time = trace.status, trace.end_time
+
+    @classmethod
+    def from_records(cls, meta, records) -> TraceIndex:
+        """The index of (kind, worker, local_iter, time, payload) records."""
+        index = cls.__new__(cls)._fill(meta, records)
+        index.status, index.end_time = index.ends[-1], index.time[index.of("end")[-1]].item()
+        return index
+
+    def _fill(self, meta, records) -> TraceIndex:
+        self.meta, codes, code, worker, iters, time = meta, {}, [], [], [], []
+        self.messages, self.updates, self.z_updates = [], [], []
+        self.finals, self.final_z, self.ends = [], [], []
+        rows = {kind: (getattr(self, row).append, itemgetter(*keys), dict.fromkeys(keys, missing))
+                for kind, (row, keys, missing) in _ROWS.items()}
+        for kind, w, it, t, payload in records:
+            code.append(codes.setdefault(kind, len(codes)))
+            worker.append(w)
+            iters.append(it)
+            time.append(t)
+            if (row := rows.get(kind)) is not None:
+                add, get, absent = row
+                try:
+                    add(get(payload))
+                except KeyError:
+                    add(get({**absent, **payload}))
+        self.kinds, self.time = list(codes), np.array(time, dtype=float)
+        try:
+            self.code, self.worker, self.local_iter = np.array([code, worker, iters], np.int64)
+        except OverflowError:
+            raise TraceError("trace holds a worker or local iteration beyond 64 bits") from None
+        self.by_worker = self.worker * len(code) + np.arange(len(code))
+        self._positions = {kind: np.flatnonzero(self.code == i)
+                           for i, kind in enumerate(self.kinds)}
+        return self
 
     def of(self, *kinds: str) -> np.ndarray:
         return np.sort(np.concatenate([self._positions.get(kind, np.empty(0, np.intp))
                                        for kind in kinds]), kind="stable")
+
+
+def _present(value, key: str):  # a row's value of payload key ``key``
+    if value is _MISSING:
+        raise KeyError(key)
+    return value
 
 
 def _matched_updates(index: TraceIndex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -83,10 +131,11 @@ def _matched_updates(index: TraceIndex) -> tuple[np.ndarray, np.ndarray, np.ndar
     after_end = np.ones(len(pos), dtype=bool)  # the worker's previous event is an end, or none
     after_end[1:] = ~same | is_end[:-1]
     if (broken := pos[is_end == after_end]).size:
-        ev = index.events[broken.min()]
-        if ev.kind == "compute_start":
-            raise TraceError(f"worker {ev.worker}: compute_start at t={ev.time} while computing")
-        raise TraceError(f"worker {ev.worker}: compute_end without start at t={ev.time}")
+        i = broken.min()
+        worker, time = index.worker[i].item(), index.time[i].item()
+        if index.kinds[index.code[i]] == "compute_start":
+            raise TraceError(f"worker {worker}: compute_start at t={time} while computing")
+        raise TraceError(f"worker {worker}: compute_end without start at t={time}")
     ends = np.flatnonzero(is_end)[np.argsort(pos[is_end], kind="stable")]
     last = np.append(~same, True)  # each worker's last event
     return pos[ends - 1], pos[ends], pos[last & ~is_end]
@@ -99,7 +148,7 @@ def _receives(index: TraceIndex) -> tuple[np.ndarray, np.ndarray]:
     received = index.of("receive")
     last = np.searchsorted(starts, index.by_worker[received]) - 1
     received, last = received[last >= 0], starts[last[last >= 0]]
-    n = len(index.events)
+    n = len(index.time)
     governed = last // max(n, 1) == index.worker[received]
     start_t, receive_t = index.time[last[governed] % max(n, 1)], index.time[received[governed]]
     return start_t[start_t < receive_t], receive_t[start_t < receive_t]
@@ -180,10 +229,8 @@ def assign_global_iterations(index: TraceIndex) -> GlobalIterationAssignment:
     num_workers = len(set(index.worker[start_pos].tolist()))
     start_t, end_t, worker = index.time[first], index.time[last], index.worker[last]
     boundaries = _maximal_boundaries(starts, start_t, end_t, worker, receives) if starts else []
-    cycle = np.fromiter((index.events[i].local_iter for i in last.tolist()), dtype=np.int64,
-                        count=len(last))
     return GlobalIterationAssignment(
-        boundaries, end_time, num_workers, worker, cycle, start_t, end_t,
+        boundaries, end_time, num_workers, worker, index.local_iter[last], start_t, end_t,
         np.searchsorted(boundaries, start_t), np.searchsorted(boundaries, end_t),
         dict(zip(index.worker[still_open].tolist(), index.time[still_open].tolist())), receives)
 
@@ -293,33 +340,32 @@ def slot_snapshots(index: TraceIndex, assignment: GlobalIterationAssignment) -> 
     # and every earlier event's; len(times) + 1 if none does
     phi = np.searchsorted(times, np.maximum.accumulate(index.time[pos])) + 1
     pos, phi = pos[phi <= len(times)], phi[phi <= len(times)]
-    is_z = np.zeros(len(index.events), dtype=bool)
-    is_z[index.of("z_update")] = True
-    is_z = is_z[pos]
+    z_pos = index.of("z_update")
+    is_z = np.isin(pos, z_pos)
+    z_rows = [index.z_updates[i] for i in np.searchsorted(z_pos, pos[is_z]).tolist()]
+    end_rows = [index.updates[i]
+                for i in np.searchsorted(index.of("compute_end"), pos[~is_z]).tolist()]
     at = np.arange(len(times) + 1)
     z = np.tile(z0, (len(times) + 1, 1))
     x, lam, seen = {}, {}, {}
     try:
-        payloads = [index.events[i].payload for i in pos[is_z].tolist()]
-        edges = [p["edge"] for p in payloads]
+        edges = [edge for edge, _ in z_rows]
         if not set(edges) <= set(range(len(slices))):
             raise IndexError(edges)
         edge = np.fromiter(edges, dtype=np.intp, count=len(edges))
         for e, sl in enumerate(slices):
             rows = np.flatnonzero(edge == e)
-            blocks = np.array([z0[sl], *(payloads[i]["z"] for i in rows.tolist())], dtype=float)
-            if blocks.shape != (len(rows) + 1, sl.stop - sl.start):
-                raise ValueError(blocks.shape)
+            # a z of another length than its edge's makes the rows ragged: ValueError
+            blocks = np.array([z0[sl], *(z_rows[i][1] for i in rows.tolist())], dtype=float)
             z[1:, sl] = blocks[np.searchsorted(phi[is_z][rows], at[1:], side="right")]
-        payloads = [index.events[i].payload for i in pos[~is_z].tolist()]
         worker = index.worker[pos[~is_z]]
         if not ((worker >= 1) & (worker <= len(x0))).all():
             raise IndexError(worker)
         for k, start in enumerate(x0, start=1):
             rows = np.flatnonzero(worker == k)
-            own = [payloads[i] for i in rows.tolist()]
-            x[k] = np.array([start, *(p["x"] for p in own)], dtype=float)
-            lams = [p["lam"] for p in own]
+            own = [end_rows[i] for i in rows.tolist()]
+            x[k] = np.array([start, *(row[0] for row in own)], dtype=float)
+            lams = [row[1] for row in own]
             lam[k] = np.array([np.zeros(np.shape(lams[0] if lams else [])), *lams], dtype=float)
             if x[k].ndim != 2 or lam[k].ndim != 2:
                 raise ValueError(x[k].shape, lam[k].shape)
@@ -328,19 +374,22 @@ def slot_snapshots(index: TraceIndex, assignment: GlobalIterationAssignment) -> 
         pass  # find the first event that cannot be measured, as a loop would
     else:
         return SlotSnapshots(z, x, lam, seen, z_blocks)
-    for ev in map(index.events.__getitem__, pos.tolist()):
+    z_rows, end_rows = iter(z_rows), iter(end_rows)
+    for i, z_event in zip(pos.tolist(), is_z.tolist()):
+        kind, worker, time = index.kinds[index.code[i]], index.worker[i], index.time[i].item()
         try:
-            if ev.kind == "z_update":
-                edge, value = ev.payload["edge"], np.asarray(ev.payload["z"], dtype=float)
+            if z_event:
+                edge, value = next(z_rows)
+                edge, value = _present(edge, "edge"), np.asarray(_present(value, "z"), dtype=float)
                 if edge not in range(len(slices)) or value.shape != z0[slices[int(edge)]].shape:
                     raise IndexError(f"edge {edge!r} of {len(slices)}, z of shape {value.shape}")
-            elif ev.worker not in range(1, len(x0) + 1):
-                raise IndexError(f"worker {ev.worker} is not one of {len(x0)}")
+            elif worker not in range(1, len(x0) + 1):
+                raise IndexError(f"worker {worker} is not one of {len(x0)}")
             else:
-                np.asarray(ev.payload["x"], dtype=float)
-                np.asarray(ev.payload["lam"], dtype=float)
+                for value, key in zip(next(end_rows), ("x", "lam")):
+                    np.asarray(_present(value, key), dtype=float)
         except (KeyError, TypeError, ValueError, IndexError) as err:
-            raise TraceError(f"malformed {ev.kind} event at t={ev.time}: {err}") from None
+            raise TraceError(f"malformed {kind} event at t={time}: {err}") from None
     raise TraceError("compute_end records give a worker x or lam of differing shapes")
 
 
@@ -539,20 +588,22 @@ def verify_trace_wellformed(index: TraceIndex) -> dict:
     timestamps. The per-worker start/end alternation is checked by
     :func:`assign_global_iterations`, which raises TraceError on a break."""
     sends, receive_ok, causal = {}, True, True  # sends by (sender, edge, sender_iter)
-    for ev in map(index.events.__getitem__, index.of("send", "receive").tolist()):
-        p, send = ev.payload, ev.kind == "send"
+    pos = index.of("send", "receive")
+    is_send = np.isin(pos, index.of("send")).tolist()
+    for send, worker, time, (peer, edge, sender_iter) in zip(
+            is_send, index.worker[pos].tolist(), index.time[pos].tolist(), index.messages):
         try:
-            key = (ev.worker if send else p.get("from"), p.get("edge"), p.get("sender_iter"))
+            key = (worker if send else peer, edge, sender_iter)
             src = sends.get(key)
             if send:
-                sends[key] = ev
+                sends[key] = (peer, time)
         except TypeError:  # an unhashable identity matches no send
             src = None
         if send:
             receive_ok &= src is None  # no earlier send has its identity
-        elif src is None or src.payload.get("to") != ev.worker:
+        elif src is None or src[0] != worker:
             receive_ok = False
-        elif ev.time < src.time:
+        elif time < src[1]:
             causal = False
     return {
         "receives_match_sends": receive_ok,
@@ -586,17 +637,15 @@ def _final_state(index: TraceIndex, problem: PartitionedProblem):
     """The final x, lam per region and z from the trace's ``final`` and
     ``final_z`` records, checked against the problem's dimensions and for
     finite values; None when the trace has none (an aborted run)."""
-    finals = [index.events[i].payload for i in index.of("final").tolist()]
-    z_records = [index.events[i].payload for i in index.of("final_z").tolist()]
-    if not finals or not z_records:
+    if not index.finals or not index.final_z:
         return None
     K = problem.num_regions
-    if len(finals) != K:
-        raise TraceError(f"trace holds {len(finals)} final records for {K} regions")
+    if len(index.finals) != K:
+        raise TraceError(f"trace holds {len(index.finals)} final records for {K} regions")
     try:
-        x_all = [np.asarray(f["x"], dtype=float) for f in finals]
-        lam_all = [np.asarray(f["lam"], dtype=float) for f in finals]
-        z = np.asarray(z_records[-1]["z"], dtype=float)
+        x_all = [np.asarray(x, dtype=float) for x, _ in index.finals]
+        lam_all = [np.asarray(lam, dtype=float) for _, lam in index.finals]
+        z = np.asarray(index.final_z[-1], dtype=float)
     except (TypeError, ValueError) as err:
         raise TraceError(f"trace holds a non-numeric final state: {err}") from None
     for k, region, x, lam in zip(range(1, K + 1), problem.regions, x_all, lam_all):
@@ -615,16 +664,14 @@ def _final_state(index: TraceIndex, problem: PartitionedProblem):
 
 
 def analyze_trace(
-    trace: EventTrace,
+    index: TraceIndex,
     problem: PartitionedProblem | None = None,
     constants: DiagnosticConstants | None = None,
     kkt_tol: float = 1e-3,
 ) -> dict:
-    """Full diagnostic report over one trace, JSON-serialisable. The trace
-    is indexed once, and every pass reads that index or what was built
-    from it."""
-    report: dict = {"status": trace.status, "end_time_ms": trace.end_time}
-    index = TraceIndex(trace)
+    """Full diagnostic report over one indexed trace, JSON-serialisable;
+    every pass reads the index or what was built from it."""
+    report: dict = {"status": index.status, "end_time_ms": index.end_time}
     assignment = assign_global_iterations(index)
     report["wellformed"] = verify_trace_wellformed(index)
     omega = measure_omega(assignment)
@@ -640,7 +687,7 @@ def analyze_trace(
     if constants is not None:
         violations = check_lambda_bound(assignment, snapshots, constants.c, constants.m1)
         try:
-            rho = float(trace.meta.get("params", {}).get("rho", 0.0)) or 1.0
+            rho = float(index.meta.get("params", {}).get("rho", 0.0)) or 1.0
         except (AttributeError, TypeError, ValueError):
             raise TraceError("trace metadata holds a malformed params.rho") from None
         report["lambda_bound"] = {"violations": violations, "num_violations": len(violations)}

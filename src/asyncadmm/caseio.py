@@ -16,11 +16,15 @@ Partition files assign buses to regions, one region per line::
     2: 3 4 5
 
 Traces are newline-delimited event records (kind, worker, local iteration,
-virtual time, payload digest, payload) under a JSON metadata header; the
-writer/reader round-trip is exact. The digest, the first 12 hex digits of the
-sha256 of the payload's canonical string, is computed by every write and read
-by nothing; a receive repeats its send's. Result tables are CSV with the fixed
-header ``iter,time_ms,max_residue,objective,constraint_mismatch``.
+virtual time, payload digest, payload) under a JSON metadata header. The
+digest, the first 12 hex digits of the sha256 of the payload's canonical
+string, is computed by every write and read by nothing; a receive repeats its
+send's. One parser reads traces: :func:`read_events` keeps every event, an
+exact round trip; :func:`read_trace` builds the analysis index and keeps no
+event, only kind, worker, local iteration and time per event and, of the
+payloads, the message identities, the compute_end x/lam, the z_update edge/z
+and the final state. Result tables are CSV with the fixed header
+``iter,time_ms,max_residue,objective,constraint_mismatch``.
 
 Parsing is total: malformed input of any kind raises :class:`ParseError`
 with a location, never anything else.
@@ -29,13 +33,14 @@ with a location, never anything else.
 from __future__ import annotations
 
 import json
+import json.encoder
 import json.scanner
 import math
-import sys
 
 import numpy as np
 
 from . import engine
+from .analysis import TraceIndex
 from .engine import EventTrace, TraceEvent
 from .opf import Branch, Bus, Generator, OpfCase, Partition
 
@@ -45,7 +50,6 @@ _GEN_ARITY = 5
 _COST_ARITY = 3
 _SECTIONS = ("BUS", "BRANCH", "GEN", "COST")
 _TRACE_HEADER = "#asyncadmm-trace-v1"
-_encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps(obj, sort_keys=True), built once
 RESULTS_HEADER = "iter,time_ms,max_residue,objective,constraint_mismatch"
 
 
@@ -244,6 +248,18 @@ def serialize_partition(partition: Partition) -> str:
 # traces and result tables
 
 
+_JSON = json.JSONEncoder(sort_keys=True)
+# json.dumps(obj, sort_keys=True) by one C encoder, not one per call, and no
+# circular-reference check: payloads and metadata are trees of fresh objects
+_C_ENCODE = json.encoder.c_make_encoder and json.encoder.c_make_encoder(
+    None, _JSON.default, json.encoder.encode_basestring_ascii, None, _JSON.key_separator,
+    _JSON.item_separator, True, False, True)
+
+
+def _encode(obj) -> str:
+    return "".join(_C_ENCODE(obj, 0)) if _C_ENCODE else _JSON.encode(obj)
+
+
 def write_trace(trace: EventTrace, path) -> None:
     """One event per line under a JSON metadata header; byte-exact round
     trip, and identical runs produce identical bytes. A receive repeats the
@@ -265,13 +281,27 @@ _scan = json.scanner.make_scanner(json.JSONDecoder())  # JSONDecoder.decode minu
 _BLOCK = 1 << 16  # bytes read and decoded at a time
 
 
-def read_trace(path) -> EventTrace:
-    """Inverse of :func:`write_trace`; corrupt input raises a located
-    :class:`ParseError` (line and byte offset, counted only for an error).
-    The file is decoded in blocks of whole lines and each record's payload
-    is read by the JSON scanner in place; payloads share their key strings,
-    so a trace held in memory costs little beyond its events."""
-    trace, saw_end, offset, line, rest = None, False, 0, 1, b""  # offset, line: block start
+def read_trace(path) -> TraceIndex:
+    """The :class:`~asyncadmm.analysis.TraceIndex` of a trace file, built
+    from its text without an event object or a payload kept."""
+    records = _records(path)
+    return TraceIndex.from_records(next(records), records)
+
+
+def read_events(path) -> EventTrace:
+    """Inverse of :func:`write_trace`: every event with its whole payload."""
+    records = _records(path)
+    trace = EventTrace(meta=next(records), events=[TraceEvent(*record) for record in records])
+    end = next(e for e in reversed(trace.events) if e.kind == "end")
+    trace.status, trace.end_time = end.payload.get("status", "incomplete"), end.time
+    return trace
+
+
+def _records(path):
+    """The metadata of a trace file, then each event record as (kind,
+    worker, local_iter, time, payload), decoded in blocks of whole lines;
+    corrupt input raises a located :class:`ParseError`."""
+    header, saw_end, offset, line, rest = False, False, 0, 1, b""  # offset, line: block start
     with open(path, "rb") as fh:
         while True:
             block = fh.read(_BLOCK)
@@ -282,73 +312,55 @@ def read_trace(path) -> EventTrace:
                 text, bad = data.decode("utf-8"), None
             except UnicodeDecodeError as err:  # the lines before the bad one come first
                 text, bad = data[:data.rfind(b"\n", 0, err.start) + 1].decode(), offset + err.start
-            if text:
-                trace, saw_end = _read_records(text, trace, saw_end, offset, line)
+            lines, first = text.split("\n"), 0
+            if text and not header:
+                if not lines[0].startswith(_TRACE_HEADER + " "):
+                    raise ParseError("missing trace header", line=1, offset=0)
+                try:
+                    meta = json.loads(lines[0][len(_TRACE_HEADER) + 1:])
+                except json.JSONDecodeError as err:
+                    raise ParseError(f"bad trace metadata: {err.msg}", line=1,
+                                     offset=err.pos) from None
+                header, first = True, 1
+                yield meta
+            for i, record in enumerate(lines[first:], first):
+                if not record:  # a blank line, or the end of the block
+                    continue
+                try:
+                    kind, worker, local_iter, time_s, _, payload_s = record.split(" ", 5)
+                    worker, local_iter, time = int(worker), int(local_iter), float(time_s)
+                    payload, stop = _scan(payload_s, 0) if payload_s[:1] == "{" else (None, -1)
+                    if stop != len(payload_s):  # not a bare object, spaces around it, an error
+                        payload = json.loads(payload_s)
+                except (ValueError, StopIteration):  # the scanner stops at a truncated value
+                    raise _located("malformed event record", lines, i, offset, line) from None
+                if not math.isfinite(time):
+                    raise _located(f"non-finite event time {time_s!r}", lines, i, offset, line)
+                if not isinstance(payload, dict):
+                    raise _located("event payload is not a JSON object", lines, i, offset, line)
+                try:  # the analysis reads the final state from these records
+                    if kind == "final" and not {"x", "lam"} <= payload.keys():
+                        raise KeyError("x, lam")
+                    if kind == "final_z":
+                        np.asarray(payload["z"], dtype=float)
+                except (KeyError, TypeError, ValueError):
+                    raise _located(f"malformed {kind} record", lines, i, offset, line) from None
+                saw_end = saw_end or kind == "end"
+                yield kind, worker, local_iter, time, payload
             if bad is not None:
                 raise ParseError("trace is not valid UTF-8", offset=bad)
             offset, line = offset + len(data), line + text.count("\n")
             if not block:
                 break
-    if trace is None:
+    if not header:
         raise ParseError("missing trace header", line=1, offset=0)
     if not saw_end:  # the last line counts if it has no newline
         raise ParseError("truncated trace: no end record", line=line - (not data), offset=offset)
-    return trace
 
 
-def _read_records(text: str, trace: EventTrace | None, saw_end: bool, offset: int,
-                  line: int) -> tuple[EventTrace, bool]:
-    """Read the records of a block of whole lines that starts at ``offset``
-    on ``line`` (the header first if ``trace`` is None) into the trace;
-    returns it and whether an ``end`` record has been read."""
-    find, intern, pos = text.find, sys.intern, 0
-
-    def located(message: str) -> ParseError:
-        return ParseError(message, line=line + text.count("\n", 0, pos),
-                          offset=offset + len(text[:pos].encode("utf-8")))
-
-    if trace is None:
-        pos = find("\n") % (len(text) + 1) + 1  # no newline (-1): the header is all
-        if not text.startswith(_TRACE_HEADER + " ", 0, pos - 1):
-            raise ParseError("missing trace header", line=1, offset=0)
-        try:
-            trace = EventTrace(meta=json.loads(text[len(_TRACE_HEADER) + 1:pos - 1]))
-        except json.JSONDecodeError as err:
-            raise ParseError(f"bad trace metadata: {err.msg}", line=1, offset=err.pos) from None
-    append = trace.events.append
-    while pos < len(text):
-        end = find("\n", pos) % (len(text) + 1)
-        if end == pos:  # a blank line
-            pos += 1
-            continue
-        try:
-            kind, worker, local_iter, time_s, _, payload_s = text[pos:end].split(" ", 5)
-            worker, local_iter, time = int(worker), int(local_iter), float(time_s)
-            payload, stop = _scan(payload_s, 0) if payload_s[:1] == "{" else (None, -1)
-            if stop != len(payload_s):  # not a bare object, whitespace around it, or an error
-                payload = json.loads(payload_s)
-        except (ValueError, StopIteration):  # the scanner stops at a truncated value
-            raise located("malformed event record") from None
-        if not math.isfinite(time):
-            raise located(f"non-finite event time {time_s!r}")
-        if not isinstance(payload, dict):
-            raise located("event payload is not a JSON object")
-        kind = intern(kind)
-        payload = {intern(key): value for key, value in payload.items()}
-        append(TraceEvent(kind, worker, local_iter, time, payload))
-        if kind == "end":
-            trace.status = payload.get("status", "incomplete")
-            trace.end_time, saw_end = time, True
-        # the analysis reads the final state from these records
-        try:
-            if kind == "final" and not {"x", "lam"} <= payload.keys():
-                raise KeyError("x, lam")
-            if kind == "final_z":
-                np.asarray(payload["z"], dtype=float)
-        except (KeyError, TypeError, ValueError):
-            raise located(f"malformed {kind} record") from None
-        pos = end + 1
-    return trace, saw_end
+def _located(message: str, lines: list[str], i: int, offset: int, line: int) -> ParseError:
+    """The error of ``lines[i]``, of a block that starts at ``offset`` on ``line``."""
+    return ParseError(message, line + i, offset + sum(len(s.encode()) + 1 for s in lines[:i]))
 
 
 def write_results(rows, path) -> None:

@@ -353,22 +353,25 @@ def cmd_run(args) -> int:
     problem, layout, descriptor = _resolve_problem(config)
     x0 = _start_vectors(config, problem, layout, descriptor)
     outdir = Path(config.outdir)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise OSError(f"cannot write outdir {outdir}: {err}") from err
     wall_start = time.monotonic()
     try:
         result = engine.run(problem, config.params, config.delays, stop,
                             x0=x0, problem_descriptor=descriptor)
     except engine.EngineAbort as err:
-        outdir.mkdir(parents=True, exist_ok=True)
         caseio.write_trace(err.trace, outdir / "trace.log")
         raise
 
     wall_s = time.monotonic() - wall_start
-    outdir.mkdir(parents=True, exist_ok=True)
     caseio.write_trace(result.trace, outdir / "trace.log")
     caseio.write_results(result.iteration_log, outdir / "convergence.csv")
     # from here on a failure leaves trace.log and convergence.csv in place
     try:
-        report = analysis.analyze_trace(result.trace, problem=problem, kkt_tol=config.tol)
+        report = analysis.analyze_trace(analysis.TraceIndex(result.trace), problem=problem,
+                                        kkt_tol=config.tol)
     except analysis.TraceError as err:
         raise analysis.TraceError(f"trace analysis failed: {err}") from err
     # virtual time is the primary axis everywhere; wall time alongside
@@ -407,7 +410,7 @@ def cmd_analyze(args) -> int:
     if not 0 < args.tol < math.inf:
         raise ValueError(f"--tol must be positive and finite, got {args.tol!r}")
     try:
-        trace = caseio.read_trace(args.trace)
+        index = caseio.read_trace(args.trace)
     except OSError as err:
         raise OSError(f"cannot read trace {args.trace}: {err}") from err
     given = [args.gamma, args.m1, args.m2, args.c]
@@ -417,14 +420,14 @@ def cmd_analyze(args) -> int:
         gamma=args.gamma, m1=args.m1, m2=args.m2, c=args.c
     )
     # malformed metadata other than the descriptor is reported by the analysis
-    meta = trace.meta if isinstance(trace.meta, dict) else {}
+    meta = index.meta if isinstance(index.meta, dict) else {}
     try:
         problem, _ = problem_from_descriptor(meta.get("problem", {}))
     except (KeyError, TypeError, ValueError) as err:
         raise ValueError(f"embedded problem does not rebuild: {err}") from err
-    report = analysis.analyze_trace(trace, problem=problem, constants=constants,
+    report = analysis.analyze_trace(index, problem=problem, constants=constants,
                                     kkt_tol=args.tol)
-    del trace  # the report holds no event: rendering it can reuse the events' memory
+    del index  # the report holds none of the index: rendering it can reuse its memory
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")

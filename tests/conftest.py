@@ -71,22 +71,27 @@ PINNED_CONFIGS = ("toy_sync", "ring5_async", "nine_sync", "toy_chain16", "nine_s
                   "nonconvex", "toy_chain16_overtaking")
 
 
+def run_pinned(name: str, tmp_path: Path) -> Path:
+    """The output directory ``tmp_path / "out"`` of one ``run`` of a pinned
+    config with the baseline off (nine_sync_warm: nine_sync from a warm
+    start)."""
+    warm = name == "nine_sync_warm"
+    cfg = CASES_DIR / "nine_sync.cfg" if warm else config_path(name, tmp_path)
+    extra = ["--set", "start=warm"] if warm else []
+    assert cli.main(["run", str(cfg), "--set", f"outdir={tmp_path / 'out'}",
+                     "--set", "baseline=false", *extra]) == 0
+    return tmp_path / "out"
+
+
 @pytest.fixture(scope="session")
 def pinned_run(tmp_path_factory):
-    """A function from a pinned config's name to the output directory of one
-    ``run`` of it with the baseline off (nine_sync_warm: nine_sync from a
-    warm start), made once per session."""
+    """A function from a pinned config's name to the output directory of
+    :func:`run_pinned`, made once per session."""
     outdirs = {}
 
     def outdir(name: str) -> Path:
         if name not in outdirs:
-            tmp = tmp_path_factory.mktemp(name)
-            warm = name == "nine_sync_warm"
-            cfg = CASES_DIR / "nine_sync.cfg" if warm else config_path(name, tmp)
-            extra = ["--set", "start=warm"] if warm else []
-            assert cli.main(["run", str(cfg), "--set", f"outdir={tmp / 'out'}",
-                             "--set", "baseline=false", *extra]) == 0
-            outdirs[name] = tmp / "out"
+            outdirs[name] = run_pinned(name, tmp_path_factory.mktemp(name))
         return outdirs[name]
 
     return outdir

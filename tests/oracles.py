@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,13 +115,6 @@ def read_results(path) -> list[tuple]:
     return rows
 
 
-def _interned_keys(pairs: list[tuple]) -> dict:
-    return {sys.intern(key): value for key, value in pairs}
-
-
-_decode_payload = json.JSONDecoder(object_pairs_hook=_interned_keys).decode
-
-
 def read_trace_by_line(path) -> EventTrace:
     """The trace reader as it was before it decoded the file at once and
     called the JSON scanner directly, reading one line at a time; the new
@@ -165,14 +157,13 @@ def _read_event(trace: EventTrace, line: str, line_no: int, offset: int) -> bool
         worker = int(worker_s)
         local_iter = int(iter_s)
         time = float(time_s)
-        payload = _decode_payload(payload_s)
+        payload = json.loads(payload_s)
     except (ValueError, json.JSONDecodeError):
         raise ParseError("malformed event record", line=line_no, offset=offset) from None
     if not math.isfinite(time):
         raise ParseError(f"non-finite event time {time_s!r}", line=line_no, offset=offset)
     if not isinstance(payload, dict):
         raise ParseError("event payload is not a JSON object", line=line_no, offset=offset)
-    kind = sys.intern(kind)
     trace.events.append(TraceEvent(kind, worker, local_iter, time, payload))
     if kind == "end":
         trace.status = payload.get("status", "incomplete")

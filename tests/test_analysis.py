@@ -300,7 +300,7 @@ class TestAggregateReport:
     def test_full_report_on_async_trace(self):
         problem, res = async_run(seed=21)
         consts = DiagnosticConstants(gamma=2.0, m1=2.0, m2=1.0, c=1.0)
-        report = analyze_trace(res.trace, problem=problem, constants=consts)
+        report = analyze_trace(TraceIndex(res.trace), problem=problem, constants=consts)
         assert report["omega"] >= 1
         assert report["staleness_bound"]["holds"]
         assert report["lambda_bound"]["num_violations"] == 0

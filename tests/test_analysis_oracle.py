@@ -23,7 +23,7 @@ from conftest import (
 
 @pytest.mark.parametrize("config", PINNED_CONFIGS)
 def test_analysis_matches_reference_on_pinned_runs(pinned_run, config):
-    trace = caseio.read_trace(pinned_run(config) / "trace.log")
+    trace = caseio.read_events(pinned_run(config) / "trace.log")
     assert_analysis_matches_reference(trace, c_const=1.0, m1=2.0)
 
 
@@ -61,7 +61,7 @@ def test_snapshot_errors_match_reference(pinned_run, edit):
     # the first event in log order that cannot be measured gives the error,
     # with the message of the event-by-event loop
     kind, nth, change = EDITS[edit]
-    trace = caseio.read_trace(pinned_run("ring5_async") / "trace.log")
+    trace = caseio.read_events(pinned_run("ring5_async") / "trace.log")
     change(events_of(trace, kind)[nth].payload)
     new, old = _snapshot_errors(trace)
     assert new == old
@@ -70,7 +70,7 @@ def test_snapshot_errors_match_reference(pinned_run, edit):
 def test_analysis_matches_reference_out_of_time_order(pinned_run):
     # measured in log order, an event later in time than the next boundary
     # holds back every event behind it
-    trace = caseio.read_trace(pinned_run("ring5_async") / "trace.log")
+    trace = caseio.read_events(pinned_run("ring5_async") / "trace.log")
     for nth, kind, shift in ((3, "z_update", 2.5), (10, "compute_end", 4.0),
                              (20, "z_update", -3.0), (40, "compute_end", -1.5)):
         events_of(trace, kind)[nth].time += shift
@@ -81,7 +81,7 @@ def test_multiplier_unknown_before_the_slot_matches_reference(pinned_run):
     # worker 1's first compute_end, measured late, is not yet known at the
     # start of its next update's finish slot: the bound takes zero for the
     # multiplier there; a tiny m1 makes every checked update a violation
-    trace = caseio.read_trace(pinned_run("toy_sync") / "trace.log")
+    trace = caseio.read_events(pinned_run("toy_sync") / "trace.log")
     events_of(trace, "compute_end")[0].time += 0.5
     assert_analysis_matches_reference(trace, c_const=1.0, m1=1e-3)
 
@@ -90,7 +90,7 @@ def test_multiplier_unknown_before_the_slot_matches_reference(pinned_run):
 def test_alternation_errors_match_reference(pinned_run, moves):
     # moving a compute_start or compute_end breaks its worker's alternation;
     # the first break in the log gives the error
-    trace = caseio.read_trace(pinned_run("toy_sync") / "trace.log")
+    trace = caseio.read_events(pinned_run("toy_sync") / "trace.log")
     pairs = [i for i, e in enumerate(trace.events) if e.kind in ("compute_start", "compute_end")]
     for source, target in moves:
         trace.events.insert(pairs[target], trace.events.pop(pairs[source]))

@@ -123,7 +123,7 @@ class TestTraceFiles:
         result = self.make_run()
         path = tmp_path / "trace.log"
         caseio.write_trace(result.trace, path)
-        back = caseio.read_trace(path)
+        back = caseio.read_events(path)
         assert len(back.events) == len(result.trace.events)
         for a, b in zip(result.trace.events, back.events):
             assert (a.kind, a.worker, a.local_iter, a.time, a.payload) == \
@@ -134,7 +134,7 @@ class TestTraceFiles:
         result = self.make_run()
         p1, p2 = tmp_path / "a.log", tmp_path / "b.log"
         caseio.write_trace(result.trace, p1)
-        caseio.write_trace(caseio.read_trace(p1), p2)
+        caseio.write_trace(caseio.read_events(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_empty_trace_writes_header_only(self, tmp_path):

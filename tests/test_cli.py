@@ -425,11 +425,13 @@ def _set_meta_key(key, value):
     return edit
 
 
-def _set_final_key(worker, key, value):
+def _set_every_key(prefix, key, value):
+    """Set ``key`` in the payload of every record whose line starts with
+    ``prefix``."""
     def edit(meta, events):
         out = []
         for line in events:
-            if line.startswith(f"final {worker} "):
+            if line.startswith(prefix):
                 *head, payload = line.split(" ", 5)
                 payload = json.loads(payload)
                 payload[key] = value
@@ -439,14 +441,31 @@ def _set_final_key(worker, key, value):
     return edit
 
 
-def _set_first_compute_end_key(worker, key, value):
+def _set_final_key(worker, key, value):
+    return _set_every_key(f"final {worker} ", key, value)
+
+
+def _set_first_key(prefix, key, value):
     def edit(meta, events):
-        i = next(i for i, line in enumerate(events) if line.startswith(f"compute_end {worker} "))
-        *head, payload = events[i].split(" ", 5)
-        payload = json.loads(payload)
-        payload[key] = value
-        return meta, [*events[:i], " ".join(head) + " " + json.dumps(payload) + "\n",
+        i = next(i for i, line in enumerate(events) if line.startswith(prefix))
+        return meta, [*events[:i], *_set_every_key(prefix, key, value)(meta, [events[i]])[1],
                       *events[i + 1:]]
+    return edit
+
+
+def _repeat_first(prefix):
+    def edit(meta, events):
+        i = next(i for i, line in enumerate(events) if line.startswith(prefix))
+        return meta, [*events[:i + 1], *events[i:]]
+    return edit
+
+
+def _move_compute_records(worker, to):
+    """Log every compute_start and compute_end of ``worker`` at ``to``."""
+    def edit(meta, events):
+        return meta, [f"{kind} {to} {rest}" if kind in ("compute_start", "compute_end")
+                      and int(w) == worker else line
+                      for line in events for kind, w, rest in [line.split(" ", 2)]]
     return edit
 
 
@@ -462,7 +481,9 @@ def _edge_out_of_range(meta, events):
 
 class TestMalformedTraceAnalysis:
     """A trace that parses but cannot be analysed ends ``analyze`` with
-    exit code 1 and one ``error:`` line, never a traceback."""
+    exit code 1 and one ``error:`` line, never a traceback; each error keeps
+    its text, and a malformed record that the analysis tolerates keeps its
+    report."""
 
     @pytest.mark.parametrize("edit", [
         lambda meta, events: ([meta], events),  # metadata is a JSON list
@@ -474,23 +495,77 @@ class TestMalformedTraceAnalysis:
         _set_final_key(2, "x", [1.0, 2.0]),  # x longer than region 2's
         _set_final_key(2, "lam", []),  # lam shorter than region 2's boundary
         _drop_final_record(2),  # fewer final records than regions
-        _set_first_compute_end_key(2, "x", [1.0, 2.0]),  # x rows of differing lengths
+        _set_first_key("compute_end 2 ", "x", [1.0, 2.0]),  # x rows of differing lengths
     ], ids=["list-metadata", "string-problem", "missing-x0", "short-z0", "edge-out-of-range",
             "list-params", "long-final-x", "short-final-lam", "missing-final",
             "long-compute-end-x"])
     def test_one_error_line(self, tmp_path, capsys, edit):
-        cfg = write_config(tmp_path, TOY_CONFIG + f"outdir = {tmp_path / 'out'}\n")
-        assert main(["run", str(cfg)]) == 0
-        header, *events = (tmp_path / "out" / "trace.log").read_text().splitlines(keepends=True)
-        tag, meta_text = header.split(" ", 1)
-        meta, events = edit(json.loads(meta_text), events)
-        bad = tmp_path / "bad.log"
-        bad.write_text(f"{tag} {json.dumps(meta)}\n" + "".join(events))
+        bad = edited_toy_trace(tmp_path, edit)
         capsys.readouterr()
         assert main(["analyze", str(bad), "--gamma", "2", "--m1", "2", "--m2", "1",
                      "--c", "1"]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+
+    @pytest.mark.parametrize("edit, line", [
+        (_repeat_first("compute_start 1 "),
+         "error: worker 1: compute_start at t=0.0 while computing"),
+        (_move_compute_records(2, 3),
+         "error: malformed compute_end event at t=1.0: worker 3 is not one of 2"),
+        # each row is a scalar: the rows stack, but not into a matrix
+        (_set_every_key("compute_end 2 ", "lam", 0.5),
+         "error: compute_end records give a worker x or lam of differing shapes"),
+        (_set_every_key("z_update ", "z", [0.5, 0.5]),
+         "error: malformed z_update event at t=1.0: edge 0 of 1, z of shape (2,)"),
+        (_set_final_key(2, "x", ["a"]),
+         "error: trace holds a non-numeric final state: could not convert string to float: 'a'"),
+        (_set_every_key("final_z ", "z", [1.0, 2.0]),
+         "error: final z has shape (2,), the problem needs (1,)"),
+        (_set_every_key("final_z ", "z", [math.nan]), "error: final z holds a non-finite value"),
+        (_move_compute_records(2, 2**63),
+         "error: trace holds a worker or local iteration beyond 64 bits"),
+    ], ids=["start-while-computing", "worker-out-of-range", "scalar-lam", "long-z-blocks",
+            "non-numeric-final", "wrong-shape-final-z", "non-finite-final-z",
+            "worker-beyond-64-bits"])
+    def test_error_keeps_its_text(self, tmp_path, capsys, edit, line):
+        bad = edited_toy_trace(tmp_path, edit)
+        capsys.readouterr()
+        for constants in ([], ["--gamma", "2", "--m1", "2", "--m2", "1", "--c", "1"]):
+            assert main(["analyze", str(bad), *constants]) == 1
+            captured = capsys.readouterr()
+            assert captured.err.splitlines() == [line] and not captured.out
+
+    def test_unhashable_message_identity_matches_no_send(self, tmp_path, capsys):
+        # a send whose edge is a list cannot be looked up: the receive that
+        # names the send's edge then matches nothing
+        bad = edited_toy_trace(tmp_path, _set_first_key("send 1 ", "edge", [0]))
+        capsys.readouterr()
+        assert main(["analyze", str(bad)]) == 0
+        assert json.loads(capsys.readouterr().out)["wellformed"] == {
+            "arrivals_after_sends": True, "events_time_ordered": True,
+            "receives_match_sends": False}
+
+    def test_blank_lines_are_skipped(self, tmp_path, capsys):
+        bad = edited_toy_trace(tmp_path, lambda meta, events: (meta, [*events[:5], "\n",
+                                                                     *events[5:], "\n"]))
+        capsys.readouterr()
+        assert main(["analyze", str(bad)]) == 0
+        edited = capsys.readouterr().out
+        assert main(["analyze", str(tmp_path / "out" / "trace.log")]) == 0
+        assert capsys.readouterr().out == edited
+
+
+def edited_toy_trace(tmp_path, edit) -> Path:
+    """A run of TOY_CONFIG under ``tmp_path / "out"``, and its trace after
+    ``edit(meta, event lines)`` written to ``tmp_path / "bad.log"``."""
+    cfg = write_config(tmp_path, TOY_CONFIG + f"outdir = {tmp_path / 'out'}\n")
+    assert main(["run", str(cfg)]) == 0
+    header, *events = (tmp_path / "out" / "trace.log").read_text().splitlines(keepends=True)
+    tag, meta_text = header.split(" ", 1)
+    meta, events = edit(json.loads(meta_text), events)
+    bad = tmp_path / "bad.log"
+    bad.write_text(f"{tag} {json.dumps(meta)}\n" + "".join(events))
+    return bad
 
 
 def _config_not_utf8(tmp_path):
@@ -559,8 +634,12 @@ OPF_FILES = ["--set", "problem=opf", "--set", "case={case}", "--set", "partition
      "error: cannot read case {dir}: [Errno 21] Is a directory: '{dir}'"),
     (["run", "{cfg}", *OPF_FILES, "--set", "partition={missing}"],
      "error: cannot read partition {missing}: [Errno 2] No such file or directory: '{missing}'"),
+    (["run", "{cfg}", "--set", "outdir={cfg}"],
+     "error: cannot write outdir {cfg}: [Errno 17] File exists: '{cfg}'"),
+    (["run", "{cfg}", "--set", "outdir={cfg}/sub"],
+     "error: cannot write outdir {cfg}/sub: [Errno 20] Not a directory: '{cfg}/sub'"),
 ], ids=["set-without-equals", "missing-trace", "partial-constants", "missing-case",
-        "case-is-a-directory", "missing-partition"])
+        "case-is-a-directory", "missing-partition", "outdir-is-a-file", "outdir-under-a-file"])
 def test_failure_keeps_its_text(tmp_path, capsys, argv, line):
     cfg = write_config(tmp_path, TOY_CONFIG + f"outdir = {tmp_path / 'out'}\n")
     assert main(["run", str(cfg)]) == 0
@@ -611,7 +690,7 @@ def test_nan_residual_fails_kkt(tmp_path, capsys):
     # left in its family maximum is within the tolerance
     out = tmp_path / "out"
     assert main(["run", str(CASES_DIR / "toy_sync.cfg"), "--set", f"outdir={out}"]) == 0
-    trace = caseio.read_trace(out / "trace.log")
+    trace = caseio.read_events(out / "trace.log")
     problem, _ = problem_from_descriptor(trace.meta["problem"])
     x_all = [np.asarray(e.payload["x"]) for e in trace.events if e.kind == "final"]
     lam_all = [np.asarray(e.payload["lam"]) for e in trace.events if e.kind == "final"]

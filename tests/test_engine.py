@@ -222,7 +222,7 @@ class TestTraceInvariants:
         # order; one no newer than a message already taken on its edge is
         # dropped, and each z_update consumes the newest message taken, so
         # its sender_iter strictly increases per (worker, edge)
-        trace = caseio.read_trace(pinned_run("toy_chain16_overtaking") / "trace.log")
+        trace = caseio.read_events(pinned_run("toy_chain16_overtaking") / "trace.log")
         taken: dict = {}
         consumed: dict = {}
         dropped = {"older than consumed": 0, "older than held": 0}

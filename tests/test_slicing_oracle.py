@@ -61,7 +61,7 @@ def test_aborted_run_without_a_finished_update():
     trace = aborted_trace()
     assert [e.kind for e in trace.events] == ["compute_start", "compute_start", "end"]
     assert_slicing_matches_reference(trace)
-    report = analyze_trace(trace)
+    report = analyze_trace(TraceIndex(trace))
     assert report["global_iterations"]["num_slots"] == 1
     assert report["global_iterations"]["membership_sizes"] == [0]
     assert report["omega"] == 2

@@ -1,14 +1,19 @@
-"""The trace reader against the line-by-line reader it replaced
+"""The trace readers against the line-by-line reader they replaced
 (``oracles.read_trace_by_line``): the same events on every pinned run, and
 the same ParseError (message, line and byte offset) on a deterministic
-corpus of corrupted toy_sync traces."""
+corpus of corrupted toy_sync traces, from both the full-event reader and
+the index reader; and the index read from a run's file against the index
+of the run's in-memory trace."""
+
+import json
 
 import pytest
 
-from asyncadmm import caseio
+from asyncadmm import caseio, engine
+from asyncadmm.analysis import TraceIndex
 from asyncadmm.caseio import ParseError
 
-from conftest import PINNED_CONFIGS
+from conftest import PINNED_CONFIGS, run_pinned
 from oracles import read_trace_by_line
 
 
@@ -24,19 +29,52 @@ def outcome(read, path):
              for e in trace.events])
 
 
+def bits(value):
+    """``value`` with every float replaced by its bits (``float.hex``)."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (list, tuple)):
+        return type(value)(map(bits, value))
+    return value
+
+
+def columns(index: TraceIndex) -> dict:
+    """Everything an index holds, arrays by dtype and bytes, rows and
+    scalars with floats by their bits."""
+    out = {name: (getattr(index, name).dtype.str, getattr(index, name).tobytes())
+           for name in ("code", "worker", "local_iter", "time", "by_worker")}
+    out.update({name: bits(getattr(index, name))
+                for name in ("messages", "updates", "z_updates", "finals", "final_z", "ends")})
+    out.update(kinds=index.kinds, meta=json.dumps(index.meta, sort_keys=True),
+               status=index.status, end_time=bits(index.end_time))
+    return out
+
+
 @pytest.mark.parametrize("config", PINNED_CONFIGS)
 def test_same_events_as_the_line_reader_on_pinned_runs(pinned_run, config):
     path = pinned_run(config) / "trace.log"
-    assert outcome(caseio.read_trace, path) == outcome(read_trace_by_line, path)
+    assert outcome(caseio.read_events, path) == outcome(read_trace_by_line, path)
 
 
-def test_payload_keys_are_shared(pinned_run):
-    trace = caseio.read_trace(pinned_run("ring5_async") / "trace.log")
-    ids: dict[str, set] = {}
-    for e in trace.events:
-        for key in e.payload:
-            ids.setdefault(key, set()).add(id(key))
-    assert ids and all(len(objects) == 1 for objects in ids.values())
+@pytest.mark.parametrize("config", PINNED_CONFIGS)
+def test_index_of_the_file_is_the_index_of_the_run(tmp_path, monkeypatch, config):
+    # analyze indexes the file's text, run its in-memory trace: one index
+    runs = []
+    run = engine.run
+    monkeypatch.setattr(engine, "run", lambda *args, **kw: runs.append(run(*args, **kw))
+                        or runs[-1])
+    index = caseio.read_trace(run_pinned(config, tmp_path) / "trace.log")
+    assert columns(index) == columns(TraceIndex(runs[0].trace))
+    assert not hasattr(index, "events")
+
+
+def index_outcome(path):
+    """The ParseError of the index reader, as :func:`outcome` gives it."""
+    try:
+        caseio.read_trace(path)
+    except ParseError as err:
+        return "error", str(err), err.line, err.offset
+    return "read"
 
 
 def corrupted_traces(data: bytes):
@@ -96,8 +134,9 @@ def test_same_errors_as_the_line_reader_on_corrupted_traces(pinned_run, tmp_path
     seen = set()
     for name, variant in corrupted_traces(data):
         path.write_bytes(variant)
-        new, old = outcome(caseio.read_trace, path), outcome(read_trace_by_line, path)
+        new, old = outcome(caseio.read_events, path), outcome(read_trace_by_line, path)
         assert new == old, name
+        assert index_outcome(path) == (new if new[0] == "error" else "read"), name
         seen.add(new[1] if new[0] == "error" else "read")
     # the corpus reaches every kind of outcome
     assert {"read", "missing trace header, line 1, byte 0"} <= seen
