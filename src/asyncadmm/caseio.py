@@ -278,7 +278,6 @@ def write_trace(trace: EventTrace, path) -> None:
 
 
 _scan = json.scanner.make_scanner(json.JSONDecoder())  # JSONDecoder.decode minus its wrapper
-_BLOCK = 1 << 16  # bytes read and decoded at a time
 
 
 def read_trace(path) -> TraceIndex:
@@ -299,33 +298,25 @@ def read_events(path) -> EventTrace:
 
 def _records(path):
     """The metadata of a trace file, then each event record as (kind,
-    worker, local_iter, time, payload), decoded in blocks of whole lines;
-    corrupt input raises a located :class:`ParseError`."""
-    header, saw_end, offset, line, rest = False, False, 0, 1, b""  # offset, line: block start
+    worker, local_iter, time, payload), read one line at a time; corrupt
+    input raises a :class:`ParseError` with its line and byte offset."""
+    saw_end, offset, line = False, 0, 0  # offset: where the line starts
     with open(path, "rb") as fh:
-        while True:
-            block = fh.read(_BLOCK)
-            data = rest + block
-            end = data.rfind(b"\n") + 1 if block else len(data)
-            data, rest = data[:end], data[end:]
+        for line, raw in enumerate(fh, start=1):
             try:
-                text, bad = data.decode("utf-8"), None
-            except UnicodeDecodeError as err:  # the lines before the bad one come first
-                text, bad = data[:data.rfind(b"\n", 0, err.start) + 1].decode(), offset + err.start
-            lines, first = text.split("\n"), 0
-            if text and not header:
-                if not lines[0].startswith(_TRACE_HEADER + " "):
+                record = raw.decode("utf-8").rstrip("\n")
+            except UnicodeDecodeError as err:
+                raise ParseError("trace is not valid UTF-8", offset=offset + err.start) from None
+            if line == 1:
+                if not record.startswith(_TRACE_HEADER + " "):
                     raise ParseError("missing trace header", line=1, offset=0)
                 try:
-                    meta = json.loads(lines[0][len(_TRACE_HEADER) + 1:])
+                    meta = json.loads(record[len(_TRACE_HEADER) + 1:])
                 except json.JSONDecodeError as err:
                     raise ParseError(f"bad trace metadata: {err.msg}", line=1,
                                      offset=err.pos) from None
-                header, first = True, 1
                 yield meta
-            for i, record in enumerate(lines[first:], first):
-                if not record:  # a blank line, or the end of the block
-                    continue
+            elif record:  # a blank line is skipped
                 try:
                     kind, worker, local_iter, time_s, _, payload_s = record.split(" ", 5)
                     worker, local_iter, time = int(worker), int(local_iter), float(time_s)
@@ -333,34 +324,25 @@ def _records(path):
                     if stop != len(payload_s):  # not a bare object, spaces around it, an error
                         payload = json.loads(payload_s)
                 except (ValueError, StopIteration):  # the scanner stops at a truncated value
-                    raise _located("malformed event record", lines, i, offset, line) from None
+                    raise ParseError("malformed event record", line, offset) from None
                 if not math.isfinite(time):
-                    raise _located(f"non-finite event time {time_s!r}", lines, i, offset, line)
+                    raise ParseError(f"non-finite event time {time_s!r}", line, offset)
                 if not isinstance(payload, dict):
-                    raise _located("event payload is not a JSON object", lines, i, offset, line)
+                    raise ParseError("event payload is not a JSON object", line, offset)
                 try:  # the analysis reads the final state from these records
                     if kind == "final" and not {"x", "lam"} <= payload.keys():
                         raise KeyError("x, lam")
                     if kind == "final_z":
                         np.asarray(payload["z"], dtype=float)
                 except (KeyError, TypeError, ValueError):
-                    raise _located(f"malformed {kind} record", lines, i, offset, line) from None
+                    raise ParseError(f"malformed {kind} record", line, offset) from None
                 saw_end = saw_end or kind == "end"
                 yield kind, worker, local_iter, time, payload
-            if bad is not None:
-                raise ParseError("trace is not valid UTF-8", offset=bad)
-            offset, line = offset + len(data), line + text.count("\n")
-            if not block:
-                break
-    if not header:
+            offset += len(raw)
+    if not line:  # an empty file
         raise ParseError("missing trace header", line=1, offset=0)
-    if not saw_end:  # the last line counts if it has no newline
-        raise ParseError("truncated trace: no end record", line=line - (not data), offset=offset)
-
-
-def _located(message: str, lines: list[str], i: int, offset: int, line: int) -> ParseError:
-    """The error of ``lines[i]``, of a block that starts at ``offset`` on ``line``."""
-    return ParseError(message, line + i, offset + sum(len(s.encode()) + 1 for s in lines[:i]))
+    if not saw_end:
+        raise ParseError("truncated trace: no end record", line=line, offset=offset)
 
 
 def write_results(rows, path) -> None:

@@ -280,7 +280,6 @@ class _Simulator:
         self.seq = 0
         self.waiting: set[int] = set()
         self.iteration_log: list[tuple] = []
-        self.cycles_closed = 0
         self.status = "running"
         self.now = 0.0
         meta = {
@@ -381,7 +380,6 @@ class _Simulator:
         prev, state.z = state.z, self.problem.region_z(self.z_global, k)
         state.residue = residue(state, prev)
         state.local_iter += 1
-        self.cycles_closed += 1
         self._record_iteration(t)
         if self._global_stop():
             self.status = "converged"
@@ -395,7 +393,7 @@ class _Simulator:
         mismatch = max([s.constraint_violation for s in self.states])
         objective = float(sum(self.objectives))
         self.iteration_log.append(
-            (self.cycles_closed, t, float(max_res), objective, float(mismatch))
+            (len(self.iteration_log) + 1, t, float(max_res), objective, float(mismatch))
         )
 
     def _global_stop(self) -> bool:

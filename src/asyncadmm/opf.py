@@ -91,9 +91,6 @@ class Generator:
         if self.p_min > self.p_max or self.q_min > self.q_max:
             raise ValueError(f"generator at bus {self.bus}: empty P or Q box")
 
-    def cost(self, p_mw: float) -> float:
-        return self.cost_a * p_mw * p_mw + self.cost_b * p_mw + self.cost_c
-
 
 @dataclass(frozen=True)
 class OpfCase:
@@ -308,13 +305,6 @@ class OpfLayout:
             np.add.at(P, gen_bus, x[lay.p])
             np.add.at(Q, gen_bus, x[lay.q])
         return V, P, Q
-
-    def total_cost(self, x_all: list[Array]) -> float:
-        total = 0.0
-        for lay, x in zip(self.regions, x_all):
-            for g, p in zip(lay.gen_indices, x[lay.p].tolist()):
-                total += self.case.generators[g].cost(p * self.case.base_mva)
-        return total
 
 
 # --------------------------------------------------------------------------
@@ -578,7 +568,7 @@ def centralized_reference_solve(case: OpfCase) -> CentralizedResult:
     result = solve_local(region, None, flat_start(region))
     V, P, Q = layout.assemble_network_solution([result.x])
     return CentralizedResult(
-        objective=layout.total_cost([result.x]), V=V, P=P, Q=Q, diagnostics=result,
+        objective=problem.total_objective([result.x]), V=V, P=P, Q=Q, diagnostics=result,
     )
 
 

@@ -653,6 +653,60 @@ def test_failure_keeps_its_text(tmp_path, capsys, argv, line):
     assert not captured.out
 
 
+@pytest.mark.parametrize("config, edit, line", [
+    (" = 5", None, "error: empty key, line 1"),
+    ("compute_delay = constant", None,
+     "error: delay spec 'constant' needs kind:params, line 1"),
+    ("rho = fast", None, "error: rho must be a number, got 'fast', line 1"),
+    ("seed = 1.5", None, "error: seed must be an integer, got '1.5', line 1"),
+    ("problem = quantum", None, "error: unknown problem kind 'quantum', line 1"),
+    ("start = hot", None, "error: start must be flat or warm, got 'hot', line 1"),
+    ("targets = 0, two", None, "error: targets must be numbers, got '0, two', line 1"),
+    ("compute_delay.one = constant:1", None,
+     "error: bad worker index in 'compute_delay.one', line 1"),
+    ("link_delay.1 = constant:1", None,
+     "error: bad edge in 'link_delay.1', expected k-l, line 1"),
+    ("baseline = maybe", None, "error: baseline must be true or false, got 'maybe', line 1"),
+    ("problem = toy_consensus\ntargets = 1", None,
+     "error: toy_consensus needs at least two targets"),
+    ("problem = opf", None, "error: problem = opf needs a case file"),
+    ("lambda_min = 1\nlambda_max = 0", None, "error: lambda box is empty or not a number"),
+    ("", ("case", "\n1 0.0", "\n1.5 0.0"), "error: bus id must be an integer, got 1.5, line 4"),
+    ("", ("case", "COST", "BASEMVA 100\nCOST"), "error: base MVA declared more than once, line 13"),
+    ("", ("case", "GEN", "BRANCH\nGEN"), "error: duplicate section BRANCH, line 10"),
+    ("", ("case", "COST  # a b c\n0.02 30.0 0.0\n0.04 25.0 0.0\n", ""),
+     "error: missing section COST"),
+    ("", ("case", "1 0.0  0.0  0.95 1.05 0 0\n2 60.0 15.0 0.95 1.05 0 0\n"
+                  "3 0.0  0.0  0.95 1.05 0 0\n", ""), "error: case has no buses"),
+    ("", ("case", "\n1 2 0.02", "\n1 1 0.02"), "error: branch 1-1: self-loop, line 8"),
+    ("", ("case", "\n2 3 0.02 0.06", "\n2 3 0 0"), "error: branch 2-3: zero impedance, line 9"),
+    ("", ("partition", "1: 1", "0: 1"), "error: region index must be >= 1, got 0, line 2"),
+    ("beta_minus = -1", ("case", "", ""), "error: beta weights must be positive and finite"),
+], ids=["empty-key", "delay-without-colon", "rho-not-a-number", "seed-not-an-integer",
+        "unknown-problem", "unknown-start", "targets-not-numbers", "bad-worker-override",
+        "bad-link-override", "baseline-not-boolean", "one-target", "opf-without-case",
+        "empty-lambda-box", "bus-id-not-an-integer", "second-basemva", "duplicate-section",
+        "missing-section", "no-buses", "self-loop", "zero-impedance", "region-below-one",
+        "negative-beta"])
+def test_config_and_case_errors_keep_their_text(tmp_path, capsys, config, edit, line):
+    # a bad config key, case row or partition row ends run with its located
+    # error line; edit = (file, old, new) edits chain3's case or partition,
+    # and ("case", "", "") runs chain3 as shipped
+    if edit is not None:
+        files = {}
+        for label in ("case", "partition"):
+            text = (CASES_DIR / f"chain3.{label[:4]}").read_text()
+            files[label] = tmp_path / f"chain3.{label[:4]}"
+            files[label].write_text(text.replace(*edit[1:], 1) if label == edit[0] else text)
+        config += f"\nproblem = opf\ncase = {files['case']}\npartition = {files['partition']}"
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, f"{config}\noutdir = {out}\n")
+    assert main(["run", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [line]
+    assert not captured.out and not out.exists()
+
+
 def test_bad_log_level_is_one_error_line():
     # in a fresh interpreter: under pytest the root logger already has a
     # handler, and logging.basicConfig would not look at the level

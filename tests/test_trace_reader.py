@@ -122,13 +122,16 @@ def corrupted_traces(data: bytes):
     wide[2] = wide[2].replace(b"{", '{"note": "\u00e9\u6f22", '.encode(), 1)
     wide[5] = b"garbage\n"
     yield "non-ASCII payload before a bad record", b"".join(wide)
+    # a record longer than 64 KiB, then an error after it
+    long = lines[:]
+    long[first[b"compute_end"]] = long[first[b"compute_end"]].replace(
+        b"{", b'{"note": "' + b"n" * 70_000 + b'", ', 1)
+    yield "record over 64 KiB", b"".join(long)
+    long[first[b"compute_end"] + 1] = b"garbage\n"
+    yield "bad record after one over 64 KiB", b"".join(long)
 
 
-@pytest.mark.parametrize("block", [caseio._BLOCK, 97])
-def test_same_errors_as_the_line_reader_on_corrupted_traces(pinned_run, tmp_path, monkeypatch,
-                                                            block):
-    # a short block splits the trace, and long lines, across many reads
-    monkeypatch.setattr(caseio, "_BLOCK", block)
+def test_same_errors_as_the_line_reader_on_corrupted_traces(pinned_run, tmp_path):
     data = (pinned_run("toy_sync") / "trace.log").read_bytes()
     path = tmp_path / "trace.log"
     seen = set()
