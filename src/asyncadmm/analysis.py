@@ -35,7 +35,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .engine import EventTrace
 from .problem import Array, PartitionedProblem
 
 
@@ -63,24 +62,14 @@ _ROWS = {
 
 
 class TraceIndex:
-    """One trace read once, as columns, keeping no event or payload: ``meta``, ``status``,
-    ``end_time``; per event its kind ``kinds[code]``, ``worker``, ``local_iter``, ``time`` and a
-    key ``by_worker`` (worker, then log position); :meth:`of`, the log-ordered positions of some
-    kinds' events; the ``_ROWS`` lists. Every pass reads it; rebuild it after changing events."""
+    """One trace read once, as columns, keeping no event or payload: ``meta``; ``status`` and
+    ``end_time`` from the last ``end`` record; per event its kind ``kinds[code]``, ``worker``,
+    ``local_iter``, ``time`` and a key ``by_worker`` (worker, then log position); :meth:`of`, the
+    log-ordered positions of some kinds' events; the ``_ROWS`` lists. ``records`` are (kind,
+    worker, local_iter, time, payload) tuples, the engine's events or the reader's, and hold an
+    ``end`` record. Every pass reads it; rebuild it after changing events."""
 
-    def __init__(self, trace: EventTrace):
-        self._fill(trace.meta, ((e.kind, e.worker, e.local_iter, e.time, e.payload)
-                                for e in trace.events))
-        self.status, self.end_time = trace.status, trace.end_time
-
-    @classmethod
-    def from_records(cls, meta, records) -> TraceIndex:
-        """The index of (kind, worker, local_iter, time, payload) records."""
-        index = cls.__new__(cls)._fill(meta, records)
-        index.status, index.end_time = index.ends[-1], index.time[index.of("end")[-1]].item()
-        return index
-
-    def _fill(self, meta, records) -> TraceIndex:
+    def __init__(self, meta, records):
         self.meta, codes, code, worker, iters, time = meta, {}, [], [], [], []
         self.messages, self.updates, self.z_updates = [], [], []
         self.finals, self.final_z, self.ends = [], [], []
@@ -105,7 +94,7 @@ class TraceIndex:
         self.by_worker = self.worker * len(code) + np.arange(len(code))
         self._positions = {kind: np.flatnonzero(self.code == i)
                            for i, kind in enumerate(self.kinds)}
-        return self
+        self.status, self.end_time = self.ends[-1], self.time[self.of("end")[-1]].item()
 
     def of(self, *kinds: str) -> np.ndarray:
         return np.sort(np.concatenate([self._positions.get(kind, np.empty(0, np.intp))

@@ -19,11 +19,12 @@ Traces are newline-delimited event records (kind, worker, local iteration,
 virtual time, payload digest, payload) under a JSON metadata header. The
 digest, the first 12 hex digits of the sha256 of the payload's canonical
 string, is computed by every write and read by nothing; a receive repeats its
-send's. One parser reads traces: :func:`read_events` keeps every event, an
-exact round trip; :func:`read_trace` builds the analysis index and keeps no
-event, only kind, worker, local iteration and time per event and, of the
-payloads, the message identities, the compute_end x/lam, the z_update edge/z
-and the final state. Result tables are CSV with the fixed header
+send's. :func:`read_trace` parses each line into the record that the engine
+logs, (kind, worker, local iteration, time, payload), and builds the analysis
+index from those records, keeping no event: only kind, worker, local
+iteration and time per event and, of the payloads, the message identities,
+the compute_end x/lam, the z_update edge/z, the final state and the status.
+Result tables are CSV with the fixed header
 ``iter,time_ms,max_residue,objective,constraint_mismatch``.
 
 Parsing is total: malformed input of any kind raises :class:`ParseError`
@@ -41,7 +42,7 @@ import numpy as np
 
 from . import engine
 from .analysis import TraceIndex
-from .engine import EventTrace, TraceEvent
+from .engine import EventTrace
 from .opf import Branch, Bus, Generator, OpfCase, Partition
 
 _BUS_ARITY = 7
@@ -126,8 +127,6 @@ def parse_case(text: str) -> OpfCase:
     missing = [s for s in _SECTIONS if s not in seen]
     if missing:
         raise ParseError(f"missing section {missing[0]}")
-    if base_mva <= 0:
-        raise ParseError("base MVA must be positive")
 
     buses = []
     known = set()
@@ -267,14 +266,14 @@ def write_trace(trace: EventTrace, path) -> None:
     sent = {}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_TRACE_HEADER + " " + _encode(trace.meta) + "\n")
-        for ev in trace.events:
-            p, text, digest = ev.payload, _encode(ev.payload), None
-            if ev.kind == "receive":
+        for kind, worker, local_iter, time, p in trace.events:
+            text, digest = _encode(p), None
+            if kind == "receive":
                 digest = sent.get((p.get("from"), p.get("edge"), p.get("sender_iter")))
             digest = digest or engine.payload_digest(p, text)
-            if ev.kind == "send":
-                sent[ev.worker, p.get("edge"), p.get("sender_iter")] = digest
-            fh.write(f"{ev.kind} {ev.worker} {ev.local_iter} {ev.time!r} {digest} {text}\n")
+            if kind == "send":
+                sent[worker, p.get("edge"), p.get("sender_iter")] = digest
+            fh.write(f"{kind} {worker} {local_iter} {time!r} {digest} {text}\n")
 
 
 _scan = json.scanner.make_scanner(json.JSONDecoder())  # JSONDecoder.decode minus its wrapper
@@ -284,16 +283,7 @@ def read_trace(path) -> TraceIndex:
     """The :class:`~asyncadmm.analysis.TraceIndex` of a trace file, built
     from its text without an event object or a payload kept."""
     records = _records(path)
-    return TraceIndex.from_records(next(records), records)
-
-
-def read_events(path) -> EventTrace:
-    """Inverse of :func:`write_trace`: every event with its whole payload."""
-    records = _records(path)
-    trace = EventTrace(meta=next(records), events=[TraceEvent(*record) for record in records])
-    end = next(e for e in reversed(trace.events) if e.kind == "end")
-    trace.status, trace.end_time = end.payload.get("status", "incomplete"), end.time
-    return trace
+    return TraceIndex(next(records), records)
 
 
 def _records(path):

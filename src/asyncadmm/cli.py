@@ -370,8 +370,8 @@ def cmd_run(args) -> int:
     caseio.write_results(result.iteration_log, outdir / "convergence.csv")
     # from here on a failure leaves trace.log and convergence.csv in place
     try:
-        report = analysis.analyze_trace(analysis.TraceIndex(result.trace), problem=problem,
-                                        kkt_tol=config.tol)
+        index = analysis.TraceIndex(result.trace.meta, result.trace.events)
+        report = analysis.analyze_trace(index, problem=problem, kkt_tol=config.tol)
     except analysis.TraceError as err:
         raise analysis.TraceError(f"trace analysis failed: {err}") from err
     # virtual time is the primary axis everywhere; wall time alongside

@@ -36,6 +36,7 @@ import heapq
 import math
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -166,10 +167,10 @@ def payload_digest(payload: dict, text: str) -> str:
     return _digest(_canonical(payload))
 
 
-@dataclass(slots=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One simulator event: kind, worker, the worker's local iteration at the
-    time, the virtual timestamp, and the payload."""
+    time, the virtual timestamp, and the payload; the same record that the
+    trace reader yields for each line."""
 
     kind: str
     worker: int
@@ -180,13 +181,12 @@ class TraceEvent:
 
 @dataclass
 class EventTrace:
-    """Globally ordered event log of one run; the final states are its
-    ``final`` and ``final_z`` events."""
+    """Globally ordered event log of one run. Its last ``end`` event states
+    the run's status and end time, and its ``final`` and ``final_z`` events
+    the final states."""
 
     meta: dict
     events: list[TraceEvent] = field(default_factory=list)
-    status: str = "incomplete"
-    end_time: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -322,9 +322,6 @@ class _Simulator:
         try:
             result = x_update(region, state, self.params, warm_state=self.solver_warm[k])
         except SolveError as err:
-            self.status = "aborted"
-            self.trace.status = "aborted"
-            self.trace.end_time = t
             # close the log so the partial trace stays readable post mortem
             self._log("end", 0, 0, t, {"status": "aborted", "converged": False,
                                        "error": str(err)})
@@ -437,8 +434,6 @@ class _Simulator:
         self._log("final_z", 0, 0, end, {"z": self.z_global.tolist()})
         converged = self.status == "converged"
         self._log("end", 0, 0, end, {"status": self.status, "converged": converged})
-        self.trace.status = self.status
-        self.trace.end_time = end
         return RunResult(
             trace=self.trace, states=self.states, z=self.z_global,
             converged=converged, status=self.status, end_time=end,

@@ -131,6 +131,11 @@ def event(kind, worker, local_iter, time, **payload) -> TraceEvent:
     return TraceEvent(kind, worker, local_iter, float(time), payload)
 
 
+def index_of(trace: EventTrace) -> analysis.TraceIndex:
+    """The analysis index of an in-memory trace, as ``run`` builds it."""
+    return analysis.TraceIndex(trace.meta, trace.events)
+
+
 def events_of(trace: EventTrace, kind: str) -> list[TraceEvent]:
     """The events of one kind, in trace order."""
     return [e for e in trace.events if e.kind == kind]
@@ -177,12 +182,10 @@ def staggered_trace() -> EventTrace:
         event("compute_start", 2, 3, 9.0),
         event("compute_end", 1, 3, 9.5),
         event("receive", 1, 3, 9.5, frm=2), event("compute_start", 1, 4, 9.5),
-        event("compute_end", 3, 1, 10.0),
+        event("compute_end", 3, 1, 10.0), event("end", 0, 0, 10.0),
     ]
-    return EventTrace(
-        meta={"k": 3, "edges": [], "x0": [[0.0], [0.0], [0.0]], "z0": []},
-        events=events, status="incomplete", end_time=10.0,
-    )
+    return EventTrace(meta={"k": 3, "edges": [], "x0": [[0.0], [0.0], [0.0]], "z0": []},
+                      events=events)
 
 
 STAGGERED_BOUNDARIES = [0.0, 5.0, 6.0, 9.0]
@@ -237,7 +240,7 @@ def as_records(assignment: analysis.GlobalIterationAssignment
 def assert_slicing_matches_reference(trace: EventTrace) -> None:
     """The slicing, omega and rule verdicts of ``asyncadmm.analysis`` equal
     those of the quadratic reference implementation on ``trace``."""
-    index = analysis.TraceIndex(trace)
+    index = index_of(trace)
     new = analysis.assign_global_iterations(index)
     old = reference.assign_global_iterations(trace)
     assert new.boundaries == old.boundaries
@@ -259,7 +262,7 @@ def assert_analysis_matches_reference(trace: EventTrace, c_const: float = 1.0,
     """The slot snapshots, the staleness and multiplier bounds and the
     compute/wait split of ``asyncadmm.analysis`` equal those of the
     event-by-event reference on ``trace``, bit for bit."""
-    index = analysis.TraceIndex(trace)
+    index = index_of(trace)
     assignment = analysis.assign_global_iterations(index)
     records = as_records(assignment)
     omega = analysis.measure_omega(assignment)

@@ -1,9 +1,10 @@
 """Test oracles that the library itself does not need: the augmented
 Lagrangian value, the double-well toy's constants and grid minimum, a
 reader for the convergence table, the straight-line synchronous ADMM loop,
-the line-by-line trace reader, and the earlier forms of the local solver's
-Newton direction and of an OPF region's equality and Jacobian. Not
-collected as tests.
+the full-event and the line-by-line trace readers, a trace's status and end
+time from its end record, and the earlier forms of the local solver's Newton
+direction and of an OPF region's equality and Jacobian. Not collected as
+tests.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from asyncadmm.caseio import _TRACE_HEADER, RESULTS_HEADER, ParseError
+from asyncadmm.caseio import _TRACE_HEADER, RESULTS_HEADER, ParseError, _records
 from asyncadmm.engine import EventTrace, TraceEvent
 from asyncadmm.kernel import (
     AdmmParams,
@@ -115,6 +116,20 @@ def read_results(path) -> list[tuple]:
     return rows
 
 
+def read_events(path) -> EventTrace:
+    """Every event of a trace file with its whole payload, through the
+    library's trace parser: the inverse of ``caseio.write_trace``."""
+    records = _records(path)
+    return EventTrace(meta=next(records), events=[TraceEvent(*record) for record in records])
+
+
+def end_of(trace: EventTrace) -> tuple[str, float]:
+    """The status and time of the trace's last ``end`` record: the run's
+    status and end time, as the analysis index reads them."""
+    end = next(e for e in reversed(trace.events) if e.kind == "end")
+    return end.payload.get("status", "incomplete"), end.time
+
+
 def read_trace_by_line(path) -> EventTrace:
     """The trace reader as it was before it decoded the file at once and
     called the JSON scanner directly, reading one line at a time; the new
@@ -165,9 +180,6 @@ def _read_event(trace: EventTrace, line: str, line_no: int, offset: int) -> bool
     if not isinstance(payload, dict):
         raise ParseError("event payload is not a JSON object", line=line_no, offset=offset)
     trace.events.append(TraceEvent(kind, worker, local_iter, time, payload))
-    if kind == "end":
-        trace.status = payload.get("status", "incomplete")
-        trace.end_time = time
     # the analysis reads the final state from these records
     try:
         if kind == "final" and not {"x", "lam"} <= payload.keys():

@@ -27,6 +27,8 @@ import numpy as np
 from asyncadmm.analysis import TraceError, _trace_dims
 from asyncadmm.engine import EventTrace, TraceEvent
 
+from oracles import end_of
+
 
 @dataclass
 class UpdateRecord:
@@ -93,7 +95,7 @@ def assign_global_iterations(trace: EventTrace) -> GlobalIterationAssignment:
     """Greedy maximal slicing of the trace into global iterations."""
     updates, receives = _worker_updates(trace)
     starts = sorted({e.time for e in trace.events if e.kind == "compute_start"})
-    end_time = trace.end_time or max((e.time for e in trace.events), default=0.0)
+    end_time = end_of(trace)[1] or max((e.time for e in trace.events), default=0.0)
     workers = sorted({e.worker for e in trace.events if e.kind == "compute_start"})
     if not starts:
         return GlobalIterationAssignment([], end_time, len(workers), [])
@@ -334,7 +336,7 @@ def check_lambda_bound(
 
 def timing_from_trace(trace: EventTrace) -> dict[int, dict]:
     """Compute-vs-wait split per worker over the full virtual timeline."""
-    end = trace.end_time
+    _, end = end_of(trace)
     compute: dict[int, float] = {}
     open_start: dict[int, float] = {}
     workers = set()

@@ -9,7 +9,6 @@ import pytest
 from asyncadmm import caseio
 from asyncadmm.analysis import (
     DiagnosticConstants,
-    TraceIndex,
     assign_global_iterations,
     check_kkt,
     check_lambda_bound,
@@ -27,7 +26,13 @@ from asyncadmm.kernel import AdmmParams
 from asyncadmm.opf import Partition, build_regional_subproblems, centralized_reference_solve
 from asyncadmm.problem import flat_start, make_nonconvex_toy, make_toy_consensus
 
-from conftest import STAGGERED_BOUNDARIES, STAGGERED_OMEGA, events_of, staggered_trace
+from conftest import (
+    STAGGERED_BOUNDARIES,
+    STAGGERED_OMEGA,
+    events_of,
+    index_of,
+    staggered_trace,
+)
 from oracles import nonconvex_toy_constants, run_sync_reference
 
 LOCKSTEP = DelayModel(compute=DelaySpec.constant(1.0), link=DelaySpec.constant(0.0), seed=0)
@@ -202,7 +207,7 @@ def test_criterion_05_trace_inequalities(chain3_case, ring5_case):
     staleness_failures = 0
     lambda_violations = 0
     for label, res in runs:
-        index = TraceIndex(res.trace)
+        index = index_of(res.trace)
         assignment = assign_global_iterations(index)
         snapshots = slot_snapshots(index, assignment)
         staleness = check_staleness_bound(assignment, snapshots, measure_omega(assignment))
@@ -243,13 +248,13 @@ def test_criterion_06_parameter_bound_calculator():
 
 
 def test_criterion_07_global_counter_reconstruction():
-    index = TraceIndex(staggered_trace())
+    index = index_of(staggered_trace())
     assignment = assign_global_iterations(index)
     rules = verify_slicing_rules(assignment, index)
     omega = measure_omega(assignment)
     lockstep = run(make_toy_consensus([0.0, 2.0, 1.0]), AdmmParams(rho=5.0, p=1.0),
                    LOCKSTEP, StoppingRule(tol=1e-5, max_local_iters=200))
-    lock_omega = measure_omega(assign_global_iterations(TraceIndex(lockstep.trace)))
+    lock_omega = measure_omega(assign_global_iterations(index_of(lockstep.trace)))
     ok = (all(rules.values()) and omega == STAGGERED_OMEGA
           and assignment.boundaries == STAGGERED_BOUNDARIES and lock_omega == 1)
     report(7, ok, f"staggered fixture boundaries {assignment.boundaries}, "
@@ -349,7 +354,7 @@ def test_criterion_10_time_accounting():
                     StoppingRule(tol=1e-4, max_local_iters=400))
     wf_sync, wf_async = (
         sum(t["wait_fraction"] for t in timing_from_trace(
-            assign_global_iterations(TraceIndex(trace))).values()) / 4
+            assign_global_iterations(index_of(trace))).values()) / 4
         for trace in (sync_run.trace, async_run.trace))
     ok = sync_run.converged and async_run.converged and wf_sync > wf_async
     report(10, ok, f"average wait fraction: lockstep {wf_sync:.3f} > "

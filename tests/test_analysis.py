@@ -9,7 +9,6 @@ from asyncadmm.analysis import (
     DiagnosticConstants,
     GlobalIterationAssignment,
     TraceError,
-    TraceIndex,
     analyze_trace,
     assign_global_iterations,
     check_kkt,
@@ -32,6 +31,7 @@ from conftest import (
     STAGGERED_MEMBERSHIP,
     STAGGERED_OMEGA,
     event,
+    index_of,
     membership,
     staggered_trace,
 )
@@ -55,14 +55,14 @@ def async_run(targets=(0.0, 2.0), seed=42, tol=1e-4, p=0.1, rho=5.0):
 
 def staleness(trace: EventTrace) -> dict:
     """The ``staleness_bound`` section of ``trace``."""
-    index = TraceIndex(trace)
+    index = index_of(trace)
     a = assign_global_iterations(index)
     return check_staleness_bound(a, slot_snapshots(index, a), measure_omega(a))
 
 
 def lambda_violations(trace: EventTrace, c_const: float, m1: float) -> list[dict]:
     """The multiplier-bound violations of ``trace`` under c and m1."""
-    index = TraceIndex(trace)
+    index = index_of(trace)
     a = assign_global_iterations(index)
     return check_lambda_bound(a, slot_snapshots(index, a), c_const, m1)
 
@@ -70,7 +70,7 @@ def lambda_violations(trace: EventTrace, c_const: float, m1: float) -> list[dict
 class TestAssignment:
     def test_lockstep_all_workers_every_slot(self):
         _, res = lockstep_run()
-        index = TraceIndex(res.trace)
+        index = index_of(res.trace)
         a = assign_global_iterations(index)
         members = membership(a)
         for nu in range(1, a.num_slots + 1):
@@ -86,16 +86,16 @@ class TestAssignment:
             event("compute_end", 1, 0, 1.0),
             event("compute_start", 1, 1, 1.0),
             event("compute_end", 1, 1, 2.0),
+            event("end", 0, 0, 2.0),
         ]
-        trace = EventTrace(meta={"k": 1, "edges": [], "x0": [[0.0]], "z0": []},
-                           events=events, end_time=2.0)
-        a = assign_global_iterations(TraceIndex(trace))
+        trace = EventTrace(meta={"k": 1, "edges": [], "x0": [[0.0]], "z0": []}, events=events)
+        a = assign_global_iterations(index_of(trace))
         assert a.boundaries == [0.0, 1.0]
         assert a.finish_slot[0] == 1
         assert a.finish_slot[1] == 2
 
     def test_staggered_fixture_hand_derivation(self):
-        index = TraceIndex(staggered_trace())
+        index = index_of(staggered_trace())
         a = assign_global_iterations(index)
         assert a.boundaries == STAGGERED_BOUNDARIES
         got = {nu: membership(a).get(nu, set()) for nu in range(1, a.num_slots + 1)}
@@ -105,18 +105,17 @@ class TestAssignment:
 
     def test_start_slot_strictly_before_finish_slot(self):
         _, res = async_run(targets=(0.0, 1.0, 2.0, 3.0), seed=5)
-        a = assign_global_iterations(TraceIndex(res.trace))
+        a = assign_global_iterations(index_of(res.trace))
         omega = measure_omega(a)
         for start_slot, finish_slot in zip(a.start_slot.tolist(), a.finish_slot.tolist()):
             assert start_slot < finish_slot
             assert start_slot >= max(finish_slot - omega, 0)
 
     def test_malformed_trace_raises(self):
-        events = [event("compute_end", 1, 0, 1.0)]
-        trace = EventTrace(meta={"k": 1, "edges": [], "x0": [[0.0]], "z0": []},
-                           events=events, end_time=1.0)
+        events = [event("compute_end", 1, 0, 1.0), event("end", 0, 0, 1.0)]
+        trace = EventTrace(meta={"k": 1, "edges": [], "x0": [[0.0]], "z0": []}, events=events)
         with pytest.raises(TraceError):
-            assign_global_iterations(TraceIndex(trace))
+            assign_global_iterations(index_of(trace))
 
 
 class TestOmega:
@@ -237,8 +236,7 @@ class TestStalenessBound:
                                           ev.time, payload))
         meta = dict(res.trace.meta)
         meta["z0"] = [2.0 * v for v in meta["z0"]]
-        scaled = EventTrace(meta=meta, events=scaled_events,
-                            status=res.trace.status, end_time=res.trace.end_time)
+        scaled = EventTrace(meta=meta, events=scaled_events)
         rep = staleness(scaled)
         assert rep["lhs"] == pytest.approx(4.0 * base["lhs"], rel=1e-12)
         assert rep["rhs_stated"] == pytest.approx(4.0 * base["rhs_stated"], rel=1e-12)
@@ -255,7 +253,7 @@ class TestLambdaBound:
         # workers outside an updater set move neither x nor lambda, so both
         # sides of the bound are zero; verified through the snapshots
         _, res = async_run(targets=(0.0, 1.0, 2.0, 3.0), seed=8)
-        index = TraceIndex(res.trace)
+        index = index_of(res.trace)
         a = assign_global_iterations(index)
         snap = slot_snapshots(index, a)
         members = membership(a)
@@ -300,7 +298,7 @@ class TestAggregateReport:
     def test_full_report_on_async_trace(self):
         problem, res = async_run(seed=21)
         consts = DiagnosticConstants(gamma=2.0, m1=2.0, m2=1.0, c=1.0)
-        report = analyze_trace(TraceIndex(res.trace), problem=problem, constants=consts)
+        report = analyze_trace(index_of(res.trace), problem=problem, constants=consts)
         assert report["omega"] >= 1
         assert report["staleness_bound"]["holds"]
         assert report["lambda_bound"]["num_violations"] == 0
@@ -316,10 +314,10 @@ class TestAggregateReport:
             event("compute_start", 1, 0, 0.0),
             event("compute_end", 1, 0, 1.0),
             event("receive", 1, 0, 1.5, frm=2),
+            event("end", 0, 0, 2.0),
         ]
-        trace = EventTrace(meta={"k": 1, "edges": [], "x0": [[0.0]], "z0": []},
-                           events=events, end_time=2.0)
-        checks = verify_trace_wellformed(TraceIndex(trace))
+        trace = EventTrace(meta={"k": 1, "edges": [], "x0": [[0.0]], "z0": []}, events=events)
+        checks = verify_trace_wellformed(index_of(trace))
         assert not checks["receives_match_sends"]
 
     # each fault in a message's identity, and the check that must report it
@@ -340,12 +338,12 @@ class TestAggregateReport:
         if fault == "receive-without-send":
             del events[s]
         elif fault == "arrival-before-send":
-            receive.time = events[s].time / 2
+            events[r] = receive._replace(time=events[s].time / 2)
         elif fault == "second-send":
             events.insert(s + 1, events[s])
         else:
-            receive.worker = p["from"]
-        checks = verify_trace_wellformed(TraceIndex(res.trace))
+            events[r] = receive._replace(worker=p["from"])
+        checks = verify_trace_wellformed(index_of(res.trace))
         assert checks[check] is False
         # the same verdicts from analyze on the written trace
         path = tmp_path / "trace.log"

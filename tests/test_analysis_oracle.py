@@ -8,7 +8,7 @@ traces."""
 
 import pytest
 
-from asyncadmm import analysis, caseio
+from asyncadmm import analysis
 
 import reference_analysis as reference
 from conftest import (
@@ -17,13 +17,15 @@ from conftest import (
     as_records,
     assert_analysis_matches_reference,
     events_of,
+    index_of,
     staggered_trace,
 )
+from oracles import read_events
 
 
 @pytest.mark.parametrize("config", PINNED_CONFIGS)
 def test_analysis_matches_reference_on_pinned_runs(pinned_run, config):
-    trace = caseio.read_events(pinned_run(config) / "trace.log")
+    trace = read_events(pinned_run(config) / "trace.log")
     assert_analysis_matches_reference(trace, c_const=1.0, m1=2.0)
 
 
@@ -35,7 +37,7 @@ def test_analysis_matches_reference_on_an_aborted_run():
 def _snapshot_errors(trace) -> list[str]:
     """The TraceError messages of the analysis's and the reference's
     snapshots of ``trace``, in that order."""
-    index = analysis.TraceIndex(trace)
+    index = index_of(trace)
     assignment = analysis.assign_global_iterations(index)
     errors = []
     for measure in (lambda: analysis.slot_snapshots(index, assignment),
@@ -61,19 +63,26 @@ def test_snapshot_errors_match_reference(pinned_run, edit):
     # the first event in log order that cannot be measured gives the error,
     # with the message of the event-by-event loop
     kind, nth, change = EDITS[edit]
-    trace = caseio.read_events(pinned_run("ring5_async") / "trace.log")
+    trace = read_events(pinned_run("ring5_async") / "trace.log")
     change(events_of(trace, kind)[nth].payload)
     new, old = _snapshot_errors(trace)
     assert new == old
 
 
+def shift(trace, kind: str, nth: int, dt: float) -> None:
+    """Move the ``nth`` event of ``kind`` by ``dt`` in time, keeping its
+    place in the log."""
+    i = [i for i, e in enumerate(trace.events) if e.kind == kind][nth]
+    trace.events[i] = trace.events[i]._replace(time=trace.events[i].time + dt)
+
+
 def test_analysis_matches_reference_out_of_time_order(pinned_run):
     # measured in log order, an event later in time than the next boundary
     # holds back every event behind it
-    trace = caseio.read_events(pinned_run("ring5_async") / "trace.log")
-    for nth, kind, shift in ((3, "z_update", 2.5), (10, "compute_end", 4.0),
+    trace = read_events(pinned_run("ring5_async") / "trace.log")
+    for nth, kind, dt in ((3, "z_update", 2.5), (10, "compute_end", 4.0),
                              (20, "z_update", -3.0), (40, "compute_end", -1.5)):
-        events_of(trace, kind)[nth].time += shift
+        shift(trace, kind, nth, dt)
     assert_analysis_matches_reference(trace)
 
 
@@ -81,8 +90,8 @@ def test_multiplier_unknown_before_the_slot_matches_reference(pinned_run):
     # worker 1's first compute_end, measured late, is not yet known at the
     # start of its next update's finish slot: the bound takes zero for the
     # multiplier there; a tiny m1 makes every checked update a violation
-    trace = caseio.read_events(pinned_run("toy_sync") / "trace.log")
-    events_of(trace, "compute_end")[0].time += 0.5
+    trace = read_events(pinned_run("toy_sync") / "trace.log")
+    shift(trace, "compute_end", 0, 0.5)
     assert_analysis_matches_reference(trace, c_const=1.0, m1=1e-3)
 
 
@@ -90,12 +99,12 @@ def test_multiplier_unknown_before_the_slot_matches_reference(pinned_run):
 def test_alternation_errors_match_reference(pinned_run, moves):
     # moving a compute_start or compute_end breaks its worker's alternation;
     # the first break in the log gives the error
-    trace = caseio.read_events(pinned_run("toy_sync") / "trace.log")
+    trace = read_events(pinned_run("toy_sync") / "trace.log")
     pairs = [i for i, e in enumerate(trace.events) if e.kind in ("compute_start", "compute_end")]
     for source, target in moves:
         trace.events.insert(pairs[target], trace.events.pop(pairs[source]))
     errors = []
-    for assign in (lambda: analysis.assign_global_iterations(analysis.TraceIndex(trace)),
+    for assign in (lambda: analysis.assign_global_iterations(index_of(trace)),
                    lambda: reference.assign_global_iterations(trace)):
         with pytest.raises(analysis.TraceError) as err:
             assign()

@@ -9,7 +9,7 @@ from asyncadmm.engine import DelayModel, DelaySpec, EventTrace, StoppingRule, ru
 from asyncadmm.kernel import AdmmParams
 from asyncadmm.problem import make_toy_consensus
 
-from oracles import read_results
+from oracles import end_of, read_events, read_results
 
 MINIMAL = """
 BASEMVA 100
@@ -123,18 +123,18 @@ class TestTraceFiles:
         result = self.make_run()
         path = tmp_path / "trace.log"
         caseio.write_trace(result.trace, path)
-        back = caseio.read_events(path)
+        back = read_events(path)
         assert len(back.events) == len(result.trace.events)
         for a, b in zip(result.trace.events, back.events):
             assert (a.kind, a.worker, a.local_iter, a.time, a.payload) == \
                 (b.kind, b.worker, b.local_iter, b.time, b.payload)
-        assert back.status == result.trace.status
+        assert end_of(back) == end_of(result.trace)
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         result = self.make_run()
         p1, p2 = tmp_path / "a.log", tmp_path / "b.log"
         caseio.write_trace(result.trace, p1)
-        caseio.write_trace(caseio.read_events(p1), p2)
+        caseio.write_trace(read_events(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_empty_trace_writes_header_only(self, tmp_path):

@@ -24,7 +24,7 @@ from asyncadmm.localsolver import SolveError
 from asyncadmm.problem import make_nonconvex_toy, make_toy_consensus
 
 from conftest import CASES_DIR, PINNED_CONFIGS, config_path
-from oracles import nonconvex_toy_minimum, read_results
+from oracles import nonconvex_toy_minimum, read_events, read_results
 
 TOY_CONFIG = """
 problem = toy_consensus
@@ -673,6 +673,7 @@ def test_failure_keeps_its_text(tmp_path, capsys, argv, line):
     ("lambda_min = 1\nlambda_max = 0", None, "error: lambda box is empty or not a number"),
     ("", ("case", "\n1 0.0", "\n1.5 0.0"), "error: bus id must be an integer, got 1.5, line 4"),
     ("", ("case", "COST", "BASEMVA 100\nCOST"), "error: base MVA declared more than once, line 13"),
+    ("", ("case", "BASEMVA 100", "BASEMVA 0"), "error: base MVA must be positive"),
     ("", ("case", "GEN", "BRANCH\nGEN"), "error: duplicate section BRANCH, line 10"),
     ("", ("case", "COST  # a b c\n0.02 30.0 0.0\n0.04 25.0 0.0\n", ""),
      "error: missing section COST"),
@@ -685,9 +686,9 @@ def test_failure_keeps_its_text(tmp_path, capsys, argv, line):
 ], ids=["empty-key", "delay-without-colon", "rho-not-a-number", "seed-not-an-integer",
         "unknown-problem", "unknown-start", "targets-not-numbers", "bad-worker-override",
         "bad-link-override", "baseline-not-boolean", "one-target", "opf-without-case",
-        "empty-lambda-box", "bus-id-not-an-integer", "second-basemva", "duplicate-section",
-        "missing-section", "no-buses", "self-loop", "zero-impedance", "region-below-one",
-        "negative-beta"])
+        "empty-lambda-box", "bus-id-not-an-integer", "second-basemva", "nonpositive-basemva",
+        "duplicate-section", "missing-section", "no-buses", "self-loop", "zero-impedance",
+        "region-below-one", "negative-beta"])
 def test_config_and_case_errors_keep_their_text(tmp_path, capsys, config, edit, line):
     # a bad config key, case row or partition row ends run with its located
     # error line; edit = (file, old, new) edits chain3's case or partition,
@@ -744,7 +745,7 @@ def test_nan_residual_fails_kkt(tmp_path, capsys):
     # left in its family maximum is within the tolerance
     out = tmp_path / "out"
     assert main(["run", str(CASES_DIR / "toy_sync.cfg"), "--set", f"outdir={out}"]) == 0
-    trace = caseio.read_events(out / "trace.log")
+    trace = read_events(out / "trace.log")
     problem, _ = problem_from_descriptor(trace.meta["problem"])
     x_all = [np.asarray(e.payload["x"]) for e in trace.events if e.kind == "final"]
     lam_all = [np.asarray(e.payload["lam"]) for e in trace.events if e.kind == "final"]

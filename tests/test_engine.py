@@ -2,8 +2,7 @@
 import numpy as np
 import pytest
 
-from asyncadmm import caseio
-from asyncadmm.analysis import TraceIndex, assign_global_iterations, timing_from_trace
+from asyncadmm.analysis import assign_global_iterations, timing_from_trace
 from asyncadmm.engine import (
     DelayModel,
     DelaySpec,
@@ -14,15 +13,15 @@ from asyncadmm.engine import (
 from asyncadmm.kernel import AdmmParams
 from asyncadmm.problem import PartitionedProblem, RegionSpec, make_toy_consensus
 
-from conftest import aborted_trace, events_of
-from oracles import run_sync_reference
+from conftest import aborted_trace, events_of, index_of
+from oracles import end_of, read_events, run_sync_reference
 
 ZERO_LINK = DelayModel(compute=DelaySpec.constant(1.0), link=DelaySpec.constant(0.0), seed=0)
 
 
 def timing(trace):
     """The compute/wait split of a trace, as ``analyze_trace`` reports it."""
-    return timing_from_trace(assign_global_iterations(TraceIndex(trace)))
+    return timing_from_trace(assign_global_iterations(index_of(trace)))
 
 
 class TestDelaySpecs:
@@ -167,7 +166,7 @@ class TestAsyncRuns:
     def test_solver_failure_aborts_with_partial_trace(self):
         # region 1's equality lies outside its box: its first solve fails
         trace = aborted_trace()  # the run raised EngineAbort carrying this trace
-        assert trace.status == "aborted"
+        assert end_of(trace)[0] == "aborted"
         assert any(e.kind == "compute_start" for e in trace.events)
         # the partial trace is closed and stays machine-readable
         assert trace.events[-1].kind == "end"
@@ -222,7 +221,7 @@ class TestTraceInvariants:
         # order; one no newer than a message already taken on its edge is
         # dropped, and each z_update consumes the newest message taken, so
         # its sender_iter strictly increases per (worker, edge)
-        trace = caseio.read_events(pinned_run("toy_chain16_overtaking") / "trace.log")
+        trace = read_events(pinned_run("toy_chain16_overtaking") / "trace.log")
         taken: dict = {}
         consumed: dict = {}
         dropped = {"older than consumed": 0, "older than held": 0}

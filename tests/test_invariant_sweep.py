@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from asyncadmm.analysis import (
-    TraceIndex,
     assign_global_iterations,
     check_staleness_bound,
     measure_omega,
@@ -21,7 +20,11 @@ from asyncadmm.engine import DelayModel, DelaySpec, StoppingRule, run
 from asyncadmm.kernel import AdmmParams
 from asyncadmm.problem import make_toy_consensus
 
-from conftest import assert_analysis_matches_reference, assert_slicing_matches_reference
+from conftest import (
+    assert_analysis_matches_reference,
+    assert_slicing_matches_reference,
+    index_of,
+)
 
 DELAY_PATTERNS = {
     "tied": DelayModel(compute=DelaySpec.constant(1.0), link=DelaySpec.constant(1.0), seed=1),
@@ -44,7 +47,7 @@ def test_invariants_hold(num_regions, p, alpha, pattern):
     res = run(problem, AdmmParams(rho=5.0, alpha=alpha, p=p),
               DELAY_PATTERNS[pattern], StoppingRule(tol=1e-3, max_local_iters=4000))
     assert res.converged
-    index = TraceIndex(res.trace)
+    index = index_of(res.trace)
     assert all(verify_trace_wellformed(index).values())
     assignment = assign_global_iterations(index)
     assert all(verify_slicing_rules(assignment, index).values())

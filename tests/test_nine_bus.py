@@ -6,7 +6,6 @@ import pytest
 
 from asyncadmm import caseio
 from asyncadmm.analysis import (
-    TraceIndex,
     assign_global_iterations,
     check_staleness_bound,
     measure_omega,
@@ -17,7 +16,7 @@ from asyncadmm.engine import DelayModel, DelaySpec, StoppingRule, run
 from asyncadmm.kernel import AdmmParams
 from asyncadmm.opf import build_regional_subproblems, centralized_reference_solve, power_flow_residual
 
-from conftest import CASES_DIR
+from conftest import CASES_DIR, index_of
 from oracles import run_sync_reference
 
 
@@ -65,7 +64,7 @@ def test_async_admm_converges_with_staleness_bound(nine_problem, nine_central):
     gap = objective_gap(problem.total_objective([s.x for s in res.states]),
                         nine_central.objective)
     assert gap["gap_percent"] < 1.0
-    index = TraceIndex(res.trace)
+    index = index_of(res.trace)
     assignment = assign_global_iterations(index)
     report = check_staleness_bound(assignment, slot_snapshots(index, assignment),
                                    measure_omega(assignment))

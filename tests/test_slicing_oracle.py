@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asyncadmm.analysis import (
-    TraceIndex,
     analyze_trace,
     assign_global_iterations,
     verify_slicing_rules,
@@ -20,7 +19,13 @@ from asyncadmm.kernel import AdmmParams
 from asyncadmm.opf import Partition, build_regional_subproblems
 
 import reference_analysis as reference
-from conftest import aborted_trace, assert_slicing_matches_reference, event, staggered_trace
+from conftest import (
+    aborted_trace,
+    assert_slicing_matches_reference,
+    event,
+    index_of,
+    staggered_trace,
+)
 
 
 def test_staggered_fixture():
@@ -48,10 +53,10 @@ def test_zero_length_update_takes_shortest_extension():
     events = [
         event("compute_start", 1, 0, 0.0), event("compute_end", 1, 0, 0.0),
         event("compute_start", 1, 1, 1.0), event("compute_end", 1, 1, 1.0),
+        event("end", 0, 0, 1.0),
     ]
-    trace = EventTrace(meta={"k": 1, "edges": [], "x0": [[0.0]], "z0": []},
-                       events=events, end_time=1.0)
-    assert assign_global_iterations(TraceIndex(trace)).boundaries == [0.0, 1.0]
+    trace = EventTrace(meta={"k": 1, "edges": [], "x0": [[0.0]], "z0": []}, events=events)
+    assert assign_global_iterations(index_of(trace)).boundaries == [0.0, 1.0]
     assert_slicing_matches_reference(trace)
 
 
@@ -61,7 +66,7 @@ def test_aborted_run_without_a_finished_update():
     trace = aborted_trace()
     assert [e.kind for e in trace.events] == ["compute_start", "compute_start", "end"]
     assert_slicing_matches_reference(trace)
-    report = analyze_trace(TraceIndex(trace))
+    report = analyze_trace(index_of(trace))
     assert report["global_iterations"]["num_slots"] == 1
     assert report["global_iterations"]["membership_sizes"] == [0]
     assert report["omega"] == 2
@@ -75,11 +80,11 @@ def test_rules_flag_a_receive_at_the_next_boundary():
         event("compute_end", 1, 0, 1.0), event("compute_start", 1, 1, 1.0),
         event("compute_end", 2, 0, 2.0), event("compute_start", 2, 1, 2.0),
         event("receive", 1, 1, 2.0), event("compute_end", 1, 1, 3.0),
-        event("compute_end", 2, 1, 3.0),
+        event("compute_end", 2, 1, 3.0), event("end", 0, 0, 3.0),
     ]
     trace = EventTrace(meta={"k": 2, "edges": [], "x0": [[0.0], [0.0]], "z0": []},
-                       events=events, end_time=3.0)
-    index = TraceIndex(trace)
+                       events=events)
+    index = index_of(trace)
     assignment, old = assign_global_iterations(index), reference.assign_global_iterations(trace)
     assignment.boundaries = old.boundaries = [0.0, 2.0]
     rules = verify_slicing_rules(assignment, index)
@@ -110,8 +115,8 @@ def synthetic_traces(draw, steps):
         else:
             events.append(event("compute_start", worker, cycle[worker], t))
             computing.add(worker)
-    return EventTrace(meta={"k": K, "edges": [], "x0": [[0.0]] * K, "z0": []},
-                      events=events, end_time=max((e.time for e in events), default=0.0))
+    events.append(event("end", 0, 0, t))  # t: the latest event time, or 0 if none
+    return EventTrace(meta={"k": K, "edges": [], "x0": [[0.0]] * K, "z0": []}, events=events)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)

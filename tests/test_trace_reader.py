@@ -3,7 +3,7 @@
 the same ParseError (message, line and byte offset) on a deterministic
 corpus of corrupted toy_sync traces, from both the full-event reader and
 the index reader; and the index read from a run's file against the index
-of the run's in-memory trace."""
+of the run's in-memory trace, an aborted run's partial trace included."""
 
 import json
 
@@ -13,8 +13,8 @@ from asyncadmm import caseio, engine
 from asyncadmm.analysis import TraceIndex
 from asyncadmm.caseio import ParseError
 
-from conftest import PINNED_CONFIGS, run_pinned
-from oracles import read_trace_by_line
+from conftest import PINNED_CONFIGS, aborted_trace, index_of, run_pinned
+from oracles import end_of, read_events, read_trace_by_line
 
 
 def outcome(read, path):
@@ -24,7 +24,8 @@ def outcome(read, path):
         trace = read(path)
     except ParseError as err:
         return "error", str(err), err.line, err.offset
-    return (repr(trace.meta), trace.status, trace.end_time.hex(),
+    status, end_time = end_of(trace)
+    return (repr(trace.meta), status, end_time.hex(),
             [(e.kind, e.worker, e.local_iter, e.time.hex(), repr(e.payload))
              for e in trace.events])
 
@@ -53,19 +54,28 @@ def columns(index: TraceIndex) -> dict:
 @pytest.mark.parametrize("config", PINNED_CONFIGS)
 def test_same_events_as_the_line_reader_on_pinned_runs(pinned_run, config):
     path = pinned_run(config) / "trace.log"
-    assert outcome(caseio.read_events, path) == outcome(read_trace_by_line, path)
+    assert outcome(read_events, path) == outcome(read_trace_by_line, path)
 
 
-@pytest.mark.parametrize("config", PINNED_CONFIGS)
+@pytest.mark.parametrize("config", [*PINNED_CONFIGS, "aborted"])
 def test_index_of_the_file_is_the_index_of_the_run(tmp_path, monkeypatch, config):
-    # analyze indexes the file's text, run its in-memory trace: one index
-    runs = []
-    run = engine.run
-    monkeypatch.setattr(engine, "run", lambda *args, **kw: runs.append(run(*args, **kw))
-                        or runs[-1])
-    index = caseio.read_trace(run_pinned(config, tmp_path) / "trace.log")
-    assert columns(index) == columns(TraceIndex(runs[0].trace))
+    # analyze indexes the file's text, run its in-memory trace: one index;
+    # "aborted" is the partial trace that run writes when a local solve fails
+    if config == "aborted":
+        trace, path = aborted_trace(), tmp_path / "trace.log"
+        caseio.write_trace(trace, path)
+    else:
+        runs = []
+        run = engine.run
+        monkeypatch.setattr(engine, "run", lambda *args, **kw: runs.append(run(*args, **kw))
+                            or runs[-1])
+        path = run_pinned(config, tmp_path) / "trace.log"
+        trace = runs[0].trace
+    index = caseio.read_trace(path)
+    assert columns(index) == columns(index_of(trace))
     assert not hasattr(index, "events")
+    if config == "aborted":
+        assert (index.status, index.end_time) == ("aborted", 1.0)
 
 
 def index_outcome(path):
@@ -137,7 +147,7 @@ def test_same_errors_as_the_line_reader_on_corrupted_traces(pinned_run, tmp_path
     seen = set()
     for name, variant in corrupted_traces(data):
         path.write_bytes(variant)
-        new, old = outcome(caseio.read_events, path), outcome(read_trace_by_line, path)
+        new, old = outcome(read_events, path), outcome(read_trace_by_line, path)
         assert new == old, name
         assert index_outcome(path) == (new if new[0] == "error" else "read"), name
         seen.add(new[1] if new[0] == "error" else "read")
