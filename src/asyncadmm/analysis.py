@@ -94,6 +94,8 @@ class TraceIndex:
         self.by_worker = self.worker * len(code) + np.arange(len(code))
         self._positions = {kind: np.flatnonzero(self.code == i)
                            for i, kind in enumerate(self.kinds)}
+        if not self.ends:
+            raise TraceError("trace holds no end record")
         self.status, self.end_time = self.ends[-1], self.time[self.of("end")[-1]].item()
 
     def of(self, *kinds: str) -> np.ndarray:
@@ -214,12 +216,11 @@ def assign_global_iterations(index: TraceIndex) -> GlobalIterationAssignment:
     receives = _receives(index)
     start_pos = index.of("compute_start")
     starts = sorted(set(index.time[start_pos].tolist()))
-    end_time = index.end_time or max(index.time.tolist(), default=0.0)
     num_workers = len(set(index.worker[start_pos].tolist()))
     start_t, end_t, worker = index.time[first], index.time[last], index.worker[last]
     boundaries = _maximal_boundaries(starts, start_t, end_t, worker, receives) if starts else []
     return GlobalIterationAssignment(
-        boundaries, end_time, num_workers, worker, index.local_iter[last], start_t, end_t,
+        boundaries, index.end_time, num_workers, worker, index.local_iter[last], start_t, end_t,
         np.searchsorted(boundaries, start_t), np.searchsorted(boundaries, end_t),
         dict(zip(index.worker[still_open].tolist(), index.time[still_open].tolist())), receives)
 

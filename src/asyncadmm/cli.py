@@ -60,7 +60,6 @@ from .localsolver import SolveError
 from .problem import (
     NONCONVEX_TOY_BOUND,
     PartitionedProblem,
-    flat_start,
     make_nonconvex_toy,
     make_toy_consensus,
 )
@@ -320,7 +319,7 @@ def problem_from_descriptor(descriptor: dict):
 
 def _start_vectors(config: RunConfig, problem, layout, descriptor):
     if config.start == "flat":
-        return [flat_start(problem.region(k)) for k in range(1, problem.num_regions + 1)]
+        return None  # engine.run's own flat start
     if layout is not None:
         return opf.warm_start(layout, problem)
     # toy warm start: centralized optimum nudged by ten percent

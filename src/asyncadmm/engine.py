@@ -17,13 +17,13 @@ per-link substreams of a single seed, and events at equal times are ordered
 by creation. Two runs with the same configuration produce identical traces.
 
 No event scans the edge list or re-evaluates an objective. Each worker's
-outgoing links (edge, neighbour, row block, delay spec and stream) are
-tabulated once, the local solver's constants are built once per region
-(``kernel.x_update``), and the problem's topology tables serve the consensus
-update. Each region's objective value is kept from its last
-``compute_end``, so the per-cycle objective in ``iteration_log`` is the sum
-of that cache in region order: the same float as
-``PartitionedProblem.total_objective`` of the current iterates. Payload
+outgoing links (edge, neighbour, row block, delay spec and stream) and its
+local solver's Newton model (``kernel.penalty_model``) are built once, and
+the problem's topology tables serve the consensus update. Each worker's
+last solve warm-starts its next one. Each region's objective value is kept
+from its last ``compute_end``, so the per-cycle objective in
+``iteration_log`` is the sum of that cache in region order: the same float
+as ``PartitionedProblem.total_objective`` of the current iterates. Payload
 vectors come from float64 arrays through ``tolist()``. The engine computes
 no payload digest: the trace writer digests each line through
 :func:`payload_digest`.
@@ -45,11 +45,12 @@ from .kernel import (
     WorkerState,
     initial_z,
     lambda_update,
+    penalty_model,
     residue,
     x_update,
     z_update,
 )
-from .localsolver import SolveError
+from .localsolver import SolveError, SolveResult
 from .problem import Array, PartitionedProblem, flat_start
 
 
@@ -259,7 +260,9 @@ class _Simulator:
         # the newest message taken on each edge
         self.inbox: dict[int, dict[int, tuple]] = {k: {} for k in range(1, K + 1)}
         self.newest: dict[int, dict[int, int]] = {k: {} for k in range(1, K + 1)}
-        self.solver_warm: dict[int, tuple | None] = {k: None for k in range(1, K + 1)}
+        # per worker: its Newton model under rho, and its last solve (the warm start)
+        self.models = [penalty_model(r, params.rho) for r in problem.regions]
+        self.last_solve: list[SolveResult | None] = [None] * K
         # streams: one per worker, then two per edge (k->l, l->k), in order
         ss = np.random.SeedSequence(delays.seed)
         children = ss.spawn(K + 2 * len(problem.edges))
@@ -320,7 +323,8 @@ class _Simulator:
         state = self.states[k - 1]
         region = self.problem.regions[k - 1]
         try:
-            result = x_update(region, state, self.params, warm_state=self.solver_warm[k])
+            result = x_update(region, state, self.params, self.models[k - 1],
+                              warm=self.last_solve[k - 1])
         except SolveError as err:
             # close the log so the partial trace stays readable post mortem
             self._log("end", 0, 0, t, {"status": "aborted", "converged": False,
@@ -329,7 +333,7 @@ class _Simulator:
                 f"worker {k} local solve failed at cycle {state.local_iter}: {err}",
                 self.trace,
             ) from err
-        self.solver_warm[k] = result.warm_state
+        self.last_solve[k - 1] = result
         state.x = result.x
         state.ax = region.boundary_map @ result.x
         state.lam = lambda_update(state, state.ax, state.z, self.params)

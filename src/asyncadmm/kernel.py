@@ -3,19 +3,19 @@
 All functions here are pure: x-subproblem assembly, the multiplier update,
 the closed-form proximal consensus update for one edge, the per-worker
 residue, and the multiplier box projection. The one thing kept between
-calls, built once per region and rho and held in
-``RegionSpec.penalty_curvature``, is the penalty curvature rho A^T A with
-the local solver's constants for it. Synchronous and asynchronous drivers
-share these primitives so their iterates can be compared bit for bit.
+calls is :func:`penalty_model`, the penalty curvature rho A^T A with the
+local solver's constants for it, which a driver builds once per worker and
+run. Synchronous and asynchronous drivers share these primitives so their
+iterates can be compared bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .localsolver import NewtonModel, _clip, _max, last_point_memo, solve_local
+from .localsolver import NewtonModel, SolveResult, _clip, _max, last_point_memo, solve_local
 from .problem import Array, CouplingEdge, PartitionedProblem, RegionSpec
 
 
@@ -85,22 +85,18 @@ class BoundaryPenalty:
 
         g(x) = lam . (A x) + (rho / 2) ||A x - z||^2
 
-    with gradient A^T lam + rho A^T (A x - z) and the constant Hessian
-    rho A^T A. ``curvature`` is (rho A^T A, its diagonal), built here when
-    not given. ``value`` and ``grad`` at one point share A x and A x - z.
-    Callers must not modify the returned Hessian arrays.
+    with gradient A^T lam + rho A^T (A x - z); its constant Hessian rho A^T A
+    is :func:`penalty_model`'s. ``value`` and ``grad`` at one point share
+    A x and A x - z.
     """
 
     A: Array
     lam: Array
     z: Array
     rho: float
-    curvature: tuple[Array, Array] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        A, z, rho = self.A, self.z, self.rho
-        if self.curvature is None:
-            object.__setattr__(self, "curvature", (rho * (A.T @ A), rho * (A * A).sum(axis=0)))
+        A, z = self.A, self.z
 
         @last_point_memo
         def residual(x):
@@ -117,11 +113,13 @@ class BoundaryPenalty:
         r = self._residual(x)[1]
         return self.A.T @ (self.lam + self.rho * r)
 
-    def hess_diag(self, x: Array) -> Array:
-        return self.curvature[1]
 
-    def hess(self, x: Array) -> Array:
-        return self.curvature[0]
+def penalty_model(region: RegionSpec, rho: float) -> NewtonModel:
+    """The region's Newton model under the penalty's constant curvature
+    (rho A^T A, its diagonal); rho is fixed for a run, so one serves every
+    x-update of the region's worker."""
+    A = region.boundary_map
+    return NewtonModel(region, extra=(rho * (A.T @ A), rho * (A * A).sum(axis=0)))
 
 
 def project_lambda(lam: Array, lower, upper) -> Array:
@@ -129,30 +127,20 @@ def project_lambda(lam: Array, lower, upper) -> Array:
     return _clip(lam, lower, upper)
 
 
-def x_update(
-    region: RegionSpec,
-    state: WorkerState,
-    params: AdmmParams,
-    warm_state: tuple | None = None,
-):
+def x_update(region: RegionSpec, state: WorkerState, params: AdmmParams, model: NewtonModel,
+             warm: SolveResult | None = None) -> SolveResult:
     """Solve the local x-subproblem
 
         argmin_x  f_k(x) + lam . (A x) + (rho / 2) ||A x - state.z||^2
 
-    over the region's feasible set, warm-started from the current x (and,
-    optionally, from the previous solve's equality multipliers and penalty).
-    ``state.z`` must be the snapshot taken at the start of this update.
-    Returns the solver result (minimiser plus diagnostics).
+    over the region's feasible set, warm-started from the current x and, if
+    given, from ``warm``, the region's previous solve. ``model`` is
+    :func:`penalty_model` of the region and ``params.rho``. ``state.z`` must
+    be the snapshot taken at the start of this update. Returns the solver
+    result (minimiser plus diagnostics).
     """
-    cached = region.penalty_curvature.get(params.rho)
-    penalty = BoundaryPenalty(region.boundary_map, state.lam, state.z, params.rho,
-                              None if cached is None else cached[0])
-    if cached is None:
-        cached = region.penalty_curvature[params.rho] = (
-            penalty.curvature, NewtonModel(region, penalty.curvature[0]))
-    eq_mult, pen = warm_state if warm_state is not None else (None, None)
-    return solve_local(region, penalty, state.x, eq_multipliers=eq_mult, penalty_start=pen,
-                       model=cached[1])
+    penalty = BoundaryPenalty(region.boundary_map, state.lam, state.z, params.rho)
+    return solve_local(region, penalty, state.x, warm=warm, model=model)
 
 
 def lambda_update(state: WorkerState, ax_new: Array, z_snapshot: Array, params: AdmmParams) -> Array:

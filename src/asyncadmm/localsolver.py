@@ -12,7 +12,7 @@ sum_i w_i Hessian(h_i) at w = y + mu h, which makes the model the exact
 Hessian on the constraint side.
 
 Built once per region and constant extra curvature (a :class:`NewtonModel`,
-which the ADMM x-update keeps per region and rho): the box moved 1e-10
+which the simulator keeps per worker and run): the box moved 1e-10
 inward, the identity, and the clamped curvature model diag(max(d, 0)) plus
 the penalty's curvature, rebuilt only when the objective curvature d
 changes (the non-convex toy); per iterate: h and J, so the line search's h
@@ -74,11 +74,6 @@ class SolveResult:
     # gradient tolerance; grad_norm then reports the achieved floor
     at_numeric_floor: bool = False
 
-    @property
-    def warm_state(self) -> tuple[Array, float]:
-        """Carry (equality multipliers, penalty) into the next similar solve."""
-        return self.eq_multipliers, self.penalty
-
 
 class SolveError(RuntimeError):
     """Raised when the solver exhausts its caps with residuals above
@@ -121,13 +116,15 @@ def _safe_metric(raw: Array) -> Array:
 
 class NewtonModel:
     """A region's solver constants under a constant extra curvature
-    ``extra_H`` (or None): the box, the box moved 1e-10 inward (None when
-    no bound is finite: Newton directions are only taken at finite x, where
-    such a box pins nothing), the identity, and ``clamped(d)``, the model
-    diag(max(d, 0)) + extra_H kept for the last d (keyed on its bytes, so
-    x-dependent curvature stays exact). Callers must not modify the model."""
+    ``extra`` = (extra_H, its diagonal ``extra_diag``) or None: the box, the
+    box moved 1e-10 inward (None when no bound is finite: Newton directions
+    are only taken at finite x, where such a box pins nothing), the
+    identity, and ``clamped(d)``, the model diag(max(d, 0)) + extra_H kept
+    for the last d (keyed on its bytes, so x-dependent curvature stays
+    exact). Callers must not modify the model."""
 
-    def __init__(self, region: RegionSpec, extra_H: Array | None = None):
+    def __init__(self, region: RegionSpec, extra: tuple[Array, Array] | None = None):
+        extra_H, self.extra_diag = extra if extra is not None else (None, None)
         self.lo, self.hi = region.lower, region.upper
         boxed = np.isfinite(self.lo).any() or np.isfinite(self.hi).any()
         self.lo_in, self.hi_in = (self.lo + 1e-10, self.hi - 1e-10) if boxed else (None, None)
@@ -247,21 +244,19 @@ def solve_local(
     region: RegionSpec,
     extra,
     x_start,
-    eq_multipliers: Array | None = None,
-    penalty_start: float | None = None,
+    warm: SolveResult | None = None,
     model: NewtonModel | None = None,
 ) -> SolveResult:
     """Find a local minimiser of f_k(x) + extra(x) over the region's box and
     equality constraints.
 
-    ``extra`` is any object with ``value(x)`` and ``grad(x)`` (or None);
-    an optional ``hess_diag(x)`` improves the inner metric, and an optional
-    ``hess(x)``, constant in x, joins the Newton model. The start point is
-    clamped into the box. ``eq_multipliers`` warm-starts the equality
-    multiplier estimates; repeated similar solves (as in an ADMM loop)
-    finish in very few outer stages when they are carried over. ``model``
-    is the region's :class:`NewtonModel` for ``extra.hess``, built here when
-    not given; repeated solves pass the same one.
+    ``extra`` is any object with ``value(x)`` and ``grad(x)`` (or None).
+    ``model`` is the region's :class:`NewtonModel`; it carries the constant
+    curvature of ``extra``, if any, and is built here without one when not
+    given. Repeated solves (as in an ADMM loop) pass the same one. ``warm``
+    is the previous solve of the region: its equality multipliers and
+    penalty start this one, so similar solves finish in very few outer
+    stages. The start point is clamped into the box.
 
     The inner Newton model is Gauss-Newton unless the region supplies
     ``equality_hessian``; then the constraint curvature is added and the
@@ -286,11 +281,8 @@ def solve_local(
     ``_INNER_MAX_ITERS`` iterations.
     """
     x = _clip(np.asarray(x_start, dtype=float), region.lower, region.upper)
-    extra_hess_diag = getattr(extra, "hess_diag", None)
     if model is None:
-        extra_hess = getattr(extra, "hess", None)
-        model = NewtonModel(region, None if extra_hess is None
-                            else np.asarray(extra_hess(x), dtype=float))
+        model = NewtonModel(region)
 
     def phi(xv):
         val = region.objective(xv)
@@ -311,9 +303,7 @@ def solve_local(
 
     def phi_hess_diag(xv):
         d = region_hess_diag(xv)
-        if extra_hess_diag is not None:
-            d = d + np.asarray(extra_hess_diag(xv), dtype=float)
-        return d
+        return d if model.extra_diag is None else d + model.extra_diag
 
     def phi_hess(xv):
         return model.clamped(region_hess_diag(xv))
@@ -336,9 +326,8 @@ def solve_local(
     h_at = last_point_memo(lambda xv: np.asarray(region.equality(xv), dtype=float))
     J_at = last_point_memo(lambda xv: np.asarray(region.equality_jacobian(xv), dtype=float))
     eq_hess = region.equality_hessian
-    y = (np.asarray(eq_multipliers, dtype=float).copy()
-         if eq_multipliers is not None else np.zeros(region.eq_dim))
-    mu = float(penalty_start) if penalty_start else _PENALTY_INIT
+    y, mu = ((warm.eq_multipliers, warm.penalty) if warm is not None
+             else (np.zeros(region.eq_dim), _PENALTY_INIT))
     merit_path: list[tuple[float, float]] = []
     total_inner = 0
     best = (math.nan, math.nan)  # (constraint norm, pg norm) of the most feasible stage

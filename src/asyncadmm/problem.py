@@ -7,8 +7,8 @@ regions k and l are coupled through shared boundary blocks: a row range of
 A_k is paired with a row range of A_l, and both products must agree on a
 common consensus value z for that edge.
 
-Problem objects are immutable after construction, apart from each region's
-penalty-curvature cache, and safe to share between workers.
+Problem objects are immutable after construction and safe to share between
+workers.
 """
 
 from __future__ import annotations
@@ -100,11 +100,6 @@ class RegionSpec:
     # the local solver's Newton model is the exact augmented-Lagrangian
     # Hessian on the constraint side; without it the model is Gauss-Newton
     equality_hessian: Callable[[Array, Array], Array] | None = None
-    # rho -> ((rho A^T A, its diagonal), the local solver's NewtonModel),
-    # filled by kernel.x_update on the first solve with that rho; a cache,
-    # not part of the region's value
-    penalty_curvature: dict = field(default_factory=dict, init=False, repr=False,
-                                    compare=False)
 
     def __post_init__(self):
         A = np.asarray(self.boundary_map, dtype=float)

@@ -22,6 +22,7 @@ from asyncadmm.kernel import (
     WorkerState,
     initial_z,
     lambda_update,
+    penalty_model,
     x_update,
     z_update,
 )
@@ -323,7 +324,8 @@ def run_sync_reference(
     x = [np.asarray(v, dtype=float).copy() for v in x0]
     lam = [np.zeros(problem.region(k).boundary_rows) for k in range(1, K + 1)]
     z = initial_z(problem, x)
-    solver_warm: dict[int, tuple | None] = {k: None for k in range(1, K + 1)}
+    models = [penalty_model(r, params.rho) for r in problem.regions]
+    last_solve = [None] * K
     iterates: list[SyncIterate] = []
     converged = False
     for _ in range(max_iters):
@@ -348,8 +350,8 @@ def run_sync_reference(
                 region_index=k, x=x[k - 1], lam=lam[k - 1], z=z_k,
                 ax=region.boundary_map @ x[k - 1],
             )
-            result = x_update(region, state, params, warm_state=solver_warm[k])
-            solver_warm[k] = result.warm_state
+            result = x_update(region, state, params, models[k - 1], warm=last_solve[k - 1])
+            last_solve[k - 1] = result
             ax_new = region.boundary_map @ result.x
             lam_new = lambda_update(state, ax_new, z_k, params)
             z_k_prev = problem.region_z(z_prev, k)

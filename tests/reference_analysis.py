@@ -95,7 +95,7 @@ def assign_global_iterations(trace: EventTrace) -> GlobalIterationAssignment:
     """Greedy maximal slicing of the trace into global iterations."""
     updates, receives = _worker_updates(trace)
     starts = sorted({e.time for e in trace.events if e.kind == "compute_start"})
-    end_time = end_of(trace)[1] or max((e.time for e in trace.events), default=0.0)
+    end_time = end_of(trace)[1]
     workers = sorted({e.worker for e in trace.events if e.kind == "compute_start"})
     if not starts:
         return GlobalIterationAssignment([], end_time, len(workers), [])

@@ -9,6 +9,7 @@ from asyncadmm.analysis import (
     DiagnosticConstants,
     GlobalIterationAssignment,
     TraceError,
+    TraceIndex,
     analyze_trace,
     assign_global_iterations,
     check_kkt,
@@ -26,6 +27,7 @@ from asyncadmm.engine import DelayModel, DelaySpec, EventTrace, StoppingRule, ru
 from asyncadmm.kernel import AdmmParams
 from asyncadmm.problem import make_toy_consensus
 
+import reference_analysis as reference
 from conftest import (
     STAGGERED_BOUNDARIES,
     STAGGERED_MEMBERSHIP,
@@ -116,6 +118,19 @@ class TestAssignment:
         trace = EventTrace(meta={"k": 1, "edges": [], "x0": [[0.0]], "z0": []}, events=events)
         with pytest.raises(TraceError):
             assign_global_iterations(index_of(trace))
+        with pytest.raises(TraceError, match="no end record"):
+            TraceIndex({}, [])
+
+    def test_end_record_is_the_end_time(self):
+        # an end record at t = 0 before a compute_end at t = 2: the report's
+        # end_time_ms and the slicing's end are both the end record's time
+        events = [event("compute_start", 1, 0, 0.0),
+                  event("compute_end", 1, 0, 2.0, x=[1.0], lam=[]),
+                  event("end", 0, 0, 0.0)]
+        trace = EventTrace(meta={"k": 1, "edges": [], "x0": [[0.0]], "z0": []}, events=events)
+        index = index_of(trace)
+        assert analyze_trace(index)["end_time_ms"] == assign_global_iterations(index).end_time \
+            == reference.assign_global_iterations(trace).end_time == 0.0
 
 
 class TestOmega:

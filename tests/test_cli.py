@@ -840,20 +840,21 @@ def test_pinned_outputs_are_strict_json(pinned_run, config):
 
 
 def test_penalty_curvature_built_once_per_region(tmp_path, monkeypatch):
-    # rho A^T A and the solver's Newton model are fixed per region and rho:
-    # the 3,166 x-updates of the 16-region toy share 16 curvature pairs and
-    # 16 models (the list keeps every one alive, so distinct ones have
+    # rho A^T A, with the solver's Newton model for it, is fixed per region
+    # and run: the 3,166 x-updates of the 16-region toy share 16 models, one
+    # per worker (the list keeps every one alive, so distinct ones have
     # distinct ids)
     seen = []
     solve = kernel.solve_local
     monkeypatch.setattr(kernel, "solve_local",
-                        lambda region, extra, *a, **kw: seen.append((extra.curvature, kw["model"]))
+                        lambda region, extra, *a, **kw: seen.append((region, kw["model"]))
                         or solve(region, extra, *a, **kw))
     cfg = config_path("toy_chain16", tmp_path)
     assert main(["run", str(cfg), "--set", f"outdir={tmp_path / 'out'}",
                  "--set", "baseline=false"]) == 0
     assert len(seen) == 3166
-    assert len({id(pair) for pair, _ in seen}) == len({id(model) for _, model in seen}) == 16
+    assert len({id(model) for _, model in seen}) == 16
+    assert len({(id(region), id(model)) for region, model in seen}) == 16
 
 
 def test_capped_run_timing_is_the_report_section(tmp_path):

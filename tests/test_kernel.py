@@ -9,6 +9,7 @@ from asyncadmm.kernel import (
     WorkerState,
     initial_z,
     lambda_update,
+    penalty_model,
     project_lambda,
     residue,
     x_update,
@@ -64,7 +65,7 @@ class TestXUpdate:
                                lambda v: np.array([2.0 * v[0]]),
                                hess=lambda v: np.array([2.0]))
         state = make_state(0.0, 0.0, 4.0, region)
-        result = x_update(region, state, AdmmParams(rho=2.0))
+        result = x_update(region, state, AdmmParams(rho=2.0), penalty_model(region, 2.0))
         assert result.x[0] == pytest.approx(2.0, abs=1e-8)
 
     def test_stationary_point_unchanged(self):
@@ -72,7 +73,7 @@ class TestXUpdate:
                                lambda v: np.array([2.0 * (v[0] - 3.0)]),
                                hess=lambda v: np.array([2.0]))
         state = make_state(3.0, 0.0, 3.0, region)  # z = A x_prev at the minimum
-        result = x_update(region, state, AdmmParams(rho=1.0))
+        result = x_update(region, state, AdmmParams(rho=1.0), penalty_model(region, 1.0))
         assert result.x[0] == pytest.approx(3.0, abs=1e-10)
 
     def test_nonconvex_against_grid(self):
@@ -86,7 +87,7 @@ class TestXUpdate:
             hess=lambda v: np.array([12.0 * v[0] ** 2 - 4.0]),
         )
         state = make_state(0.5, 0.0, 0.9, region)
-        result = x_update(region, state, AdmmParams(rho=10.0))
+        result = x_update(region, state, AdmmParams(rho=10.0), penalty_model(region, 10.0))
         assert result.x[0] == pytest.approx(expected, abs=1e-4)
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from asyncadmm import caseio, kernel, localsolver
 from asyncadmm.cli import main
-from asyncadmm.kernel import BoundaryPenalty
+from asyncadmm.kernel import BoundaryPenalty, penalty_model
 from asyncadmm.localsolver import SolveError, _newton_direction, solve_local
 from asyncadmm.opf import build_regional_subproblems
 from asyncadmm.problem import RegionSpec, flat_start
@@ -62,9 +62,7 @@ def test_equality_constrained_closed_form():
 def test_warm_start_at_minimum_returns_immediately():
     region = equality_region()
     first = solve_local(region, None, np.array([0.0, 0.0]))
-    again = solve_local(region, None, first.x,
-                        eq_multipliers=first.eq_multipliers,
-                        penalty_start=first.penalty)
+    again = solve_local(region, None, first.x, warm=first)
     assert again.outer_iters == 1
     assert np.max(np.abs(again.x - first.x)) <= 1e-8
 
@@ -228,6 +226,7 @@ def test_equality_and_jacobian_evaluated_once_per_iterate():
     x0 = flat_start(region)
     A = region.boundary_map
     extra = BoundaryPenalty(A=A, lam=np.zeros(A.shape[0]), z=A @ x0 + 0.01, rho=1e5)
+    model = penalty_model(region, 1e5)
     seen = {"h": Counter(), "J": Counter()}
 
     def counted(name, fn):
@@ -238,8 +237,8 @@ def test_equality_and_jacobian_evaluated_once_per_iterate():
 
     counting = replace(region, equality=counted("h", region.equality),
                        equality_jacobian=counted("J", region.equality_jacobian))
-    plain = solve_local(region, extra, x0)
-    result = solve_local(counting, extra, x0)
+    plain = solve_local(region, extra, x0, model=model)
+    result = solve_local(counting, extra, x0, model=model)
     assert result.inner_iters > 0
     for name in ("h", "J"):
         assert seen[name] and max(seen[name].values()) == 1, name
