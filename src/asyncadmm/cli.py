@@ -24,14 +24,15 @@ Config keys (defaults in parentheses):
     alpha          proximal weight on the consensus step  (0.0)
     p              waiting threshold in (0, 1]            (1.0)
     lambda_min/lambda_max   multiplier projection box     (-1e6 / 1e6)
-    seed           delay sampling seed                    (0)
+    seed           delay sampling seed, non-negative      (0)
     tol            stopping tolerance, residue and mismatch (1e-3)
     max_local_iters / time_cap_ms   run caps              (1000 / 1e12)
     start          flat | warm                            (flat)
     beta_minus / beta_plus   boundary weights             (2.0 / 0.5)
     compute_delay / link_delay      delay specs, e.g. constant:1.0,
                    uniform:0.5,2.0, lognormal:0.0,0.25   (constant:1.0 / constant:0.1)
-    compute_delay.<k> / link_delay.<k>-<l>   per-worker / per-edge overrides
+    compute_delay.<k> / link_delay.<k>-<l>   per-worker / per-edge overrides;
+                   k names a worker in 1..K, k-l an edge of the problem
     baseline       true to solve the centralized reference and report the
                    objective gap                          (false)
     outdir         artifact directory                     (out)
@@ -350,6 +351,13 @@ def cmd_run(args) -> int:
         time_cap_ms=config.time_cap_ms,
     )
     problem, layout, descriptor = _resolve_problem(config)
+    K, edges = problem.num_regions, {(e.k, e.l) for e in problem.edges}
+    for k in config.delays.compute_overrides:
+        if not 1 <= k <= K:
+            raise ConfigError(f"compute_delay.{k} names no worker of this problem (1..{K})")
+    for k, l in config.delays.link_overrides:
+        if (k, l) not in edges:
+            raise ConfigError(f"link_delay.{k}-{l} names no edge of this problem")
     x0 = _start_vectors(config, problem, layout, descriptor)
     outdir = Path(config.outdir)
     try:

@@ -120,6 +120,10 @@ class DelayModel:
     link_overrides: dict = field(default_factory=dict)
     seed: int = 0
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
+
     def compute_spec(self, k: int) -> DelaySpec:
         return self.compute_overrides.get(k, self.compute)
 
@@ -202,8 +206,10 @@ class StoppingRule:
     def __post_init__(self):
         if not 0 < self.tol < math.inf:
             raise ValueError("stopping tolerance must be positive and finite")
-        if not (self.max_local_iters >= 1 and self.time_cap_ms > 0):
-            raise ValueError("caps must be positive")
+        if not self.max_local_iters >= 1:
+            raise ValueError("max_local_iters must be positive")
+        if not self.time_cap_ms > 0:
+            raise ValueError("time_cap_ms must be positive")
 
 
 def ready_to_update(num_neighbors: int, fresh_neighbors: int, p: float) -> bool:

@@ -79,7 +79,6 @@ class WorkerState:
         )
 
 
-@dataclass(frozen=True)
 class BoundaryPenalty:
     """The linear-plus-quadratic coupling term of the x-subproblem:
 
@@ -90,20 +89,15 @@ class BoundaryPenalty:
     A x and A x - z.
     """
 
-    A: Array
-    lam: Array
-    z: Array
-    rho: float
-
-    def __post_init__(self):
-        A, z = self.A, self.z
+    def __init__(self, A: Array, lam: Array, z: Array, rho: float):
+        self.A, self.lam, self.z, self.rho = A, lam, z, rho
 
         @last_point_memo
         def residual(x):
             ax = A @ x
             return ax, ax - z
 
-        object.__setattr__(self, "_residual", residual)
+        self._residual = residual
 
     def value(self, x: Array) -> float:
         ax, r = self._residual(x)

@@ -1,13 +1,13 @@
 """Local subproblem solver: box bounds handled by projection, smooth equality
 constraints by an augmented-Lagrangian outer loop.
 
-The inner loop is monotone projected descent along the box-projection arc
-with Armijo backtracking: a two-metric Newton direction on the free
-coordinates, and a Barzilai-Borwein scaled gradient step when the Newton
-system is unusable or its line search fails. The Newton model of the
-augmented objective f + y^T h + (mu/2)|h|^2 is the clamped objective
-curvature plus mu J^T J (Gauss-Newton). A region that supplies
-``RegionSpec.equality_hessian`` also gets the constraint curvature
+The inner loop is monotone projected descent along the box-projection arc,
+with one Armijo backtracking search for both of its arcs: a two-metric
+Newton direction on the free coordinates, and a Barzilai-Borwein scaled
+gradient step when the Newton system is unusable or its search fails.
+The Newton model of the augmented objective f + y^T h + (mu/2)|h|^2 is the
+clamped objective curvature plus mu J^T J (Gauss-Newton). A region that
+supplies ``RegionSpec.equality_hessian`` also gets the constraint curvature
 sum_i w_i Hessian(h_i) at w = y + mu h, which makes the model the exact
 Hessian on the constraint side.
 
@@ -171,6 +171,23 @@ def _newton_direction(H, g, x, lo_in, hi_in, D, eye):
     return None
 
 
+def _arc_search(value, x, v, g, lo, hi, trial, step, tries):
+    """Armijo backtracking along the box-projection arc from ``x`` (value
+    ``v``, gradient ``g``): trial points clip(trial(s)) for s = ``step``,
+    halved up to ``tries`` times. Returns (point, value) at the first
+    sufficient decrease, or None once the arc is exhausted or stops moving."""
+    for _ in range(tries):
+        xn = _clip(trial(step), lo, hi)
+        d = xn - x
+        if not _any(d):
+            return None
+        vn = value(xn)
+        if math.isfinite(vn) and vn <= v + _ARMIJO * float(g @ d):
+            return xn, vn
+        step *= 0.5
+    return None
+
+
 def _pg_minimize(value, grad, x, v, g, model, tol, metric, hess):
     """Monotone projected descent with backtracking Armijo line search along
     the box-projection arc, from ``x`` (inside the box of ``model``) with
@@ -194,20 +211,11 @@ def _pg_minimize(value, grad, x, v, g, model, tol, metric, hess):
     pgn = _projected_gradient_norm(x, g, lo, hi)
     while pgn > tol and it < _INNER_MAX_ITERS:
         direction = _newton_direction(hess(x), g, x, lo_in, hi_in, D, eye)
-        accepted = False
+        found = None
         if direction is not None:
-            step = 1.0
-            for _ in range(30):
-                xn = _clip(x + step * direction, lo, hi)
-                d = xn - x
-                if not _any(d):
-                    break
-                vn = value(xn)
-                if math.isfinite(vn) and vn <= v + _ARMIJO * float(g @ d):
-                    accepted = True
-                    break
-                step *= 0.5
-        if not accepted:
+            found = _arc_search(value, x, v, g, lo, hi,
+                                lambda s: x + s * direction, 1.0, 30)
+        if found is None:
             # scaled-gradient step with BB seed
             if prev_x is not None:
                 s = x - prev_x
@@ -218,22 +226,12 @@ def _pg_minimize(value, grad, x, v, g, model, tol, metric, hess):
                 else:
                     t = min(t * 2.0, _STEP_MAX)
             t = min(max(t, _STEP_MIN), _STEP_MAX)
-            step = t
-            for _ in range(60):
-                xn = _clip(x - (step / D) * g, lo, hi)
-                d = xn - x
-                if not _any(d):
-                    break
-                vn = value(xn)
-                if math.isfinite(vn) and vn <= v + _ARMIJO * float(g @ d):
-                    accepted = True
-                    break
-                step *= 0.5
-        if not accepted:
+            found = _arc_search(value, x, v, g, lo, hi, lambda s: x - (s / D) * g, t, 60)
+        if found is None:
             stalled = True
             break  # projection arc exhausted: cannot certify further descent
         prev_x, prev_g = x, g
-        x, v = xn, vn
+        x, v = found
         g = grad(x)
         it += 1
         pgn = _projected_gradient_norm(x, g, lo, hi)
@@ -327,7 +325,7 @@ def solve_local(
     J_at = last_point_memo(lambda xv: np.asarray(region.equality_jacobian(xv), dtype=float))
     eq_hess = region.equality_hessian
     y, mu = ((warm.eq_multipliers, warm.penalty) if warm is not None
-             else (np.zeros(region.eq_dim), _PENALTY_INIT))
+             else (np.zeros(h_at(x).size), _PENALTY_INIT))
     merit_path: list[tuple[float, float]] = []
     total_inner = 0
     best = (math.nan, math.nan)  # (constraint norm, pg norm) of the most feasible stage
@@ -364,15 +362,12 @@ def solve_local(
         hnorm = float(_max(np.abs(h), initial=0.0))
         if math.isnan(best[0]) or hnorm < best[0]:  # the first stage, or a more feasible one
             best = (hnorm, pgn)
-        if hnorm <= _CONSTRAINT_TOL and pgn <= grad_tol:
-            return SolveResult(x, pgn, hnorm, outer, total_inner, y + mu * h,
-                               penalty=mu, merit_path=merit_path)
-        if hnorm <= _CONSTRAINT_TOL and stalled:
-            # feasible, and descent is no longer certifiable at this
-            # precision: report the achieved floor instead of spinning
+        if hnorm <= _CONSTRAINT_TOL and (pgn <= grad_tol or stalled):
+            # feasible and stationary, or feasible with descent no longer
+            # certifiable at this precision: then report the achieved floor
             return SolveResult(x, pgn, hnorm, outer, total_inner, y + mu * h,
                                penalty=mu, merit_path=merit_path,
-                               at_numeric_floor=True)
+                               at_numeric_floor=not pgn <= grad_tol)
         # first-order multiplier step every stage; grow the penalty when
         # feasibility is not improving fast enough, and always out of a
         # stall (a sharper feasibility valley restores resolvable descent)

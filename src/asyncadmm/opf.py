@@ -527,7 +527,6 @@ def build_regional_subproblems(
          equality_hessian) = _region_functions(case, lay, Y)
         lo, hi = _region_bounds(case, lay, ref)
         regions.append(RegionSpec(
-            dim_x=lay.dim,
             objective=objective,
             gradient=gradient,
             boundary_map=boundary[k],
@@ -535,8 +534,6 @@ def build_regional_subproblems(
             upper=hi,
             equality=equality,
             equality_jacobian=jacobian,
-            eq_dim=3 * lay.n_own,
-            name=f"region-{k}",
             hessian_diag=hessian_diag,
             equality_hessian=equality_hessian if exact_curvature else None,
         ))

@@ -21,13 +21,6 @@ import numpy as np
 Array = np.ndarray
 
 
-def _as_float_vector(v, n: int, name: str) -> Array:
-    out = np.asarray(v, dtype=float)
-    if out.shape != (n,):
-        raise ValueError(f"{name} must have shape ({n},), got {out.shape}")
-    return out
-
-
 @dataclass(frozen=True)
 class CouplingEdge:
     """A consensus block shared by regions ``k`` and ``l`` (1-based, k < l).
@@ -78,11 +71,13 @@ class RegionSpec:
 
     ``objective`` and ``gradient`` evaluate f_k and its gradient; both must be
     deterministic. The feasible set is {lower <= x <= upper, equality(x) = 0}.
-    The indicator of the feasible set is never evaluated numerically;
+    The box states the size of x: ``dim_x`` is the length of ``lower``, and
+    ``upper`` and the boundary map's columns must match it. The number of
+    equality constraints is the length of ``equality(x)``, read at the first
+    solve. The indicator of the feasible set is never evaluated numerically;
     infeasibility is reported as a flag by the callers that care.
     """
 
-    dim_x: int
     objective: Callable[[Array], float]
     gradient: Callable[[Array], Array]
     boundary_map: Array
@@ -90,8 +85,6 @@ class RegionSpec:
     upper: Array
     equality: Callable[[Array], Array] | None = None
     equality_jacobian: Callable[[Array], Array] | None = None
-    eq_dim: int = 0
-    name: str = ""
     # optional per-coordinate curvature estimate of the objective; used only
     # to precondition the local solver, never in any optimality condition
     hessian_diag: Callable[[Array], Array] | None = None
@@ -102,24 +95,29 @@ class RegionSpec:
     equality_hessian: Callable[[Array, Array], Array] | None = None
 
     def __post_init__(self):
+        lo = np.asarray(self.lower, dtype=float)
+        hi = np.asarray(self.upper, dtype=float)
+        if lo.ndim != 1 or hi.shape != lo.shape:
+            raise ValueError(f"lower and upper must be vectors of one length, "
+                             f"got shapes {lo.shape} and {hi.shape}")
         A = np.asarray(self.boundary_map, dtype=float)
-        if A.ndim != 2 or A.shape[1] != self.dim_x:
+        if A.ndim != 2 or A.shape[1] != lo.size:
             raise ValueError(
-                f"boundary_map must be 2-D with {self.dim_x} columns, got shape {A.shape}"
+                f"boundary_map must be 2-D with {lo.size} columns, got shape {A.shape}"
             )
-        object.__setattr__(self, "boundary_map", A)
-        lo = _as_float_vector(self.lower, self.dim_x, "lower")
-        hi = _as_float_vector(self.upper, self.dim_x, "upper")
         if np.any(lo > hi):
             raise ValueError("lower bound exceeds upper bound")
+        object.__setattr__(self, "boundary_map", A)
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
         if (self.equality is None) != (self.equality_jacobian is None):
             raise ValueError("equality and equality_jacobian must be supplied together")
         if self.equality_hessian is not None and self.equality is None:
             raise ValueError("equality_hessian needs equality constraints")
-        if self.equality is None and self.eq_dim != 0:
-            raise ValueError("eq_dim must be 0 when there are no equality constraints")
+
+    @property
+    def dim_x(self) -> int:
+        return self.lower.size
 
     @property
     def boundary_rows(self) -> int:
@@ -243,13 +241,11 @@ def _quadratic_region(target: float, rows: int, bound: float = np.inf) -> Region
     """Scalar x in [-bound, bound] minimising (x - target)^2, its value
     repeated on ``rows`` boundary rows."""
     return RegionSpec(
-        dim_x=1,
         objective=lambda x, c=target: float((x[0] - c) ** 2),
         gradient=lambda x, c=target: np.array([2.0 * (x[0] - c)]),
         boundary_map=np.ones((rows, 1)),
         lower=np.array([-bound]),
         upper=np.array([bound]),
-        name=f"quadratic(target={target})",
         hessian_diag=lambda x: np.array([2.0]),
     )
 
@@ -290,13 +286,11 @@ def make_nonconvex_toy() -> PartitionedProblem:
     """
     b = NONCONVEX_TOY_BOUND
     double_well = RegionSpec(
-        dim_x=1,
         objective=lambda x: float((x[0] ** 2 - 1.0) ** 2),
         gradient=lambda x: np.array([4.0 * x[0] * (x[0] ** 2 - 1.0)]),
         boundary_map=np.ones((1, 1)),
         lower=np.array([-b]),
         upper=np.array([b]),
-        name="double-well",
         hessian_diag=lambda x: np.array([12.0 * x[0] ** 2 - 4.0]),
     )
     quadratic = _quadratic_region(0.5, 1, bound=b)

@@ -198,7 +198,6 @@ def aborted_trace() -> EventTrace:
     equality lies outside its box): both workers' compute_start, then the
     ``end`` record, and no finished update."""
     bad = RegionSpec(
-        dim_x=1,
         objective=lambda x: float(x[0] ** 2),
         gradient=lambda x: np.array([2.0 * x[0]]),
         boundary_map=np.ones((1, 1)),
@@ -206,7 +205,6 @@ def aborted_trace() -> EventTrace:
         upper=np.array([1.0]),
         equality=lambda x: np.array([x[0] - 5.0]),
         equality_jacobian=lambda x: np.array([[1.0]]),
-        eq_dim=1,
     )
     toy = make_toy_consensus([0.0, 2.0])
     delays = DelayModel(compute=DelaySpec.constant(1.0), link=DelaySpec.constant(0.0), seed=0)

@@ -26,6 +26,8 @@ from asyncadmm.problem import make_nonconvex_toy, make_toy_consensus
 from conftest import CASES_DIR, PINNED_CONFIGS, config_path
 from oracles import nonconvex_toy_minimum, read_events, read_results
 
+BENCH_DIR = CASES_DIR.parent / "bench"
+
 TOY_CONFIG = """
 problem = toy_consensus
 targets = 0, 2
@@ -683,12 +685,20 @@ def test_failure_keeps_its_text(tmp_path, capsys, argv, line):
     ("", ("case", "\n2 3 0.02 0.06", "\n2 3 0 0"), "error: branch 2-3: zero impedance, line 9"),
     ("", ("partition", "1: 1", "0: 1"), "error: region index must be >= 1, got 0, line 2"),
     ("beta_minus = -1", ("case", "", ""), "error: beta weights must be positive and finite"),
+    ("seed = -1", None, "error: seed must be a non-negative integer"),
+    ("max_local_iters = 0", None, "error: max_local_iters must be positive"),
+    ("time_cap_ms = -5", None, "error: time_cap_ms must be positive"),
+    ("problem = toy_consensus\ntargets = 0, 2\ncompute_delay.7 = constant:1", None,
+     "error: compute_delay.7 names no worker of this problem (1..2)"),
+    ("problem = toy_consensus\ntargets = 0, 2\nlink_delay.1-9 = constant:1", None,
+     "error: link_delay.1-9 names no edge of this problem"),
 ], ids=["empty-key", "delay-without-colon", "rho-not-a-number", "seed-not-an-integer",
         "unknown-problem", "unknown-start", "targets-not-numbers", "bad-worker-override",
         "bad-link-override", "baseline-not-boolean", "one-target", "opf-without-case",
         "empty-lambda-box", "bus-id-not-an-integer", "second-basemva", "nonpositive-basemva",
         "duplicate-section", "missing-section", "no-buses", "self-loop", "zero-impedance",
-        "region-below-one", "negative-beta"])
+        "region-below-one", "negative-beta", "negative-seed", "zero-iteration-cap",
+        "negative-time-cap", "override-of-no-worker", "override-of-no-edge"])
 def test_config_and_case_errors_keep_their_text(tmp_path, capsys, config, edit, line):
     # a bad config key, case row or partition row ends run with its located
     # error line; edit = (file, old, new) edits chain3's case or partition,
@@ -806,20 +816,58 @@ def test_shipped_trace_hashes(tmp_path, config, prefix):
     out = tmp_path / config
     assert main(["run", str(cfg), "--set", f"outdir={out}", "--set", "baseline=false",
                  *extra]) == 0
+    assert_trace_prefix(out, config, prefix)
+    # so is the report, once the wall time (the one field that differs
+    # between two runs of the same config) is removed
+    got = report_prefix(out)
+    pinned = DIAGNOSTICS_PREFIXES[config]
+    assert got == pinned, f"{config} diagnostics sha256 prefix {got}, pinned {pinned}"
+
+
+def assert_trace_prefix(out, name, prefix):
     got = hashlib.sha256((out / "trace.log").read_bytes()).hexdigest()[:16]
     assert got == prefix, (
-        f"{config} trace sha256 prefix {got}, pinned {prefix} (pinned under Python "
+        f"{name} trace sha256 prefix {got}, pinned {prefix} (pinned under Python "
         f"3.11.7 / numpy 2.4.6; this is Python {platform.python_version()} / "
         f"numpy {np.__version__})"
     )
-    # so is the report, once the wall time (the one field that differs
-    # between two runs of the same config) is removed
+
+
+def report_prefix(out) -> str:
+    """sha256 prefix of ``out``'s diagnostics.json less ``wall_time_s``."""
     report = json.loads((out / "diagnostics.json").read_text())
     report.pop("wall_time_s")
     rendered = json.dumps(report, indent=2, sort_keys=True).encode()
-    got = hashlib.sha256(rendered).hexdigest()[:16]
-    pinned = DIAGNOSTICS_PREFIXES[config]
-    assert got == pinned, f"{config} diagnostics sha256 prefix {got}, pinned {pinned}"
+    return hashlib.sha256(rendered).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("seed, prefix", [
+    (8, "02bbe81bbaa6915c"), (9, "d88608cec6c3f8b6"), (10, "b630c1fea66d2d8a")])
+def test_benchmark_grid_trace_hashes(tmp_path, monkeypatch, seed, prefix):
+    # the benchmark's grid16-sync grids, generated by bench/grids.py (imported
+    # without writing bytecode next to the benchmark), run as the benchmark
+    # runs them, less the baseline; larger meshed regions than any shipped case
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    import grids
+
+    case, part = grids.write_grid(seed, tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", str(BENCH_DIR / "grid16_sync.cfg"), "--set", f"case={case}",
+                 "--set", f"partition={part}", "--set", f"seed={seed}",
+                 "--set", "baseline=false", "--set", f"outdir={out}"]) == 0
+    assert_trace_prefix(out, f"grid{seed}", prefix)
+
+
+@pytest.mark.parametrize("config, prefix", [
+    ("ring5_async", "2449a7c3b6a3c767"), ("nine_sync", "a581782de36df3da")])
+def test_baseline_report_hashes(tmp_path, config, prefix):
+    # the shipped OPF configs as shipped, with their centralized baseline
+    # solve, whose objective the report's gap is measured against
+    out = tmp_path / config
+    assert main(["run", str(CASES_DIR / f"{config}.cfg"), "--set", f"outdir={out}"]) == 0
+    got = report_prefix(out)
+    assert got == prefix, f"{config} diagnostics sha256 prefix {got}, pinned {prefix}"
 
 
 def _no_constant(name):

@@ -85,7 +85,6 @@ class TestSyncEquivalence:
 
     def test_single_region_solves_in_one_step(self):
         region = RegionSpec(
-            dim_x=1,
             objective=lambda x: float((x[0] - 3.0) ** 2),
             gradient=lambda x: np.array([2.0 * (x[0] - 3.0)]),
             boundary_map=np.zeros((0, 1)),

@@ -125,7 +125,7 @@ def _scrambled_problem():
              CouplingEdge(1, 2, (2, 4), (1, 3)))
     rows = {1: 4, 2: 3, 3: 4, 4: 3}
     regions = tuple(
-        RegionSpec(dim_x=1, objective=lambda x: float(x[0] ** 2),
+        RegionSpec(objective=lambda x: float(x[0] ** 2),
                    gradient=lambda x: 2.0 * x, boundary_map=np.ones((rows[k], 1)),
                    lower=np.array([-1.0]), upper=np.array([1.0]))
         for k in range(1, 5)

@@ -24,7 +24,6 @@ EDGE1 = CouplingEdge(k=1, l=2, block_k=(0, 1), block_l=(0, 1))
 
 def scalar_region(objective, gradient, lo=-np.inf, hi=np.inf, hess=None):
     return RegionSpec(
-        dim_x=1,
         objective=objective,
         gradient=gradient,
         boundary_map=np.ones((1, 1)),
@@ -188,7 +187,7 @@ class TestResidue:
 
     def test_max_of_stacked_residuals(self):
         region = RegionSpec(
-            dim_x=2, objective=lambda x: 0.0, gradient=lambda x: np.zeros(2),
+            objective=lambda x: 0.0, gradient=lambda x: np.zeros(2),
             boundary_map=np.eye(2), lower=np.full(2, -np.inf), upper=np.full(2, np.inf),
         )
         x = np.array([0.1, -0.3])
@@ -242,7 +241,7 @@ class TestAugmentedLagrangian:
     def test_infeasible_is_flagged_not_valued(self):
         problem = make_toy_consensus([0.0, 2.0])
         bounded = RegionSpec(
-            dim_x=1, objective=problem.region(1).objective,
+            objective=problem.region(1).objective,
             gradient=problem.region(1).gradient, boundary_map=np.ones((1, 1)),
             lower=np.array([0.0]), upper=np.array([0.5]),
         )

@@ -17,7 +17,6 @@ from oracles import newton_direction
 
 def box_quadratic():
     return RegionSpec(
-        dim_x=1,
         objective=lambda x: float(x[0] ** 2),
         gradient=lambda x: np.array([2.0 * x[0]]),
         boundary_map=np.zeros((0, 1)),
@@ -30,7 +29,6 @@ def box_quadratic():
 def equality_region():
     # f(x, y) = x^2 + y^2 subject to x + y = 2
     return RegionSpec(
-        dim_x=2,
         objective=lambda v: float(v[0] ** 2 + v[1] ** 2),
         gradient=lambda v: 2.0 * v,
         boundary_map=np.zeros((0, 2)),
@@ -38,7 +36,6 @@ def equality_region():
         upper=np.full(2, 10.0),
         equality=lambda v: np.array([v[0] + v[1] - 2.0]),
         equality_jacobian=lambda v: np.array([[1.0, 1.0]]),
-        eq_dim=1,
         hessian_diag=lambda v: np.array([2.0, 2.0]),
     )
 
@@ -57,6 +54,23 @@ def test_equality_constrained_closed_form():
     assert result.constraint_norm <= 1e-6
     # converged multiplier estimate matches the closed form -2
     assert result.eq_multipliers[0] == pytest.approx(-2.0, abs=1e-4)
+
+
+def test_equality_count_is_read_from_the_constraint():
+    # min |x|^2 subject to x0 + x1 = 1, no curvature hint: the cold solve
+    # sizes its multipliers from h(x), which the region declares nowhere else
+    region = RegionSpec(
+        objective=lambda v: float(v @ v),
+        gradient=lambda v: 2.0 * v,
+        boundary_map=np.zeros((0, 2)),
+        lower=np.full(2, -10.0),
+        upper=np.full(2, 10.0),
+        equality=lambda v: np.array([v[0] + v[1] - 1.0]),
+        equality_jacobian=lambda v: np.array([[1.0, 1.0]]),
+    )
+    result = solve_local(region, None, np.zeros(2))
+    assert result.x == pytest.approx([0.5, 0.5], abs=1e-6)
+    assert result.eq_multipliers.shape == (1,)
 
 
 def test_warm_start_at_minimum_returns_immediately():
@@ -86,7 +100,6 @@ def test_merit_monotone_within_stages():
 def test_matches_grid_oracle_1d():
     # convex: min (x - 0.37)^2 on [0, 1]
     region = RegionSpec(
-        dim_x=1,
         objective=lambda x: float((x[0] - 0.37) ** 2),
         gradient=lambda x: np.array([2.0 * (x[0] - 0.37)]),
         boundary_map=np.zeros((0, 1)),
@@ -109,7 +122,6 @@ def test_matches_grid_oracle_2d():
         return float(0.5 * v @ Q @ v + b @ v)
 
     region = RegionSpec(
-        dim_x=2,
         objective=obj,
         gradient=lambda v: Q @ v + b,
         boundary_map=np.zeros((0, 2)),
@@ -139,7 +151,6 @@ def test_matches_grid_oracle_2d():
 def test_failure_carries_best_iterate():
     # equality unreachable inside the box: h(x) = x - 5 with x in [0, 1]
     region = RegionSpec(
-        dim_x=1,
         objective=lambda x: float(x[0] ** 2),
         gradient=lambda x: np.array([2.0 * x[0]]),
         boundary_map=np.zeros((0, 1)),
@@ -147,7 +158,6 @@ def test_failure_carries_best_iterate():
         upper=np.array([1.0]),
         equality=lambda x: np.array([x[0] - 5.0]),
         equality_jacobian=lambda x: np.array([[1.0]]),
-        eq_dim=1,
         hessian_diag=lambda x: np.array([2.0]),
     )
     with pytest.raises(SolveError) as err:
@@ -159,7 +169,6 @@ def test_nan_gradient_raises():
     # NaN compares false against any tolerance: a box-only solve whose
     # gradient is NaN fails instead of returning its start as converged
     region = RegionSpec(
-        dim_x=1,
         objective=lambda x: float(x[0] ** 2),
         gradient=lambda x: np.array([np.nan]),
         boundary_map=np.zeros((0, 1)),
@@ -171,11 +180,31 @@ def test_nan_gradient_raises():
     assert np.isnan(err.value.grad_norm)
 
 
+def test_both_arcs_exhaust_their_halvings():
+    # a gradient that promises a descent the values never show: the Newton
+    # arc (30 trials) and then the scaled-gradient arc (60 trials) each run
+    # out of halvings while still moving, so the box-only solve stalls at
+    # its start and reports it as the achieved floor
+    values = []
+    region = RegionSpec(
+        objective=lambda x: values.append(x.copy()) or 0.0,
+        gradient=lambda x: np.array([1.0]),
+        boundary_map=np.zeros((0, 1)),
+        lower=np.array([-1.0]),
+        upper=np.array([1.0]),
+    )
+    result = solve_local(region, None, np.array([0.0]))
+    assert result.at_numeric_floor and result.inner_iters == 0
+    assert result.x.tolist() == [0.0] and result.grad_norm == 1.0
+    # the start, then every trial point, each off the start
+    assert len(values) == 1 + 30 + 60
+    assert all(x[0] < 0.0 for x in values[1:])
+
+
 def test_nan_constraint_reports_its_residuals():
     # an equality that evaluates to NaN fails every stage; the error reports
     # the NaN residuals of those stages, not the infinite placeholder
     region = RegionSpec(
-        dim_x=1,
         objective=lambda x: float(x[0] ** 2),
         gradient=lambda x: np.array([2.0 * x[0]]),
         boundary_map=np.zeros((0, 1)),
@@ -183,7 +212,6 @@ def test_nan_constraint_reports_its_residuals():
         upper=np.array([1.0]),
         equality=lambda x: np.array([np.nan]),
         equality_jacobian=lambda x: np.array([[1.0]]),
-        eq_dim=1,
     )
     with pytest.raises(SolveError) as err:
         solve_local(region, None, np.array([0.5]))

@@ -235,18 +235,18 @@ class TestBuild:
         builds = [(name, *shipped_case(name)) for name in ("ring5", "nine", "chain3")]
         builds.append(("ring5", ring5_case, Partition({1: 1, 2: 1, 3: 2, 4: 2, 5: 2})))
         for name, case, partition in builds:
-            problem, _ = build_regional_subproblems(case, partition)
-            for region in problem.regions:
+            problem, layout = build_regional_subproblems(case, partition)
+            for k, region in enumerate(problem.regions, start=1):
                 x = flat_start(region) + 0.01 * rng.standard_normal(region.dim_x)
                 h = 1e-6
                 J = region.equality_jacobian(x)
-                assert J.shape == (region.eq_dim, region.dim_x)
+                assert J.shape == (3 * layout.region(k).n_own, region.dim_x)
                 for i in range(region.dim_x):
                     xp, xm = x.copy(), x.copy()
                     xp[i] += h
                     xm[i] -= h
                     col = (region.equality(xp) - region.equality(xm)) / (2 * h)
-                    assert np.max(np.abs(J[:, i] - col)) < 1e-6, (name, region.name, i)
+                    assert np.max(np.abs(J[:, i] - col)) < 1e-6, (name, k, i)
 
     @pytest.mark.parametrize("name", ["ring5", "nine", "chain3"])
     def test_shared_voltages_match_fresh_evaluation(self, name):
@@ -272,7 +272,7 @@ class TestBuild:
                 else:
                     got = region.equality_jacobian(x)
                     ref, want = fresh.equality_jacobian(x), want_J(x)
-                assert got.tobytes() == ref.tobytes() == want.tobytes(), (region.name, fn)
+                assert got.tobytes() == ref.tobytes() == want.tobytes(), (k, fn)
 
     @pytest.mark.parametrize("name", ["ring5", "nine", "chain3"])
     def test_equality_hessian_matches_jacobian_differences(self, name):
@@ -283,10 +283,10 @@ class TestBuild:
         plain, _ = build_regional_subproblems(case, partition)
         assert all(region.equality_hessian is None for region in plain.regions)
         for part in (partition, single_region_partition(case)):
-            problem, _ = build_regional_subproblems(case, part, exact_curvature=True)
-            for region in problem.regions:
+            problem, layout = build_regional_subproblems(case, part, exact_curvature=True)
+            for k, region in enumerate(problem.regions, start=1):
                 x = rng.standard_normal(region.dim_x)
-                w = rng.standard_normal(region.eq_dim)
+                w = rng.standard_normal(3 * layout.region(k).n_own)
                 H = region.equality_hessian(x, w)
                 fd = np.empty_like(H)
                 for i in range(region.dim_x):
@@ -295,7 +295,7 @@ class TestBuild:
                     dJ = region.equality_jacobian(x + step) - region.equality_jacobian(x - step)
                     fd[:, i] = 0.5 * (dJ.T @ w)
                 scale = max(1.0, float(np.max(np.abs(H))))
-                assert np.max(np.abs(H - fd)) <= 1e-12 * scale, region.name
+                assert np.max(np.abs(H - fd)) <= 1e-12 * scale, k
 
     def test_regional_residuals_compose_to_network_residual(self, ring5_case):
         # solve the network flow once, copy true voltages into each region's

@@ -17,7 +17,6 @@ from oracles import nonconvex_toy_constants, nonconvex_toy_minimum
 
 def quadratic_region(target, rows=1):
     return RegionSpec(
-        dim_x=1,
         objective=lambda x: float((x[0] - target) ** 2),
         gradient=lambda x: np.array([2.0 * (x[0] - target)]),
         boundary_map=np.ones((rows, 1)),
@@ -42,13 +41,26 @@ class TestValidation:
     def test_region_bounds_must_be_ordered(self):
         with pytest.raises(ValueError):
             RegionSpec(
-                dim_x=1,
                 objective=lambda x: 0.0,
                 gradient=lambda x: np.zeros(1),
                 boundary_map=np.ones((1, 1)),
                 lower=np.array([1.0]),
                 upper=np.array([0.0]),
             )
+
+    def test_region_size_is_the_box_length(self):
+        # the box states dim_x; the upper bound and the map's columns match it
+        def region(lower, upper, columns):
+            return RegionSpec(objective=lambda x: 0.0, gradient=np.zeros_like,
+                              boundary_map=np.ones((1, columns)), lower=lower, upper=upper)
+
+        assert region(np.zeros(2), np.ones(2), 2).dim_x == 2
+        with pytest.raises(ValueError, match="vectors of one length"):
+            region(np.zeros(2), np.ones(3), 2)
+        with pytest.raises(ValueError, match="vectors of one length"):
+            region(np.zeros((1, 2)), np.ones((1, 2)), 2)
+        with pytest.raises(ValueError, match="with 2 columns"):
+            region(np.zeros(2), np.ones(2), 3)
 
     def test_duplicate_edges_rejected(self):
         regions = (quadratic_region(0.0), quadratic_region(1.0, rows=2))
@@ -80,7 +92,6 @@ class TestEvaluate:
         # independent evaluation of a*P^2 + b*P + c
         a, b, c, p = 0.01, 40.0, 0.0, 100.0
         region = RegionSpec(
-            dim_x=1,
             objective=lambda x: float(a * x[0] ** 2 + b * x[0] + c),
             gradient=lambda x: np.array([2 * a * x[0] + b]),
             boundary_map=np.zeros((0, 1)),
@@ -103,7 +114,6 @@ class TestEvaluate:
         # row-deficient map copying one coordinate; exercises maps without
         # full column rank
         region = RegionSpec(
-            dim_x=2,
             objective=lambda x: 0.0,
             gradient=lambda x: np.zeros(2),
             boundary_map=np.array([[1.0, 0.0], [1.0, 0.0]]),
@@ -118,7 +128,6 @@ class TestEvaluate:
         A = rng.standard_normal((2, 3))
         x = rng.standard_normal(3)
         region = RegionSpec(
-            dim_x=3,
             objective=lambda x: 0.0,
             gradient=lambda x: np.zeros(3),
             boundary_map=A,
@@ -255,7 +264,6 @@ class TestProperties:
         rng = np.random.default_rng(seed)
         A = rng.standard_normal((3, 4))
         region = RegionSpec(
-            dim_x=4,
             objective=lambda x: 0.0,
             gradient=lambda x: np.zeros(4),
             boundary_map=A,
@@ -283,7 +291,6 @@ class TestProperties:
 
     def test_flat_start_midpoints_and_unbounded_zero(self):
         region = RegionSpec(
-            dim_x=3,
             objective=lambda x: 0.0,
             gradient=lambda x: np.zeros(3),
             boundary_map=np.zeros((0, 3)),
