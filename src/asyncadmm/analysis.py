@@ -482,8 +482,8 @@ class DiagnosticConstants:
 
     def __post_init__(self):
         for name in ("gamma", "m1", "m2", "c"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.m2 < 1.0:
             raise ValueError("m2 must be at least 1")
         if self.omega < 1:
@@ -657,10 +657,11 @@ def analyze_trace(
     index: TraceIndex,
     problem: PartitionedProblem | None = None,
     constants: DiagnosticConstants | None = None,
-    kkt_tol: float = 1e-3,
+    kkt_tol: float | None = None,
 ) -> dict:
     """Full diagnostic report over one indexed trace, JSON-serialisable;
-    every pass reads the index or what was built from it."""
+    every pass reads the index or what was built from it. The KKT tolerance
+    is ``kkt_tol``, else the run's ``stop.tol`` (1e-3 if the trace has none)."""
     report: dict = {"status": index.status, "end_time_ms": index.end_time}
     assignment = assign_global_iterations(index)
     report["wellformed"] = verify_trace_wellformed(index)
@@ -685,6 +686,11 @@ def analyze_trace(
     final = _final_state(index, problem) if problem is not None else None
     if final is not None:
         x_all, lam_all, z_final = final
+        if kkt_tol is None:
+            stop = index.meta.get("stop", {"tol": 1e-3})
+            kkt_tol = stop.get("tol") if isinstance(stop, dict) else None
+            if not (isinstance(kkt_tol, (int, float)) and 0 < kkt_tol < math.inf):
+                raise TraceError("trace metadata holds a malformed stop.tol")
         report["kkt"] = check_kkt(problem, x_all, z_final, lam_all, tol=kkt_tol)
         report["objective"] = problem.total_objective(x_all)
     report["timing"] = timing_from_trace(assignment)

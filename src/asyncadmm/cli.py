@@ -135,9 +135,7 @@ class RunConfig:
     case_path: str
     partition_path: str
     params: AdmmParams
-    tol: float
-    max_local_iters: int
-    time_cap_ms: float
+    stop: engine.StoppingRule
     start: str
     beta_minus: float
     beta_plus: float
@@ -237,9 +235,9 @@ def build_run_config(entries: dict[str, tuple[str, int]]) -> RunConfig:
         case_path=get("case")[0],
         partition_path=get("partition")[0],
         params=params,
-        tol=number("tol"),
-        max_local_iters=integer("max_local_iters"),
-        time_cap_ms=number("time_cap_ms"),
+        stop=engine.StoppingRule(tol=number("tol"),
+                                 max_local_iters=integer("max_local_iters"),
+                                 time_cap_ms=number("time_cap_ms")),
         start=start,
         beta_minus=number("beta_minus"),
         beta_plus=number("beta_plus"),
@@ -345,11 +343,6 @@ def cmd_run(args) -> int:
         key, value = override.split("=", 1)
         entries[key.strip()] = (value.strip(), None)
     config = build_run_config(entries)
-    stop = engine.StoppingRule(
-        tol=config.tol,
-        max_local_iters=config.max_local_iters,
-        time_cap_ms=config.time_cap_ms,
-    )
     problem, layout, descriptor = _resolve_problem(config)
     K, edges = problem.num_regions, {(e.k, e.l) for e in problem.edges}
     for k in config.delays.compute_overrides:
@@ -366,7 +359,7 @@ def cmd_run(args) -> int:
         raise OSError(f"cannot write outdir {outdir}: {err}") from err
     wall_start = time.monotonic()
     try:
-        result = engine.run(problem, config.params, config.delays, stop,
+        result = engine.run(problem, config.params, config.delays, config.stop,
                             x0=x0, problem_descriptor=descriptor)
     except engine.EngineAbort as err:
         caseio.write_trace(err.trace, outdir / "trace.log")
@@ -378,7 +371,7 @@ def cmd_run(args) -> int:
     # from here on a failure leaves trace.log and convergence.csv in place
     try:
         index = analysis.TraceIndex(result.trace.meta, result.trace.events)
-        report = analysis.analyze_trace(index, problem=problem, kkt_tol=config.tol)
+        report = analysis.analyze_trace(index, problem=problem)
     except analysis.TraceError as err:
         raise analysis.TraceError(f"trace analysis failed: {err}") from err
     # virtual time is the primary axis everywhere; wall time alongside
@@ -403,6 +396,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    if not 0 < args.rho < math.inf:
+        raise ValueError(f"--rho must be positive and finite, got {args.rho!r}")
     consts = analysis.DiagnosticConstants(
         gamma=args.gamma, m1=args.m1, m2=args.m2, c=args.c, omega=args.omega
     )
@@ -414,7 +409,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    if not 0 < args.tol < math.inf:
+    if args.tol is not None and not 0 < args.tol < math.inf:
         raise ValueError(f"--tol must be positive and finite, got {args.tol!r}")
     try:
         index = caseio.read_trace(args.trace)
@@ -471,7 +466,7 @@ def main(argv=None) -> int:
     p_an.add_argument("--m1", type=float)
     p_an.add_argument("--m2", type=float)
     p_an.add_argument("--c", type=float)
-    p_an.add_argument("--tol", type=float, default=1e-3)
+    p_an.add_argument("--tol", type=float, help="KKT tolerance (default: the trace's stop.tol)")
     p_an.add_argument("--out", help="write the report here instead of stdout")
     p_an.set_defaults(fn=cmd_analyze)
 

@@ -232,13 +232,25 @@ class EngineAbort(RuntimeError):
 
 @dataclass
 class RunResult:
+    """A finished run. Its status, convergence flag and end time are read from
+    the trace's last event, the ``end`` record."""
+
     trace: EventTrace
     states: list[WorkerState]
     z: Array
-    converged: bool
-    status: str
-    end_time: float
     iteration_log: list[tuple]
+
+    @property
+    def status(self) -> str:
+        return self.trace.events[-1].payload["status"]
+
+    @property
+    def converged(self) -> bool:
+        return self.trace.events[-1].payload["converged"]
+
+    @property
+    def end_time(self) -> float:
+        return self.trace.events[-1].time
 
     def max_residue(self) -> float:
         """The last ``iteration_log`` row's max residue: ``inf`` until every
@@ -269,21 +281,17 @@ class _Simulator:
         # per worker: its Newton model under rho, and its last solve (the warm start)
         self.models = [penalty_model(r, params.rho) for r in problem.regions]
         self.last_solve: list[SolveResult | None] = [None] * K
-        # streams: one per worker, then two per edge (k->l, l->k), in order
-        ss = np.random.SeedSequence(delays.seed)
-        children = ss.spawn(K + 2 * len(problem.edges))
-        self.compute_rng = {k: np.random.default_rng(children[k - 1]) for k in range(1, K + 1)}
-        link_rng = {}
-        for i, e in enumerate(problem.edges):
-            link_rng[(i, e.k)] = np.random.default_rng(children[K + 2 * i])
-            link_rng[(i, e.l)] = np.random.default_rng(children[K + 2 * i + 1])
+        # streams: one per worker, then two per edge (k->l, l->k), in order;
         # per worker, its outgoing links in edge order:
         # (edge index, neighbour, own row block, link delay spec, stream)
-        self.links = {
-            k: [(i, e.other(k), e.block_of(k), delays.link_spec(k, e.other(k)),
-                 link_rng[(i, k)]) for i, e in problem.edges_of(k)]
-            for k in range(1, K + 1)
-        }
+        children = np.random.SeedSequence(delays.seed).spawn(K + 2 * len(problem.edges))
+        self.compute_rng = {k: np.random.default_rng(children[k - 1]) for k in range(1, K + 1)}
+        self.links: dict[int, list[tuple]] = {k: [] for k in range(1, K + 1)}
+        for i, e in enumerate(problem.edges):
+            spec = delays.link_spec(e.k, e.l)
+            for own, other, child in ((e.k, e.l, K + 2 * i), (e.l, e.k, K + 2 * i + 1)):
+                self.links[own].append((i, other, e.block_of(own), spec,
+                                        np.random.default_rng(children[child])))
         self.objectives = [r.objective(s.x) for r, s in zip(problem.regions, self.states)]
         self.heap: list = []
         self.seq = 0
@@ -442,13 +450,10 @@ class _Simulator:
                 "feas": float(s.constraint_violation),
             })
         self._log("final_z", 0, 0, end, {"z": self.z_global.tolist()})
-        converged = self.status == "converged"
-        self._log("end", 0, 0, end, {"status": self.status, "converged": converged})
-        return RunResult(
-            trace=self.trace, states=self.states, z=self.z_global,
-            converged=converged, status=self.status, end_time=end,
-            iteration_log=self.iteration_log,
-        )
+        self._log("end", 0, 0, end, {"status": self.status,
+                                     "converged": self.status == "converged"})
+        return RunResult(trace=self.trace, states=self.states, z=self.z_global,
+                         iteration_log=self.iteration_log)
 
 
 def run(

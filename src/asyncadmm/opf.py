@@ -647,12 +647,12 @@ def newton_power_flow(case: OpfCase):
 def warm_start(layout: OpfLayout, problem: PartitionedProblem) -> list[Array]:
     """Regional start vectors from a power-flow solution of ``layout.case``:
     voltages (own and duplicated) from the solved state, generator dispatch
-    from the flow solution clipped into its boxes. ``problem`` is the one
-    compiled with ``layout``; its regions' bounds clip the vectors."""
+    from the flow solution, each generator's share of its bus. ``problem`` is
+    the one compiled with ``layout``; its regions' bounds clip the vectors,
+    the generators' P and Q boxes included."""
     case = layout.case
     V, p_bus, q_bus = newton_power_flow(case)
     idx = case.bus_index()
-    base = case.base_mva
     share = Counter(gen.bus for gen in case.generators)
     starts = []
     for lay, region in zip(layout.regions, problem.regions):
@@ -661,10 +661,8 @@ def warm_start(layout: OpfLayout, problem: PartitionedProblem) -> list[Array]:
         dup = [V[idx[bid]] for bid in lay.dup_bus_ids]
         x = np.array(
             [v.real for v in own] + [v.imag for v in own] + [abs(v) ** 2 for v in own]
-            + [np.clip(p_bus[idx[g.bus]] / share[g.bus], g.p_min / base, g.p_max / base)
-               for g in gens]
-            + [np.clip(q_bus[idx[g.bus]] / share[g.bus], g.q_min / base, g.q_max / base)
-               for g in gens]
+            + [p_bus[idx[g.bus]] / share[g.bus] for g in gens]
+            + [q_bus[idx[g.bus]] / share[g.bus] for g in gens]
             + [v.real for v in dup] + [v.imag for v in dup], dtype=float)
         starts.append(np.clip(x, region.lower, region.upper))
     return starts

@@ -57,13 +57,6 @@ class CouplingEdge:
             return slice(*self.block_l)
         raise ValueError(f"region {region_index} is not an endpoint of edge ({self.k},{self.l})")
 
-    def other(self, region_index: int) -> int:
-        if region_index == self.k:
-            return self.l
-        if region_index == self.l:
-            return self.k
-        raise ValueError(f"region {region_index} is not an endpoint of edge ({self.k},{self.l})")
-
 
 @dataclass(frozen=True)
 class RegionSpec:
@@ -208,9 +201,6 @@ class PartitionedProblem:
 
     def neighbors(self, k: int) -> tuple[int, ...]:
         return self._neighbors[self._row(k)]
-
-    def edges_of(self, k: int) -> list[tuple[int, CouplingEdge]]:
-        return [(i, e) for i, e in enumerate(self.edges) if k in (e.k, e.l)]
 
     def edge_slice(self, edge_index: int) -> slice:
         """Slice of edge ``edge_index`` inside the global z vector."""

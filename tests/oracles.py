@@ -2,15 +2,16 @@
 Lagrangian value, the double-well toy's constants and grid minimum, a
 reader for the convergence table, the straight-line synchronous ADMM loop,
 the full-event and the line-by-line trace readers, a trace's status and end
-time from its end record, and the earlier forms of the local solver's Newton
-direction and of an OPF region's equality and Jacobian. Not collected as
-tests.
+time from its end record, a replay of a trace's multiplier and consensus
+updates, and the earlier forms of the local solver's Newton direction and of
+an OPF region's equality and Jacobian. Not collected as tests.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,7 @@ from asyncadmm.opf import OpfCase, RegionLayout, admittance_matrix
 from asyncadmm.problem import (
     NONCONVEX_TOY_BOUND,
     Array,
+    CouplingEdge,
     PartitionedProblem,
     RegionSpec,
     flat_start,
@@ -129,6 +131,64 @@ def end_of(trace: EventTrace) -> tuple[str, float]:
     status and end time, as the analysis index reads them."""
     end = next(e for e in reversed(trace.events) if e.kind == "end")
     return end.payload.get("status", "incomplete"), end.time
+
+
+def replay_updates(trace: EventTrace) -> tuple[int, int, int]:
+    """Recompute every multiplier and consensus update of a trace through the
+    kernel, from the trace alone, and assert that each equals the logged
+    value bit for bit:
+
+    - a ``compute_end``'s ``lam`` is ``lambda_update`` of the worker's
+      previous ``lam`` (zeros before its first), the logged ``ax`` and the
+      ``z`` of the cycle's ``compute_start``;
+    - a ``z_update``'s ``z`` is ``z_update`` of the ``send`` it took (matched
+      on sender, edge and ``sender_iter``), the worker's ``lam`` and ``ax``
+      blocks of the cycle's ``compute_end`` and its block of the cycle's
+      ``compute_start`` ``z``, the proximal centre.
+
+    Every cycle close, the ``z_update`` records sharing a (worker,
+    local_iter), must hold at least ceil(p |N_k|) of them. Returns the
+    numbers of ``compute_end`` records, ``z_update`` records and closes
+    checked."""
+    params = AdmmParams(**trace.meta["params"])
+    edges = [CouplingEdge(em["k"], em["l"], tuple(em["block_k"]), tuple(em["block_l"]))
+             for em in trace.meta["edges"]]
+    degree = Counter(k for e in edges for k in (e.k, e.l))
+    snapshot, solved = {}, {}  # per (worker, local_iter): z; lam and ax
+    sends = {}  # per (sender, edge, sender_iter): the payload
+    lam: dict[int, Array] = {}  # per worker: its latest lam
+    closes: Counter = Counter()
+
+    def same(got: Array, logged: list, what: str) -> None:
+        assert got.tobytes() == np.array(logged, dtype=float).tobytes(), what
+
+    for kind, k, n, t, payload in trace.events:
+        if kind == "compute_start":
+            snapshot[(k, n)] = np.array(payload["z"], dtype=float)
+        elif kind == "compute_end":
+            ax = np.array(payload["ax"], dtype=float)
+            state = WorkerState(k, x=None, lam=lam.get(k, np.zeros(ax.size)), z=None, ax=ax)
+            same(lambda_update(state, ax, snapshot[(k, n)], params), payload["lam"],
+                 f"lam of worker {k} at t={t}")
+            lam[k] = np.array(payload["lam"], dtype=float)
+            solved[(k, n)] = (lam[k], ax)
+        elif kind == "send":
+            sends[(k, payload["edge"], payload["sender_iter"])] = payload
+        elif kind == "z_update":
+            i = payload["edge"]
+            e, sent = edges[i], sends[(payload["with"], i, payload["sender_iter"])]
+            blk = e.block_of(k)
+            own_lam, own_ax = (v[blk] for v in solved[(k, n)])
+            their_lam, their_ax = (np.array(sent[key], dtype=float) for key in ("lam", "ax"))
+            pair = ((own_lam, their_lam, own_ax, their_ax) if k == e.k
+                    else (their_lam, own_lam, their_ax, own_ax))
+            same(z_update(e, *pair, snapshot[(k, n)][blk], params), payload["z"],
+                 f"z of edge {i} by worker {k} at t={t}")
+            closes[(k, n)] += 1
+    for (k, n), held in closes.items():
+        assert held >= math.ceil(params.p * degree[k]), f"worker {k} closed cycle {n} " \
+            f"with {held} of {degree[k]} edges"
+    return len(solved), sum(closes.values()), len(closes)
 
 
 def read_trace_by_line(path) -> EventTrace:

@@ -526,9 +526,13 @@ class TestMalformedTraceAnalysis:
         (_set_every_key("final_z ", "z", [math.nan]), "error: final z holds a non-finite value"),
         (_move_compute_records(2, 2**63),
          "error: trace holds a worker or local iteration beyond 64 bits"),
+        (_set_meta_key("stop", {"tol": 0.0}), "error: trace metadata holds a malformed stop.tol"),
+        (_set_meta_key("stop", {"tol": "fast"}),
+         "error: trace metadata holds a malformed stop.tol"),
+        (_set_meta_key("stop", [1e-3]), "error: trace metadata holds a malformed stop.tol"),
     ], ids=["start-while-computing", "worker-out-of-range", "scalar-lam", "long-z-blocks",
             "non-numeric-final", "wrong-shape-final-z", "non-finite-final-z",
-            "worker-beyond-64-bits"])
+            "worker-beyond-64-bits", "zero-stop-tol", "string-stop-tol", "list-stop"])
     def test_error_keeps_its_text(self, tmp_path, capsys, edit, line):
         bad = edited_toy_trace(tmp_path, edit)
         capsys.readouterr()
@@ -536,6 +540,19 @@ class TestMalformedTraceAnalysis:
             assert main(["analyze", str(bad), *constants]) == 1
             captured = capsys.readouterr()
             assert captured.err.splitlines() == [line] and not captured.out
+
+    @pytest.mark.parametrize("edit, default", [
+        (_set_meta_key("stop", {"tol": 0.25}), 0.25),
+        (_drop_meta_key("stop"), 1e-3),
+    ], ids=["stop-tol", "no-stop"])
+    def test_kkt_tolerance_defaults_to_the_runs(self, tmp_path, capsys, edit, default):
+        # without --tol, the KKT check takes the trace's stop.tol, and 1e-3
+        # when the metadata records no stop; --tol overrides either
+        bad = edited_toy_trace(tmp_path, edit)
+        for extra, tol in (([], default), (["--tol", "0.125"], 0.125)):
+            capsys.readouterr()
+            assert main(["analyze", str(bad), *extra]) == 0
+            assert json.loads(capsys.readouterr().out)["kkt"]["tol"] == tol
 
     def test_unhashable_message_identity_matches_no_send(self, tmp_path, capsys):
         # a send whose edge is a list cannot be looked up: the receive that
@@ -630,6 +647,12 @@ OPF_FILES = ["--set", "problem=opf", "--set", "case={case}", "--set", "partition
     (["analyze", "{missing}"], "error: cannot read trace {missing}: "
                                "[Errno 2] No such file or directory: '{missing}'"),
     (["analyze", "{trace}", "--gamma", "1"], "error: constants need all of --gamma --m1 --m2 --c"),
+    (["analyze", "{trace}", "--gamma", "nan", "--m1", "1", "--m2", "1", "--c", "1"],
+     "error: gamma must be positive and finite"),
+    (["bounds", "--gamma", "inf", "--m1", "1", "--m2", "1", "--c", "1", "--rho", "5"],
+     "error: gamma must be positive and finite"),
+    (["bounds", "--gamma", "1", "--m1", "1", "--m2", "1", "--c", "1", "--rho", "nan"],
+     "error: --rho must be positive and finite, got nan"),
     (["run", "{cfg}", *OPF_FILES, "--set", "case={missing}"],
      "error: cannot read case {missing}: [Errno 2] No such file or directory: '{missing}'"),
     (["run", "{cfg}", *OPF_FILES, "--set", "case={dir}"],
@@ -640,7 +663,8 @@ OPF_FILES = ["--set", "problem=opf", "--set", "case={case}", "--set", "partition
      "error: cannot write outdir {cfg}: [Errno 17] File exists: '{cfg}'"),
     (["run", "{cfg}", "--set", "outdir={cfg}/sub"],
      "error: cannot write outdir {cfg}/sub: [Errno 20] Not a directory: '{cfg}/sub'"),
-], ids=["set-without-equals", "missing-trace", "partial-constants", "missing-case",
+], ids=["set-without-equals", "missing-trace", "partial-constants", "nan-constant",
+        "infinite-bounds-constant", "nan-bounds-rho", "missing-case",
         "case-is-a-directory", "missing-partition", "outdir-is-a-file", "outdir-under-a-file"])
 def test_failure_keeps_its_text(tmp_path, capsys, argv, line):
     cfg = write_config(tmp_path, TOY_CONFIG + f"outdir = {tmp_path / 'out'}\n")
@@ -740,13 +764,26 @@ def test_analyze_reproduces_run_report(tmp_path, config):
     out = tmp_path / config
     cfg = CASES_DIR / f"{config}.cfg"
     assert main(["run", str(cfg), "--set", f"outdir={out}"]) == 0
-    tol = build_run_config(parse_config_text(cfg.read_text())).tol
+    tol = build_run_config(parse_config_text(cfg.read_text())).stop.tol
     assert main(["analyze", str(out / "trace.log"), "--tol", repr(tol),
                  "--out", str(out / "analyze.json")]) == 0
     run_report = json.loads((out / "diagnostics.json").read_text())
     for key in ("wall_time_s", "baseline"):
         run_report.pop(key, None)
     assert json.loads((out / "analyze.json").read_text()) == run_report
+
+
+@pytest.mark.parametrize("config", PINNED_CONFIGS)
+def test_analyze_without_tol_reproduces_run_report(pinned_run, tmp_path, config):
+    # the KKT tolerance is the run's stop.tol, read from the trace: no option
+    # repeats it, whatever the config's tol
+    out = pinned_run(config)
+    report = tmp_path / "analyze.json"
+    assert main(["analyze", str(out / "trace.log"), "--out", str(report)]) == 0
+    run_report = json.loads((out / "diagnostics.json").read_text())
+    del run_report["wall_time_s"]
+    assert "baseline" not in run_report
+    assert json.loads(report.read_text()) == run_report
 
 
 def test_nan_residual_fails_kkt(tmp_path, capsys):
@@ -879,10 +916,8 @@ def test_pinned_outputs_are_strict_json(pinned_run, config):
     # NaN and Infinity are Python's JSON extensions, not JSON: every report
     # of a pinned run, and analyze's with constants, must parse without them
     out = pinned_run(config)
-    cfg = CASES_DIR / "nine_sync.cfg" if config == "nine_sync_warm" else config_path(config, out)
-    tol = build_run_config(parse_config_text(cfg.read_text())).tol
     assert main(["analyze", str(out / "trace.log"), "--gamma", "2", "--m1", "2", "--m2", "1",
-                 "--c", "1", "--tol", repr(tol), "--out", str(out / "analyze.json")]) == 0
+                 "--c", "1", "--out", str(out / "analyze.json")]) == 0
     for name in ("diagnostics.json", "analyze.json"):
         json.loads((out / name).read_text(), parse_constant=_no_constant)
 

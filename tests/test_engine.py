@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from asyncadmm.analysis import assign_global_iterations, timing_from_trace
+from asyncadmm.cli import main
 from asyncadmm.engine import (
     DelayModel,
     DelaySpec,
@@ -13,8 +14,8 @@ from asyncadmm.engine import (
 from asyncadmm.kernel import AdmmParams
 from asyncadmm.problem import PartitionedProblem, RegionSpec, make_toy_consensus
 
-from conftest import aborted_trace, events_of, index_of
-from oracles import end_of, read_events, run_sync_reference
+from conftest import PINNED_CONFIGS, aborted_trace, config_path, events_of, index_of
+from oracles import end_of, read_events, replay_updates, run_sync_reference
 
 ZERO_LINK = DelayModel(compute=DelaySpec.constant(1.0), link=DelaySpec.constant(0.0), seed=0)
 
@@ -301,3 +302,25 @@ class TestTimeAccounting:
         split = {k: (t["compute_ms"], t["wait_ms"])
                  for k, t in timing(res.trace).items()}
         assert split == {1: (10.0, 6.0), 2: (10.0, 6.0), 3: (16.0, 0.0)}
+
+
+@pytest.mark.parametrize("config", PINNED_CONFIGS)
+def test_updates_replay_from_the_trace(pinned_run, config):
+    # every multiplier and consensus update that a pinned run logs is the
+    # kernel's value of inputs logged before it, and every cycle close holds
+    # ceil(p |N_k|) consensus updates
+    trace = read_events(pinned_run(config) / "trace.log")
+    lambdas, z_updates, closes = replay_updates(trace)
+    assert lambdas == len(events_of(trace, "compute_end"))
+    assert z_updates == len(events_of(trace, "z_update")) >= closes > 0
+
+
+def test_proximal_updates_replay_from_the_trace(tmp_path):
+    # every pinned run has alpha = 0, where the proximal centre of a consensus
+    # update drops out: at alpha = 1 the replay also checks that the centre
+    # is the worker's own snapshot of the block, not the current z
+    out = tmp_path / "out"
+    assert main(["run", str(config_path("toy_chain16_overtaking", tmp_path)), "--set",
+                 f"outdir={out}", "--set", "alpha=1"]) == 0
+    trace = read_events(out / "trace.log")
+    assert replay_updates(trace)[1] == len(events_of(trace, "z_update"))

@@ -1,8 +1,8 @@
 """The simulator's precomputed tables against the definitions they replace:
 payload digests against the recursive reference in ``reference_digest``,
-the problem's topology lookups against edge-list scans, and the cached
-per-region objectives behind ``iteration_log`` against
-``PartitionedProblem.total_objective``."""
+the problem's topology lookups and the simulator's link table against
+edge-list scans, and the cached per-region objectives behind
+``iteration_log`` against ``PartitionedProblem.total_objective``."""
 
 import json
 import math
@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 
 from asyncadmm import caseio, engine
 from asyncadmm.cli import main
+from asyncadmm.engine import DelayModel, StoppingRule, _Simulator
+from asyncadmm.kernel import AdmmParams
 from asyncadmm.opf import build_regional_subproblems
 from asyncadmm.problem import CouplingEdge, PartitionedProblem, RegionSpec, make_toy_consensus
 
@@ -102,7 +104,7 @@ def _scan_edges_of(problem, k):
 
 
 def _scan_neighbors(problem, k):
-    return tuple(sorted(e.other(k) for e in problem.edges if k in (e.k, e.l)))
+    return tuple(sorted(e.k + e.l - k for e in problem.edges if k in (e.k, e.l)))
 
 
 def _scan_edge_slice(problem, i):
@@ -147,6 +149,8 @@ def _problem(name):
                                   "scrambled"])
 def test_topology_tables_equal_edge_scans(name):
     problem = _problem(name)
+    K = problem.num_regions
+    sim = _Simulator(problem, AdmmParams(rho=1.0), DelayModel(), StoppingRule(), None, None)
     rng = np.random.default_rng(3)
     z = rng.standard_normal(problem.boundary_dim)
     z[::3] = -0.0
@@ -154,7 +158,13 @@ def test_topology_tables_equal_edge_scans(name):
         assert problem.edge_slice(i) == _scan_edge_slice(problem, i)
     for k in range(1, problem.num_regions + 1):
         assert problem.neighbors(k) == _scan_neighbors(problem, k)
-        assert list(problem.edges_of(k)) == _scan_edges_of(problem, k)
+        # the simulator's outgoing links: (edge, neighbour, own block) in edge
+        # order, each on its own child stream, K + 2i for the k->l side
+        links = sim.links[k]
+        assert [link[:3] for link in links] == [(i, e.k + e.l - k, e.block_of(k))
+                                               for i, e in _scan_edges_of(problem, k)]
+        assert [link[4].bit_generator.seed_seq.spawn_key for link in links] == [
+            (K + 2 * i + (k == e.l),) for i, e in _scan_edges_of(problem, k)]
         got, want = problem.region_z(z, k), _scan_region_z(problem, z, k)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     # a region index outside 1..K is an error, not another region's row
