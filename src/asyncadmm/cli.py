@@ -39,6 +39,15 @@ Config keys (defaults in parentheses):
 
 ``sync`` mode is the lockstep special case: the waiting threshold is forced
 to p = 1 while the delay model stays as configured.
+
+The defaults of the keys that the library defines are read from it: those
+of ``AdmmParams``, ``StoppingRule`` and ``DelayModel`` and opf's
+``DEFAULT_BETA_*``; the table above repeats them. :func:`build_run_config`
+turns a config into one :class:`RunConfig`, whose ``problem`` is the
+descriptor that the trace embeds as ``meta.problem``: the ``targets`` of
+``toy_consensus``, or the text of the ``case`` and ``partition`` files with
+the two beta weights. ``run`` and ``analyze`` build the problem from a
+descriptor alone (:func:`problem_from_descriptor`).
 """
 
 from __future__ import annotations
@@ -50,7 +59,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -74,28 +83,25 @@ class ConfigError(ValueError):
         super().__init__(message if line is None else f"{message}, line {line}")
 
 
+_DELAYS = engine.DelayModel().describe()
+# the CLI's own keys; every other default is read from the library
 _DEFAULTS = {
     "problem": "opf",
     "targets": "",
     "case": "",
     "partition": "",
     "mode": "sync",
-    "rho": "1.0",
-    "alpha": "0.0",
-    "p": "1.0",
-    "lambda_min": "-1e6",
-    "lambda_max": "1e6",
-    "seed": "0",
-    "tol": "1e-3",
-    "max_local_iters": "1000",
-    "time_cap_ms": "1e12",
+    "rho": "1.0",  # AdmmParams has no default penalty
     "start": "flat",
-    "beta_minus": "2.0",
-    "beta_plus": "0.5",
-    "compute_delay": "constant:1.0",
-    "link_delay": "constant:0.1",
     "baseline": "false",
     "outdir": "out",
+    **{f.name: repr(f.default) for cls in (AdmmParams, engine.StoppingRule)
+       for f in fields(cls) if f.default is not MISSING},
+    "compute_delay": _DELAYS["compute"],
+    "link_delay": _DELAYS["link"],
+    "seed": repr(_DELAYS["seed"]),
+    "beta_minus": repr(opf.DEFAULT_BETA_MINUS),
+    "beta_plus": repr(opf.DEFAULT_BETA_PLUS),
 }
 
 
@@ -130,16 +136,14 @@ def _parse_delay_spec(text: str, line: int | None) -> engine.DelaySpec:
 
 @dataclass
 class RunConfig:
-    problem_kind: str
-    targets: list[float]
-    case_path: str
-    partition_path: str
+    """One run spec. ``problem`` is the descriptor that the trace embeds as
+    ``meta.problem`` and :func:`problem_from_descriptor` builds from."""
+
+    problem: dict
     params: AdmmParams
     stop: engine.StoppingRule
-    start: str
-    beta_minus: float
-    beta_plus: float
     delays: engine.DelayModel
+    start: str
     baseline: bool
     outdir: str
 
@@ -229,26 +233,34 @@ def build_run_config(entries: dict[str, tuple[str, int]]) -> RunConfig:
     if baseline_text.lower() not in ("true", "false", "0", "1"):
         raise ConfigError(f"baseline must be true or false, got {baseline_text!r}", line)
 
-    return RunConfig(
-        problem_kind=problem_kind,
-        targets=targets,
-        case_path=get("case")[0],
-        partition_path=get("partition")[0],
-        params=params,
-        stop=engine.StoppingRule(tol=number("tol"),
-                                 max_local_iters=integer("max_local_iters"),
-                                 time_cap_ms=number("time_cap_ms")),
-        start=start,
-        beta_minus=number("beta_minus"),
-        beta_plus=number("beta_plus"),
-        delays=delays,
-        baseline=baseline_text.lower() in ("true", "1"),
-        outdir=get("outdir")[0],
-    )
+    stop = engine.StoppingRule(tol=number("tol"), max_local_iters=integer("max_local_iters"),
+                               time_cap_ms=number("time_cap_ms"))
+    betas = {"beta_minus": number("beta_minus"), "beta_plus": number("beta_plus")}
+
+    # the problem descriptor last: its checks read the case and partition files
+    if problem_kind == "toy_consensus":
+        if len(targets) < 2:
+            raise ConfigError("toy_consensus needs at least two targets")
+        problem = {"kind": "toy_consensus", "targets": targets}
+    elif problem_kind == "nonconvex_toy":
+        problem = {"kind": "nonconvex_toy"}
+    else:
+        problem = {"kind": "opf"}
+        for label in ("case", "partition"):
+            path = get(label)[0]
+            if not path:
+                raise ConfigError(f"problem = opf needs a {label} file")
+            try:
+                problem[label] = Path(path).read_text(encoding="utf-8")
+            except (OSError, UnicodeDecodeError) as err:
+                raise ConfigError(f"cannot read {label} {path}: {err}") from err
+        problem.update(betas)
+    return RunConfig(problem=problem, params=params, stop=stop, delays=delays, start=start,
+                     baseline=baseline_text.lower() in ("true", "1"), outdir=get("outdir")[0])
 
 
 # --------------------------------------------------------------------------
-# problem resolution
+# problems
 
 
 def toy_centralized_optimum(problem: PartitionedProblem, descriptor: dict) -> tuple[float, float]:
@@ -272,31 +284,10 @@ def toy_centralized_optimum(problem: PartitionedProblem, descriptor: dict) -> tu
     return best, value
 
 
-def _resolve_problem(config: RunConfig):
-    """Build (problem, layout-or-None, descriptor) from the config: the
-    descriptor that the trace embeds, and the problem rebuilt from it as
-    ``analyze`` rebuilds it."""
-    if config.problem_kind == "toy_consensus":
-        if len(config.targets) < 2:
-            raise ConfigError("toy_consensus needs at least two targets")
-        descriptor = {"kind": "toy_consensus", "targets": config.targets}
-    elif config.problem_kind == "nonconvex_toy":
-        descriptor = {"kind": "nonconvex_toy"}
-    else:
-        descriptor = {"kind": "opf"}
-        for label, path in (("case", config.case_path), ("partition", config.partition_path)):
-            if not path:
-                raise ConfigError(f"problem = opf needs a {label} file")
-            try:
-                descriptor[label] = Path(path).read_text(encoding="utf-8")
-            except (OSError, UnicodeDecodeError) as err:
-                raise ConfigError(f"cannot read {label} {path}: {err}") from err
-        descriptor.update(beta_minus=config.beta_minus, beta_plus=config.beta_plus)
-    return (*problem_from_descriptor(descriptor), descriptor)
-
-
 def problem_from_descriptor(descriptor: dict):
-    """Rebuild the problem a trace was produced from, if it is embedded."""
+    """(problem, OPF layout or None) of a descriptor: a config's
+    ``problem`` for ``run``, the trace's ``meta.problem`` for ``analyze``;
+    (None, None) for a descriptor of no known kind."""
     if not isinstance(descriptor, dict):
         raise ValueError(f"problem descriptor is a {type(descriptor).__name__}, not an object")
     kind = descriptor.get("kind")
@@ -316,13 +307,13 @@ def problem_from_descriptor(descriptor: dict):
     return None, None
 
 
-def _start_vectors(config: RunConfig, problem, layout, descriptor):
+def _start_vectors(config: RunConfig, problem, layout):
     if config.start == "flat":
         return None  # engine.run's own flat start
     if layout is not None:
         return opf.warm_start(layout, problem)
     # toy warm start: centralized optimum nudged by ten percent
-    v, _ = toy_centralized_optimum(problem, descriptor)
+    v, _ = toy_centralized_optimum(problem, config.problem)
     nudge = v * 1.1 if v != 0.0 else 0.1
     return [np.array([nudge]) for _ in range(problem.num_regions)]
 
@@ -343,7 +334,7 @@ def cmd_run(args) -> int:
         key, value = override.split("=", 1)
         entries[key.strip()] = (value.strip(), None)
     config = build_run_config(entries)
-    problem, layout, descriptor = _resolve_problem(config)
+    problem, layout = problem_from_descriptor(config.problem)
     K, edges = problem.num_regions, {(e.k, e.l) for e in problem.edges}
     for k in config.delays.compute_overrides:
         if not 1 <= k <= K:
@@ -351,7 +342,7 @@ def cmd_run(args) -> int:
     for k, l in config.delays.link_overrides:
         if (k, l) not in edges:
             raise ConfigError(f"link_delay.{k}-{l} names no edge of this problem")
-    x0 = _start_vectors(config, problem, layout, descriptor)
+    x0 = _start_vectors(config, problem, layout)
     outdir = Path(config.outdir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
@@ -360,7 +351,7 @@ def cmd_run(args) -> int:
     wall_start = time.monotonic()
     try:
         result = engine.run(problem, config.params, config.delays, config.stop,
-                            x0=x0, problem_descriptor=descriptor)
+                            x0=x0, problem_descriptor=config.problem)
     except engine.EngineAbort as err:
         caseio.write_trace(err.trace, outdir / "trace.log")
         raise
@@ -384,7 +375,7 @@ def cmd_run(args) -> int:
                 raise SolveError(f"centralized baseline solve failed: {err}",
                                  err.grad_norm, err.constraint_norm) from err
         else:
-            _, central = toy_centralized_optimum(problem, descriptor)
+            _, central = toy_centralized_optimum(problem, config.problem)
         report["baseline"] = analysis.objective_gap(report["objective"], central)
     (outdir / "diagnostics.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"

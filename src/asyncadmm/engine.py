@@ -35,7 +35,7 @@ import hashlib
 import heapq
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -309,10 +309,8 @@ class _Simulator:
             ],
             "x0": [[float(v) for v in x] for x in x0],
             "z0": [float(v) for v in self.z_global],
-            "params": {"rho": params.rho, "alpha": params.alpha, "p": params.p,
-                       "lambda_min": params.lambda_min, "lambda_max": params.lambda_max},
-            "stop": {"tol": stop.tol, "max_local_iters": stop.max_local_iters,
-                     "time_cap_ms": stop.time_cap_ms},
+            "params": asdict(params),
+            "stop": asdict(stop),
             "delays": delays.describe(),
             "problem": descriptor or {"kind": "opaque"},
         }

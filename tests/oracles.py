@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from asyncadmm.caseio import _TRACE_HEADER, RESULTS_HEADER, ParseError, _records
+from asyncadmm.cli import problem_from_descriptor
 from asyncadmm.engine import EventTrace, TraceEvent
 from asyncadmm.kernel import (
     AdmmParams,
@@ -133,11 +134,15 @@ def end_of(trace: EventTrace) -> tuple[str, float]:
     return end.payload.get("status", "incomplete"), end.time
 
 
-def replay_updates(trace: EventTrace) -> tuple[int, int, int]:
+def replay_updates(trace: EventTrace,
+                   problem: PartitionedProblem | None = None) -> tuple[int, int, int]:
     """Recompute every multiplier and consensus update of a trace through the
     kernel, from the trace alone, and assert that each equals the logged
     value bit for bit:
 
+    - a ``compute_end``'s ``ax`` is its region's ``boundary_map`` times its
+      logged ``x``; the regions are those of ``problem``, or, by default, of
+      the problem that the trace's ``meta.problem`` describes;
     - a ``compute_end``'s ``lam`` is ``lambda_update`` of the worker's
       previous ``lam`` (zeros before its first), the logged ``ax`` and the
       ``z`` of the cycle's ``compute_start``;
@@ -147,9 +152,14 @@ def replay_updates(trace: EventTrace) -> tuple[int, int, int]:
       ``compute_start`` ``z``, the proximal centre.
 
     Every cycle close, the ``z_update`` records sharing a (worker,
-    local_iter), must hold at least ceil(p |N_k|) of them. Returns the
-    numbers of ``compute_end`` records, ``z_update`` records and closes
+    local_iter), must hold at least ceil(p |N_k|) of them, and follows the
+    freshest-message rule: each ``z_update`` takes the newest ``sender_iter``
+    received on its edge by then, newer than the one taken before, and a
+    close that starts a new cycle leaves no newer message untaken. Returns
+    the numbers of ``compute_end`` records, ``z_update`` records and closes
     checked."""
+    if problem is None:
+        problem = problem_from_descriptor(trace.meta["problem"])[0]
     params = AdmmParams(**trace.meta["params"])
     edges = [CouplingEdge(em["k"], em["l"], tuple(em["block_k"]), tuple(em["block_l"]))
              for em in trace.meta["edges"]]
@@ -157,6 +167,7 @@ def replay_updates(trace: EventTrace) -> tuple[int, int, int]:
     snapshot, solved = {}, {}  # per (worker, local_iter): z; lam and ax
     sends = {}  # per (sender, edge, sender_iter): the payload
     lam: dict[int, Array] = {}  # per worker: its latest lam
+    received, taken = {}, {}  # per (worker, edge): the newest sender_iter received, taken
     closes: Counter = Counter()
 
     def same(got: Array, logged: list, what: str) -> None:
@@ -165,8 +176,14 @@ def replay_updates(trace: EventTrace) -> tuple[int, int, int]:
     for kind, k, n, t, payload in trace.events:
         if kind == "compute_start":
             snapshot[(k, n)] = np.array(payload["z"], dtype=float)
+            for i, e in enumerate(edges):
+                if k in (e.k, e.l):
+                    assert received.get((k, i), -1) <= taken.get((k, i), -1), \
+                        f"worker {k} started cycle {n} with a message on edge {i} untaken"
         elif kind == "compute_end":
             ax = np.array(payload["ax"], dtype=float)
+            same(problem.regions[k - 1].boundary_map @ np.array(payload["x"], dtype=float),
+                 payload["ax"], f"ax of worker {k} at t={t}")
             state = WorkerState(k, x=None, lam=lam.get(k, np.zeros(ax.size)), z=None, ax=ax)
             same(lambda_update(state, ax, snapshot[(k, n)], params), payload["lam"],
                  f"lam of worker {k} at t={t}")
@@ -174,8 +191,14 @@ def replay_updates(trace: EventTrace) -> tuple[int, int, int]:
             solved[(k, n)] = (lam[k], ax)
         elif kind == "send":
             sends[(k, payload["edge"], payload["sender_iter"])] = payload
+        elif kind == "receive":
+            key = (k, payload["edge"])
+            received[key] = max(received.get(key, -1), payload["sender_iter"])
         elif kind == "z_update":
             i = payload["edge"]
+            assert payload["sender_iter"] == received[(k, i)] > taken.get((k, i), -1), \
+                f"worker {k} took a stale message on edge {i} at t={t}"
+            taken[(k, i)] = payload["sender_iter"]
             e, sent = edges[i], sends[(payload["with"], i, payload["sender_iter"])]
             blk = e.block_of(k)
             own_lam, own_ax = (v[blk] for v in solved[(k, n)])

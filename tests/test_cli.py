@@ -67,15 +67,33 @@ class TestConfigParsing:
             build_run_config(parse_config_text("mode = turbo\n"))
 
     def test_sync_mode_forces_lockstep_threshold(self):
-        config = build_run_config(parse_config_text("mode = sync\np = 0.1\n"))
+        config = build_run_config(parse_config_text(
+            "problem = nonconvex_toy\nmode = sync\np = 0.1\n"))
         assert config.params.p == 1.0
 
     def test_delay_overrides(self):
         config = build_run_config(parse_config_text(
+            "problem = nonconvex_toy\n"
             "compute_delay.2 = lognormal:0.0,0.5\nlink_delay.1-3 = constant:4.0\n"
         ))
         assert config.delays.compute_spec(2).kind == "lognormal"
         assert config.delays.link_spec(3, 1).params == (4.0,)
+
+    def test_library_defaults_are_the_configs(self):
+        # a config that names only its problem runs on the library's own
+        # defaults; the CLI states only rho, which AdmmParams leaves open
+        config = build_run_config(parse_config_text("problem = nonconvex_toy\n"))
+        assert config.params == kernel.AdmmParams(rho=1.0)
+        assert config.stop == engine.StoppingRule()
+        assert config.delays == engine.DelayModel()
+        assert config.problem == {"kind": "nonconvex_toy"}
+        case, part = (CASES_DIR / f"chain3.{ext}" for ext in ("case", "part"))
+        config = build_run_config(parse_config_text(
+            f"problem = opf\ncase = {case}\npartition = {part}\n"))
+        assert config.problem == {"kind": "opf", "case": case.read_text(),
+                                  "partition": part.read_text(),
+                                  "beta_minus": opf.DEFAULT_BETA_MINUS,
+                                  "beta_plus": opf.DEFAULT_BETA_PLUS}
 
 
 class TestRunCommand:

@@ -315,6 +315,20 @@ def test_updates_replay_from_the_trace(pinned_run, config):
     assert z_updates == len(events_of(trace, "z_update")) >= closes > 0
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_opf_updates_replay_across_seeds(tmp_path, seed):
+    # ring5 under other delay draws: the replay rebuilds each region from the
+    # trace's embedded case to check ax, and each close takes the freshest
+    # message of its edges
+    out = tmp_path / "out"
+    assert main(["run", str(config_path("ring5_async", tmp_path)), "--set", f"outdir={out}",
+                 "--set", f"seed={seed}", "--set", "baseline=false"]) == 0
+    trace = read_events(out / "trace.log")
+    lambdas, z_updates, closes = replay_updates(trace)
+    assert lambdas == len(events_of(trace, "compute_end"))
+    assert z_updates == len(events_of(trace, "z_update")) >= closes > 0
+
+
 def test_proximal_updates_replay_from_the_trace(tmp_path):
     # every pinned run has alpha = 0, where the proximal centre of a consensus
     # update drops out: at alpha = 1 the replay also checks that the centre

@@ -2,8 +2,9 @@
 topology, threshold, proximal weight or delay pattern (including heavy
 timestamp ties and message reordering), must produce a well-formed trace
 whose slicing rules, delay-window bookkeeping and staleness bound all hold,
-must reach the consensus optimum, and whose slicing, snapshots, bounds and
-compute/wait split must equal those of the reference implementations."""
+must reach the consensus optimum, whose slicing, snapshots, bounds and
+compute/wait split must equal those of the reference implementations, and
+whose every update must replay from the trace."""
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from conftest import (
     assert_slicing_matches_reference,
     index_of,
 )
+from oracles import replay_updates
 
 DELAY_PATTERNS = {
     "tied": DelayModel(compute=DelaySpec.constant(1.0), link=DelaySpec.constant(1.0), seed=1),
@@ -59,6 +61,7 @@ def test_invariants_hold(num_regions, p, alpha, pattern):
     assert check_staleness_bound(assignment, snapshots, omega)["holds"]
     assert_slicing_matches_reference(res.trace)
     assert_analysis_matches_reference(res.trace)
+    replay_updates(res.trace, problem)
     mean = float(np.mean(targets))
     for s in res.states:
         assert abs(float(s.x[0]) - mean) < 5e-2

@@ -196,6 +196,10 @@ class TestResidue:
         # primal residual (0.1, -0.3); dual residual (0, 0.05)
         assert residue(state, np.array([0.0, -0.05])) == pytest.approx(0.3)
 
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="residue: z_prev length differs from state.z"):
+            residue(make_state(1.0, 0.0, 1.0), np.zeros(2))
+
     def test_homogeneous(self):
         x = np.array([0.2])
         for scale in (1.0, 10.0):

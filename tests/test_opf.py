@@ -55,6 +55,20 @@ class TestCaseValidation:
             OpfCase(base_mva=100, buses=(Bus(1), Bus(2), Bus(3)),
                     branches=(Branch(1, 2, 0.01, 0.05),), generators=())
 
+    def test_generator_on_unknown_bus(self):
+        # parse_case reports this first with its line; direct construction too
+        with pytest.raises(ValueError, match="generator references unknown bus 7"):
+            OpfCase(base_mva=100, buses=(Bus(1),), branches=(),
+                    generators=(Generator(7, 0, 1, -1, 1),))
+
+    def test_lookup_of_unknown_bus(self):
+        with pytest.raises(KeyError, match="3"):
+            two_bus_case().bus(3)
+
+    def test_power_flow_residual_vector_lengths(self):
+        with pytest.raises(ValueError, match="expected vectors of length 2"):
+            power_flow_residual(two_bus_case(), np.ones(2), np.zeros(2), np.zeros(3))
+
 
 class TestAdmittance:
     def test_two_bus_series_only(self):

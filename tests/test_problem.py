@@ -82,6 +82,39 @@ class TestValidation:
             )
 
 
+def with_equality(**callables):
+    return RegionSpec(objective=lambda x: 0.0, gradient=np.zeros_like,
+                      boundary_map=np.ones((1, 1)), lower=np.zeros(1), upper=np.ones(1),
+                      **callables)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: CouplingEdge(1, 2, (-1, 0), (0, 1)), r"block_k range \(-1, 0\) is invalid"),
+    (lambda: CouplingEdge(1, 2, (0, 1), (1, 0)), r"block_l range \(1, 0\) is invalid"),
+    (lambda: CouplingEdge(1, 2, (0, 1), (0, 1)).block_of(3),
+     r"region 3 is not an endpoint of edge \(1,2\)"),
+    (lambda: with_equality(equality=np.zeros_like),
+     "equality and equality_jacobian must be supplied together"),
+    (lambda: with_equality(equality_jacobian=np.ones_like),
+     "equality and equality_jacobian must be supplied together"),
+    (lambda: with_equality(equality_hessian=lambda x, w: np.zeros((1, 1))),
+     "equality_hessian needs equality constraints"),
+    (lambda: PartitionedProblem(regions=(), edges=()), "a problem needs at least one region"),
+    (lambda: PartitionedProblem(regions=(quadratic_region(0.0),),
+                                edges=(CouplingEdge(1, 2, (0, 1), (0, 1)),)),
+     r"edge \(1,2\) references an unknown region"),
+    (lambda: PartitionedProblem(
+        regions=(quadratic_region(0.0, rows=3), quadratic_region(1.0), quadratic_region(2.0)),
+        edges=(CouplingEdge(1, 2, (0, 1), (0, 1)), CouplingEdge(1, 3, (2, 3), (0, 1)))),
+     "region 1: boundary rows not contiguously covered at row 1"),
+], ids=["edge-range", "edge-range-of-l", "block-of-non-endpoint", "equality-without-jacobian",
+        "jacobian-without-equality", "hessian-without-equality", "no-regions",
+        "edge-to-unknown-region", "rows-not-contiguous"])
+def test_guards_name_their_fault(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 class TestEvaluate:
     def test_quadratic_minimum_is_zero(self):
         region = quadratic_region(2.0)
