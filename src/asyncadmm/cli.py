@@ -13,12 +13,13 @@ was exhausted. Any failure of ``run``, ``analyze`` or ``bounds``, I/O
 included, prints one ``error:`` line and exits 1; artifacts already written
 stay (a failed local solve leaves the partial ``trace.log``).
 
-Config keys (defaults in parentheses):
+Config keys (defaults in parentheses); a key marked "<problem> only" is an
+error under any other problem:
 
     problem        opf | toy_consensus | nonconvex_toy   (opf)
-    targets        comma-separated consensus targets for toy_consensus
-    case           case file path (opf)
-    partition      partition file path (opf)
+    targets        comma-separated consensus targets; toy_consensus only
+    case           case file path; opf only
+    partition      partition file path; opf only
     mode           sync | async                           (sync)
     rho            penalty weight                         (1.0)
     alpha          proximal weight on the consensus step  (0.0)
@@ -28,7 +29,7 @@ Config keys (defaults in parentheses):
     tol            stopping tolerance, residue and mismatch (1e-3)
     max_local_iters / time_cap_ms   run caps              (1000 / 1e12)
     start          flat | warm                            (flat)
-    beta_minus / beta_plus   boundary weights             (2.0 / 0.5)
+    beta_minus / beta_plus   boundary weights; opf only   (2.0 / 0.5)
     compute_delay / link_delay      delay specs, e.g. constant:1.0,
                    uniform:0.5,2.0, lognormal:0.0,0.25   (constant:1.0 / constant:0.1)
     compute_delay.<k> / link_delay.<k>-<l>   per-worker / per-edge overrides;
@@ -103,6 +104,9 @@ _DEFAULTS = {
     "beta_minus": repr(opf.DEFAULT_BETA_MINUS),
     "beta_plus": repr(opf.DEFAULT_BETA_PLUS),
 }
+# the keys that one problem alone reads
+_PROBLEM_KEYS = {"targets": "toy_consensus", "case": "opf", "partition": "opf",
+                 "beta_minus": "opf", "beta_plus": "opf"}
 
 
 def parse_config_text(text: str) -> dict[str, tuple[str, int]]:
@@ -152,11 +156,8 @@ def build_run_config(entries: dict[str, tuple[str, int]]) -> RunConfig:
     merged = {k: (v, None) for k, v in _DEFAULTS.items()}
     merged.update(entries)
 
-    def get(key: str) -> tuple[str, int | None]:
-        return merged[key]
-
     def number(key: str) -> float:
-        value, line = get(key)
+        value, line = merged[key]
         try:
             out = float(value)
         except ValueError:
@@ -166,7 +167,7 @@ def build_run_config(entries: dict[str, tuple[str, int]]) -> RunConfig:
         return out
 
     def integer(key: str) -> int:
-        value, line = get(key)
+        value, line = merged[key]
         try:
             return int(value)
         except ValueError:
@@ -177,23 +178,21 @@ def build_run_config(entries: dict[str, tuple[str, int]]) -> RunConfig:
         if key not in _DEFAULTS and not key.startswith(known_prefixes):
             raise ConfigError(f"unknown config key {key!r}", line)
 
-    problem_kind, line = get("problem")
+    problem_kind, line = merged["problem"]
     if problem_kind not in ("opf", "toy_consensus", "nonconvex_toy"):
         raise ConfigError(f"unknown problem kind {problem_kind!r}", line)
-    mode, line = get("mode")
+    mode, line = merged["mode"]
     if mode not in ("sync", "async"):
         raise ConfigError(f"mode must be sync or async, got {mode!r}", line)
-    start, line = get("start")
+    start, line = merged["start"]
     if start not in ("flat", "warm"):
         raise ConfigError(f"start must be flat or warm, got {start!r}", line)
 
-    targets_text, line = get("targets")
-    targets = []
-    if targets_text:
-        try:
-            targets = [float(tok) for tok in targets_text.replace(",", " ").split()]
-        except ValueError:
-            raise ConfigError(f"targets must be numbers, got {targets_text!r}", line) from None
+    targets_text, line = merged["targets"]
+    try:
+        targets = [float(tok) for tok in targets_text.replace(",", " ").split()]
+    except ValueError:
+        raise ConfigError(f"targets must be numbers, got {targets_text!r}", line) from None
 
     p = number("p")
     try:
@@ -222,14 +221,14 @@ def build_run_config(entries: dict[str, tuple[str, int]]) -> RunConfig:
                 raise ConfigError(f"bad edge in {key!r}, expected k-l", line) from None
             link_overrides[(min(a, b), max(a, b))] = _parse_delay_spec(value, line)
     delays = engine.DelayModel(
-        compute=_parse_delay_spec(*get("compute_delay")),
-        link=_parse_delay_spec(*get("link_delay")),
+        compute=_parse_delay_spec(*merged["compute_delay"]),
+        link=_parse_delay_spec(*merged["link_delay"]),
         compute_overrides=compute_overrides,
         link_overrides=link_overrides,
         seed=integer("seed"),
     )
 
-    baseline_text, line = get("baseline")
+    baseline_text, line = merged["baseline"]
     if baseline_text.lower() not in ("true", "false", "0", "1"):
         raise ConfigError(f"baseline must be true or false, got {baseline_text!r}", line)
 
@@ -247,7 +246,7 @@ def build_run_config(entries: dict[str, tuple[str, int]]) -> RunConfig:
     else:
         problem = {"kind": "opf"}
         for label in ("case", "partition"):
-            path = get(label)[0]
+            path = merged[label][0]
             if not path:
                 raise ConfigError(f"problem = opf needs a {label} file")
             try:
@@ -255,8 +254,11 @@ def build_run_config(entries: dict[str, tuple[str, int]]) -> RunConfig:
             except (OSError, UnicodeDecodeError) as err:
                 raise ConfigError(f"cannot read {label} {path}: {err}") from err
         problem.update(betas)
+    for key, (_, line) in entries.items():
+        if _PROBLEM_KEYS.get(key, problem_kind) != problem_kind:
+            raise ConfigError(f"{key} does not apply to problem = {problem_kind}", line)
     return RunConfig(problem=problem, params=params, stop=stop, delays=delays, start=start,
-                     baseline=baseline_text.lower() in ("true", "1"), outdir=get("outdir")[0])
+                     baseline=baseline_text.lower() in ("true", "1"), outdir=merged["outdir"][0])
 
 
 # --------------------------------------------------------------------------
@@ -349,15 +351,12 @@ def cmd_run(args) -> int:
     except OSError as err:
         raise OSError(f"cannot write outdir {outdir}: {err}") from err
     wall_start = time.monotonic()
-    try:
-        result = engine.run(problem, config.params, config.delays, config.stop,
-                            x0=x0, problem_descriptor=config.problem)
-    except engine.EngineAbort as err:
-        caseio.write_trace(err.trace, outdir / "trace.log")
-        raise
-
+    result = engine.run(problem, config.params, config.delays, config.stop,
+                        x0=x0, problem_descriptor=config.problem)
     wall_s = time.monotonic() - wall_start
     caseio.write_trace(result.trace, outdir / "trace.log")
+    if result.error is not None:
+        raise result.error  # an aborted run leaves only its partial trace
     caseio.write_results(result.iteration_log, outdir / "convergence.csv")
     # from here on a failure leaves trace.log and convergence.csv in place
     try:
@@ -467,7 +466,7 @@ def main(argv=None) -> int:
     try:
         logging.basicConfig(level=os.environ.get("ASYNCADMM_LOG", "WARNING").upper())
         return args.fn(args)
-    except (OSError, ValueError, SolveError, engine.EngineAbort) as err:
+    except (OSError, ValueError, SolveError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

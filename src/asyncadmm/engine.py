@@ -10,7 +10,8 @@ that arrives late is logged and dropped. Once taken messages are held on
 ceil(p * |N_k|) distinct edges, the worker closes the cycle with a consensus
 update on each of them. Setting p = 1 yields lockstep synchronous execution.
 The run stops at the first cycle close whose ``convergence.csv`` row has
-``max_residue`` and ``constraint_mismatch`` both at most ``tol``.
+``max_residue`` and ``constraint_mismatch`` both at most ``tol``, at a cap,
+or at a failed local solve: every outcome returns a :class:`RunResult`.
 
 The simulation is deterministic: delays are drawn from per-worker and
 per-link substreams of a single seed, and events at equal times are ordered
@@ -222,23 +223,17 @@ def ready_to_update(num_neighbors: int, fresh_neighbors: int, p: float) -> bool:
     return fresh_neighbors >= needed
 
 
-class EngineAbort(RuntimeError):
-    """A local solve failed mid-run; carries the partial trace."""
-
-    def __init__(self, message: str, trace: EventTrace):
-        super().__init__(message)
-        self.trace = trace
-
-
 @dataclass
 class RunResult:
-    """A finished run. Its status, convergence flag and end time are read from
-    the trace's last event, the ``end`` record."""
+    """A finished run, whatever its status. Its status, convergence flag and
+    end time are read from the trace's last event, the ``end`` record;
+    ``error`` is the failed local solve of an ``aborted`` run, else None."""
 
     trace: EventTrace
     states: list[WorkerState]
     z: Array
     iteration_log: list[tuple]
+    error: SolveError | None = None
 
     @property
     def status(self) -> str:
@@ -298,6 +293,7 @@ class _Simulator:
         self.waiting: set[int] = set()
         self.iteration_log: list[tuple] = []
         self.status = "running"
+        self.error: SolveError | None = None
         self.now = 0.0
         meta = {
             "version": 1,
@@ -338,13 +334,12 @@ class _Simulator:
             result = x_update(region, state, self.params, self.models[k - 1],
                               warm=self.last_solve[k - 1])
         except SolveError as err:
-            # close the log so the partial trace stays readable post mortem
-            self._log("end", 0, 0, t, {"status": "aborted", "converged": False,
-                                       "error": str(err)})
-            raise EngineAbort(
+            # the run ends here, with the solver's error as the cause of its own
+            self.status, self.error = "aborted", SolveError(
                 f"worker {k} local solve failed at cycle {state.local_iter}: {err}",
-                self.trace,
-            ) from err
+                err.grad_norm, err.constraint_norm)
+            self.error.__cause__ = err
+            return
         self.last_solve[k - 1] = result
         state.x = result.x
         state.ax = region.boundary_map @ result.x
@@ -438,20 +433,23 @@ class _Simulator:
                         self._try_close_cycle(k, t)
         if self.status == "running":
             self.status = "iteration_cap"
-        end = self.now
-        for s in self.states:
-            self._log("final", s.region_index, s.local_iter, end, {
-                "x": s.x.tolist(),
-                "lam": s.lam.tolist(),
-                "z": s.z.tolist(),
-                "residue": float(s.residue) if s.residue is not None else math.inf,
-                "feas": float(s.constraint_violation),
-            })
-        self._log("final_z", 0, 0, end, {"z": self.z_global.tolist()})
-        self._log("end", 0, 0, end, {"status": self.status,
-                                     "converged": self.status == "converged"})
+        # every status closes here; an aborted run's partial trace has no final states
+        end = {"status": self.status, "converged": self.status == "converged"}
+        if self.error is None:
+            for s in self.states:
+                self._log("final", s.region_index, s.local_iter, self.now, {
+                    "x": s.x.tolist(),
+                    "lam": s.lam.tolist(),
+                    "z": s.z.tolist(),
+                    "residue": float(s.residue) if s.residue is not None else math.inf,
+                    "feas": float(s.constraint_violation),
+                })
+            self._log("final_z", 0, 0, self.now, {"z": self.z_global.tolist()})
+        else:
+            end["error"] = str(self.error.__cause__)
+        self._log("end", 0, 0, self.now, end)
         return RunResult(trace=self.trace, states=self.states, z=self.z_global,
-                         iteration_log=self.iteration_log)
+                         iteration_log=self.iteration_log, error=self.error)
 
 
 def run(
@@ -464,11 +462,11 @@ def run(
 ) -> RunResult:
     """Execute the asynchronous loop under the given delay model.
 
-    Returns the trace and the final states; the compute/wait split is
-    :func:`asyncadmm.analysis.timing_from_trace` of the trace's slicing. Identical
-    arguments (including the seed) produce a bitwise-identical trace. A local
-    solver failure raises :class:`EngineAbort` carrying the partial trace;
-    cap exhaustion returns normally with ``converged=False``.
+    Returns the trace and the final states for every status; the compute/wait
+    split is :func:`asyncadmm.analysis.timing_from_trace` of the trace's slicing.
+    Identical arguments (including the seed) produce a bitwise-identical trace.
+    A local solver failure ends the run ``aborted``, with the partial trace and
+    the failure as ``error``; a cap ends it with ``converged=False``.
     """
     sim = _Simulator(problem, params, delays, stop, x0, problem_descriptor)
     return sim.run()

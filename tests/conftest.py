@@ -7,8 +7,8 @@ from asyncadmm import analysis, caseio, cli
 from asyncadmm.engine import (
     DelayModel,
     DelaySpec,
-    EngineAbort,
     EventTrace,
+    RunResult,
     StoppingRule,
     TraceEvent,
     run,
@@ -193,9 +193,9 @@ STAGGERED_MEMBERSHIP = {1: {1, 2, 3}, 2: {1, 2}, 3: {1, 2}, 4: {1, 3}}
 STAGGERED_OMEGA = 3
 
 
-def aborted_trace() -> EventTrace:
-    """The partial trace of a run whose first local solve fails (region 1's
-    equality lies outside its box): both workers' compute_start, then the
+def aborted_run() -> RunResult:
+    """A run whose first local solve fails (region 1's equality lies outside
+    its box): its partial trace has both workers' compute_start, then the
     ``end`` record, and no finished update."""
     bad = RegionSpec(
         objective=lambda x: float(x[0] ** 2),
@@ -208,10 +208,13 @@ def aborted_trace() -> EventTrace:
     )
     toy = make_toy_consensus([0.0, 2.0])
     delays = DelayModel(compute=DelaySpec.constant(1.0), link=DelaySpec.constant(0.0), seed=0)
-    with pytest.raises(EngineAbort) as err:
-        run(PartitionedProblem(regions=(bad, toy.region(2)), edges=toy.edges),
-            AdmmParams(rho=1.0), delays, StoppingRule(tol=1e-3, max_local_iters=10))
-    return err.value.trace
+    return run(PartitionedProblem(regions=(bad, toy.region(2)), edges=toy.edges),
+               AdmmParams(rho=1.0), delays, StoppingRule(tol=1e-3, max_local_iters=10))
+
+
+def aborted_trace() -> EventTrace:
+    """The partial trace of :func:`aborted_run`."""
+    return aborted_run().trace
 
 
 def membership(assignment: analysis.GlobalIterationAssignment) -> dict[int, set]:

@@ -215,10 +215,10 @@ def replay_updates(trace: EventTrace,
 
 
 def read_trace_by_line(path) -> EventTrace:
-    """The trace reader as it was before it decoded the file at once and
-    called the JSON scanner directly, reading one line at a time; the new
-    reader must give the same events and the same errors (message, line and
-    byte offset)."""
+    """The trace reader as it was before it called the JSON scanner
+    directly, decoding each line with ``json.loads``; the streaming reader,
+    which passes each line through the scanner, must give the same events
+    and the same errors (message, line and byte offset)."""
     trace = None
     saw_end = False
     offset = line_no = 0

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import asyncadmm
-from asyncadmm import analysis, caseio, engine, kernel, opf
+from asyncadmm import analysis, caseio, cli, engine, kernel, opf
 from asyncadmm.cli import (
     ConfigError,
     build_run_config,
@@ -45,6 +46,41 @@ def write_config(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def documented_keys() -> dict[str, tuple[str | None, str]]:
+    """Key -> (documented default or None, entry text) of the key table in
+    the cli module docstring. An entry starts at a four-space indent, names
+    its keys before two spaces, and may end with its defaults in parentheses,
+    one per key."""
+    table = cli.__doc__.split("Config keys", 1)[1].split("\n\n")[1]
+    out = {}
+    for entry in re.split(r"\n(?=    \S)", table):
+        keys = [k.strip() for k in re.split(r"\s{2,}", entry.strip())[0].split("/")]
+        text = " ".join(entry.split())
+        found = re.search(r"\(([^()]*)\)$", text)
+        defaults = found.group(1).split(" / ") if found else [None] * len(keys)
+        assert len(defaults) == len(keys), entry
+        out.update((key, (default, text)) for key, default in zip(keys, defaults))
+    return out
+
+
+def test_documented_config_table_matches_the_defaults():
+    def parsed(text):  # a default as build_run_config reads it
+        try:
+            return float(text)
+        except ValueError:
+            return cli._parse_delay_spec(text, None) if ":" in text else text
+
+    documented = documented_keys()
+    assert set(documented) - {"compute_delay.<k>", "link_delay.<k>-<l>"} == set(cli._DEFAULTS)
+    for key, default in cli._DEFAULTS.items():
+        assert parsed(documented[key][0] or "") == parsed(default), key
+    # the applicability rule: exactly the keys that one problem alone reads
+    # are marked "<problem> only"
+    for key, (_, text) in documented.items():
+        only = re.search(r"; (\w+) only\b", text)
+        assert (only and only.group(1)) == cli._PROBLEM_KEYS.get(key), key
 
 
 class TestConfigParsing:
@@ -289,17 +325,22 @@ outdir = {tmp_path / 'opf'}
         assert (tmp_path / "out" / "convergence.csv").exists()
         assert not (tmp_path / "out" / "diagnostics.json").exists()
 
-    def test_failed_local_solve_keeps_partial_trace(self, tmp_path, capsys, monkeypatch):
-        # the lockstep toy's fifth local solve is worker 1's at cycle 2
+    @staticmethod
+    def fail_fifth_solve(monkeypatch):
+        """Make every run's fifth local solve fail: in the lockstep toy,
+        worker 1's at cycle 2."""
         real, calls = engine.x_update, []
 
         def flaky(*args, **kwargs):
             calls.append(None)
-            if len(calls) == 5:
+            if len(calls) % 5 == 0:
                 raise SolveError("forced failure", 1.0, 1.0)
             return real(*args, **kwargs)
 
         monkeypatch.setattr(engine, "x_update", flaky)
+
+    def test_failed_local_solve_keeps_partial_trace(self, tmp_path, capsys, monkeypatch):
+        self.fail_fifth_solve(monkeypatch)
         out = tmp_path / "out"
         cfg = write_config(tmp_path, TOY_CONFIG + f"outdir = {out}\n")
         assert main(["run", str(cfg)]) == 1
@@ -312,6 +353,23 @@ outdir = {tmp_path / 'opf'}
         assert not (out / "diagnostics.json").exists()
         assert main(["analyze", str(out / "trace.log")]) == 0
         assert json.loads(capsys.readouterr().out)["status"] == "aborted"
+
+    def test_library_run_of_a_failed_solve_matches_the_cli(self, tmp_path, monkeypatch):
+        # the same failure returns from engine.run with the CLI's message and
+        # the partial trace that the CLI writes
+        self.fail_fifth_solve(monkeypatch)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, TOY_CONFIG + f"outdir = {out}\n")
+        assert main(["run", str(cfg)]) == 1
+        config = build_run_config(parse_config_text(cfg.read_text()))
+        problem, _ = problem_from_descriptor(config.problem)
+        result = engine.run(problem, config.params, config.delays, config.stop,
+                            problem_descriptor=config.problem)
+        assert (result.status, result.converged) == ("aborted", False)
+        assert str(result.error) == "worker 1 local solve failed at cycle 2: forced failure"
+        assert not any(e.kind == "final" for e in result.trace.events)
+        caseio.write_trace(result.trace, tmp_path / "library.log")
+        assert (tmp_path / "library.log").read_bytes() == (out / "trace.log").read_bytes()
 
 
 class TestToyReference:
@@ -734,13 +792,18 @@ def test_failure_keeps_its_text(tmp_path, capsys, argv, line):
      "error: compute_delay.7 names no worker of this problem (1..2)"),
     ("problem = toy_consensus\ntargets = 0, 2\nlink_delay.1-9 = constant:1", None,
      "error: link_delay.1-9 names no edge of this problem"),
+    ("problem = nonconvex_toy\nbeta_minus = -1", None,
+     "error: beta_minus does not apply to problem = nonconvex_toy, line 2"),
+    ("targets = 0, 2", ("case", "", ""),
+     "error: targets does not apply to problem = opf, line 1"),
 ], ids=["empty-key", "delay-without-colon", "rho-not-a-number", "seed-not-an-integer",
         "unknown-problem", "unknown-start", "targets-not-numbers", "bad-worker-override",
         "bad-link-override", "baseline-not-boolean", "one-target", "opf-without-case",
         "empty-lambda-box", "bus-id-not-an-integer", "second-basemva", "nonpositive-basemva",
         "duplicate-section", "missing-section", "no-buses", "self-loop", "zero-impedance",
         "region-below-one", "negative-beta", "negative-seed", "zero-iteration-cap",
-        "negative-time-cap", "override-of-no-worker", "override-of-no-edge"])
+        "negative-time-cap", "override-of-no-worker", "override-of-no-edge",
+        "beta-under-a-toy", "targets-under-opf"])
 def test_config_and_case_errors_keep_their_text(tmp_path, capsys, config, edit, line):
     # a bad config key, case row or partition row ends run with its located
     # error line; edit = (file, old, new) edits chain3's case or partition,

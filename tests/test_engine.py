@@ -7,6 +7,7 @@ from asyncadmm.cli import main
 from asyncadmm.engine import (
     DelayModel,
     DelaySpec,
+    RunResult,
     StoppingRule,
     ready_to_update,
     run,
@@ -14,7 +15,7 @@ from asyncadmm.engine import (
 from asyncadmm.kernel import AdmmParams
 from asyncadmm.problem import PartitionedProblem, RegionSpec, make_toy_consensus
 
-from conftest import PINNED_CONFIGS, aborted_trace, config_path, events_of, index_of
+from conftest import PINNED_CONFIGS, aborted_run, config_path, events_of, index_of
 from oracles import end_of, read_events, replay_updates, run_sync_reference
 
 ZERO_LINK = DelayModel(compute=DelaySpec.constant(1.0), link=DelaySpec.constant(0.0), seed=0)
@@ -165,11 +166,33 @@ class TestAsyncRuns:
 
     def test_solver_failure_aborts_with_partial_trace(self):
         # region 1's equality lies outside its box: its first solve fails
-        trace = aborted_trace()  # the run raised EngineAbort carrying this trace
+        res = aborted_run()
+        assert (res.status, res.converged, res.end_time) == ("aborted", False, 1.0)
+        assert str(res.error) == ("worker 1 local solve failed at cycle 0: "
+                                  + res.trace.events[-1].payload["error"])
+        trace = res.trace
         assert end_of(trace)[0] == "aborted"
         assert any(e.kind == "compute_start" for e in trace.events)
         # the partial trace is closed and stays machine-readable
         assert trace.events[-1].kind == "end"
+
+    @pytest.mark.parametrize("status, stop", [
+        ("converged", StoppingRule(tol=1e-3, max_local_iters=500)),
+        ("iteration_cap", StoppingRule(tol=1e-12, max_local_iters=5)),
+        ("time_cap", StoppingRule(tol=1e-12, max_local_iters=10**6, time_cap_ms=7.5)),
+        ("aborted", None),
+    ])
+    def test_every_status_returns_one_closing_end_record(self, status, stop):
+        if stop is None:
+            res = aborted_run()
+        else:
+            res = run(make_toy_consensus([0.0, 2.0]), AdmmParams(rho=5.0, p=1.0), ZERO_LINK, stop)
+        assert isinstance(res, RunResult)
+        assert (res.status, res.converged) == (status, status == "converged")
+        kinds = [e.kind for e in res.trace.events]
+        assert kinds[-1] == "end" and kinds.count("end") == 1
+        # final states close every run but an aborted one, which keeps its error
+        assert ("final" in kinds, res.error is None) == ((status != "aborted",) * 2)
 
 
 class TestTraceInvariants:

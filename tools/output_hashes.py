@@ -15,11 +15,13 @@ The runs, each into its own temporary directory:
   ``bench/grid16_sync.cfg`` with the baseline off;
 - grid 8 at rho = 1e4, whose local solve fails: only its partial trace.
 
-For each run the script prints the exit code and the first 16 hex digits of
-the sha256 of ``trace.log``, ``convergence.csv``, ``diagnostics.json`` less
+For each run the script prints the first 16 hex digits of the sha256 of
+``trace.log``, ``convergence.csv``, ``diagnostics.json`` less
 ``wall_time_s`` (rendered with ``json.dumps(indent=2, sort_keys=True)``), and
 of the ``analyze`` report, at the KKT tolerance the trace records, without
-and with ``--gamma 2 --m1 2 --m2 1 --c 1``.
+and with ``--gamma 2 --m1 2 --m2 1 --c 1``. Each command's line (``run`` and
+both ``analyze`` calls) states its exit code and the same hash prefix of the
+``error:`` line(s) it printed on stderr, ``-`` when it printed none.
 The grid 8 run at rho = 1e4 takes about 90 s of the total.
 """
 
@@ -41,7 +43,8 @@ def prefix(data: bytes) -> str:
 
 def artifact_hashes(out: Path, analyze) -> list[tuple[str, str]]:
     """(artifact, hash prefix) of every artifact that the run left in ``out``,
-    and of its two analyze reports when it wrote a report."""
+    and of its two analyze reports when it wrote a report; ``analyze`` returns
+    the exit code and error hash of one call."""
     rows = []
     for name in ("trace.log", "convergence.csv"):
         if (out / name).exists():
@@ -53,8 +56,8 @@ def artifact_hashes(out: Path, analyze) -> list[tuple[str, str]]:
         rows.append(("diagnostics.json less wall_time_s", prefix(rendered)))
         for label, extra in (("analyze", []), ("analyze with constants", CONSTANTS)):
             report_path = out / f"{label}.json"
-            code = analyze([str(out / "trace.log"), *extra, "--out", str(report_path)])
-            rows.append((f"{label} (exit {code})", prefix(report_path.read_bytes())
+            code, error = analyze([str(out / "trace.log"), *extra, "--out", str(report_path)])
+            rows.append((f"{label} (exit {code}, error {error})", prefix(report_path.read_bytes())
                          if report_path.exists() else "-"))
     return rows
 
@@ -70,9 +73,14 @@ def main() -> int:
     from asyncadmm import cli
     from conftest import PINNED_CONFIGS, WRITTEN_CONFIGS
 
-    def call(argv: list[str]) -> int:
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            return cli.main(argv)
+    def call(argv: list[str]) -> tuple[int, str]:
+        """The exit code, and the hash prefix of the ``error:`` lines on
+        stderr (``-`` for none)."""
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = cli.main(argv)
+        errors = [line for line in stderr.getvalue().splitlines() if line.startswith("error:")]
+        return code, prefix("\n".join(errors).encode()) if errors else "-"
 
     with tempfile.TemporaryDirectory(prefix="output_hashes_") as tmp:
         tmp = Path(tmp)
@@ -102,8 +110,8 @@ def main() -> int:
             argv = ["run", str(path), "--set", f"outdir={out}"]
             for item in sets:
                 argv += ["--set", item]
-            code = call(argv)
-            print(f"{name}: run exit {code}")
+            code, error = call(argv)
+            print(f"{name}: run exit {code}, error {error}")
             for artifact, digest in artifact_hashes(out, lambda a: call(["analyze", *a])):
                 print(f"{name}: {artifact} {digest}")
             sys.stdout.flush()
