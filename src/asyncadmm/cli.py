@@ -66,6 +66,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, caseio, engine, opf
+from .caseio import ParseError
 from .kernel import AdmmParams
 from .localsolver import SolveError
 from .problem import (
@@ -76,12 +77,6 @@ from .problem import (
 )
 
 log = logging.getLogger("asyncadmm")
-
-
-class ConfigError(ValueError):
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        super().__init__(message if line is None else f"{message}, line {line}")
 
 
 _DELAYS = engine.DelayModel().describe()
@@ -117,25 +112,25 @@ def parse_config_text(text: str) -> dict[str, tuple[str, int]]:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"expected 'key = value', got {line!r}", line_no)
+            raise ParseError(f"expected 'key = value', got {line!r}", line_no)
         key, value = line.split("=", 1)
         key = key.strip()
         value = value.strip()
         if not key:
-            raise ConfigError("empty key", line_no)
+            raise ParseError("empty key", line_no)
         out[key] = (value, line_no)
     return out
 
 
 def _parse_delay_spec(text: str, line: int | None) -> engine.DelaySpec:
     if ":" not in text:
-        raise ConfigError(f"delay spec {text!r} needs kind:params", line)
+        raise ParseError(f"delay spec {text!r} needs kind:params", line)
     kind, rest = text.split(":", 1)
     try:
         params = tuple(float(tok) for tok in rest.split(",") if tok.strip() != "")
         return engine.DelaySpec(kind.strip(), params)
     except ValueError as err:
-        raise ConfigError(f"bad delay spec {text!r}: {err}", line) from None
+        raise ParseError(f"bad delay spec {text!r}: {err}", line) from None
 
 
 @dataclass
@@ -163,7 +158,7 @@ def build_run_config(entries: dict[str, tuple[str, int]]) -> RunConfig:
         except ValueError:
             out = math.nan
         if math.isnan(out):
-            raise ConfigError(f"{key} must be a number, got {value!r}", line)
+            raise ParseError(f"{key} must be a number, got {value!r}", line)
         return out
 
     def integer(key: str) -> int:
@@ -171,38 +166,33 @@ def build_run_config(entries: dict[str, tuple[str, int]]) -> RunConfig:
         try:
             return int(value)
         except ValueError:
-            raise ConfigError(f"{key} must be an integer, got {value!r}", line) from None
+            raise ParseError(f"{key} must be an integer, got {value!r}", line) from None
 
     known_prefixes = ("compute_delay.", "link_delay.")
     for key, (_, line) in entries.items():
         if key not in _DEFAULTS and not key.startswith(known_prefixes):
-            raise ConfigError(f"unknown config key {key!r}", line)
+            raise ParseError(f"unknown config key {key!r}", line)
 
     problem_kind, line = merged["problem"]
     if problem_kind not in ("opf", "toy_consensus", "nonconvex_toy"):
-        raise ConfigError(f"unknown problem kind {problem_kind!r}", line)
+        raise ParseError(f"unknown problem kind {problem_kind!r}", line)
     mode, line = merged["mode"]
     if mode not in ("sync", "async"):
-        raise ConfigError(f"mode must be sync or async, got {mode!r}", line)
+        raise ParseError(f"mode must be sync or async, got {mode!r}", line)
     start, line = merged["start"]
     if start not in ("flat", "warm"):
-        raise ConfigError(f"start must be flat or warm, got {start!r}", line)
+        raise ParseError(f"start must be flat or warm, got {start!r}", line)
 
     targets_text, line = merged["targets"]
     try:
         targets = [float(tok) for tok in targets_text.replace(",", " ").split()]
     except ValueError:
-        raise ConfigError(f"targets must be numbers, got {targets_text!r}", line) from None
+        raise ParseError(f"targets must be numbers, got {targets_text!r}", line) from None
 
     p = number("p")
-    try:
-        params = AdmmParams(
-            rho=number("rho"), alpha=number("alpha"),
-            p=(1.0 if mode == "sync" else p),
-            lambda_min=number("lambda_min"), lambda_max=number("lambda_max"),
-        )
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
+    params = AdmmParams(rho=number("rho"), alpha=number("alpha"),
+                        p=(1.0 if mode == "sync" else p),
+                        lambda_min=number("lambda_min"), lambda_max=number("lambda_max"))
 
     compute_overrides = {}
     link_overrides = {}
@@ -211,14 +201,14 @@ def build_run_config(entries: dict[str, tuple[str, int]]) -> RunConfig:
             try:
                 worker = int(key.split(".", 1)[1])
             except ValueError:
-                raise ConfigError(f"bad worker index in {key!r}", line) from None
+                raise ParseError(f"bad worker index in {key!r}", line) from None
             compute_overrides[worker] = _parse_delay_spec(value, line)
         elif key.startswith("link_delay."):
             tail = key.split(".", 1)[1]
             try:
                 a, b = (int(tok) for tok in tail.split("-"))
             except ValueError:
-                raise ConfigError(f"bad edge in {key!r}, expected k-l", line) from None
+                raise ParseError(f"bad edge in {key!r}, expected k-l", line) from None
             link_overrides[(min(a, b), max(a, b))] = _parse_delay_spec(value, line)
     delays = engine.DelayModel(
         compute=_parse_delay_spec(*merged["compute_delay"]),
@@ -230,7 +220,7 @@ def build_run_config(entries: dict[str, tuple[str, int]]) -> RunConfig:
 
     baseline_text, line = merged["baseline"]
     if baseline_text.lower() not in ("true", "false", "0", "1"):
-        raise ConfigError(f"baseline must be true or false, got {baseline_text!r}", line)
+        raise ParseError(f"baseline must be true or false, got {baseline_text!r}", line)
 
     stop = engine.StoppingRule(tol=number("tol"), max_local_iters=integer("max_local_iters"),
                                time_cap_ms=number("time_cap_ms"))
@@ -239,7 +229,7 @@ def build_run_config(entries: dict[str, tuple[str, int]]) -> RunConfig:
     # the problem descriptor last: its checks read the case and partition files
     if problem_kind == "toy_consensus":
         if len(targets) < 2:
-            raise ConfigError("toy_consensus needs at least two targets")
+            raise ParseError("toy_consensus needs at least two targets")
         problem = {"kind": "toy_consensus", "targets": targets}
     elif problem_kind == "nonconvex_toy":
         problem = {"kind": "nonconvex_toy"}
@@ -248,15 +238,15 @@ def build_run_config(entries: dict[str, tuple[str, int]]) -> RunConfig:
         for label in ("case", "partition"):
             path = merged[label][0]
             if not path:
-                raise ConfigError(f"problem = opf needs a {label} file")
+                raise ParseError(f"problem = opf needs a {label} file")
             try:
                 problem[label] = Path(path).read_text(encoding="utf-8")
             except (OSError, UnicodeDecodeError) as err:
-                raise ConfigError(f"cannot read {label} {path}: {err}") from err
+                raise ParseError(f"cannot read {label} {path}: {err}") from err
         problem.update(betas)
     for key, (_, line) in entries.items():
         if _PROBLEM_KEYS.get(key, problem_kind) != problem_kind:
-            raise ConfigError(f"{key} does not apply to problem = {problem_kind}", line)
+            raise ParseError(f"{key} does not apply to problem = {problem_kind}", line)
     return RunConfig(problem=problem, params=params, stop=stop, delays=delays, start=start,
                      baseline=baseline_text.lower() in ("true", "1"), outdir=merged["outdir"][0])
 
@@ -328,22 +318,16 @@ def cmd_run(args) -> int:
     try:
         text = Path(args.config).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as err:
-        raise ConfigError(f"cannot read config {args.config}: {err}") from err
+        raise ParseError(f"cannot read config {args.config}: {err}") from err
     entries = parse_config_text(text)
     for override in args.set or []:
         if "=" not in override:
-            raise ConfigError(f"--set needs key=value, got {override!r}")
+            raise ParseError(f"--set needs key=value, got {override!r}")
         key, value = override.split("=", 1)
         entries[key.strip()] = (value.strip(), None)
     config = build_run_config(entries)
     problem, layout = problem_from_descriptor(config.problem)
-    K, edges = problem.num_regions, {(e.k, e.l) for e in problem.edges}
-    for k in config.delays.compute_overrides:
-        if not 1 <= k <= K:
-            raise ConfigError(f"compute_delay.{k} names no worker of this problem (1..{K})")
-    for k, l in config.delays.link_overrides:
-        if (k, l) not in edges:
-            raise ConfigError(f"link_delay.{k}-{l} names no edge of this problem")
+    config.delays.check(problem)
     x0 = _start_vectors(config, problem, layout)
     outdir = Path(config.outdir)
     try:

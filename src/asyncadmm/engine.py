@@ -19,10 +19,11 @@ by creation. Two runs with the same configuration produce identical traces.
 
 No event scans the edge list or re-evaluates an objective. Each worker's
 outgoing links (edge, neighbour, row block, delay spec and stream) and its
-local solver's Newton model (``kernel.penalty_model``) are built once, and
-the problem's topology tables serve the consensus update. Each worker's
-last solve warm-starts its next one. Each region's objective value is kept
-from its last ``compute_end``, so the per-cycle objective in
+local solver's Newton model (``kernel.penalty_model``) are built once. The
+link table is the worker's only topology: its length is the degree |N_k| of
+the waiting rule. The problem's z-slice tables serve the consensus update.
+Each worker's last solve warm-starts its next one. Each region's objective
+value is kept from its last ``compute_end``, so the per-cycle objective in
 ``iteration_log`` is the sum of that cache in region order: the same float
 as ``PartitionedProblem.total_objective`` of the current iterates. Payload
 vectors come from float64 arrays through ``tolist()``. The engine computes
@@ -109,10 +110,11 @@ class DelayModel:
     """Per-worker compute delays and per-edge link delays, with a seed.
 
     ``compute_overrides`` maps a worker index to its own spec;
-    ``link_overrides`` maps an edge (k, l) with k < l. The same seed always
-    reproduces the same sample streams, independent of event interleaving,
-    because every worker and every directed link draws from its own
-    substream.
+    ``link_overrides`` maps an edge (k, l) with k < l. :meth:`check` is the
+    one test that each override names a worker or an edge of the problem;
+    :func:`run` makes it before simulating. The same seed always reproduces
+    the same sample streams, independent of event interleaving, because
+    every worker and every directed link draws from its own substream.
     """
 
     compute: DelaySpec = DelaySpec.constant(1.0)
@@ -124,6 +126,17 @@ class DelayModel:
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
+
+    def check(self, problem: PartitionedProblem) -> None:
+        """Raise ValueError, naming the config key, for an override that
+        names no worker or edge of ``problem``."""
+        K, edges = problem.num_regions, {(e.k, e.l) for e in problem.edges}
+        for k in self.compute_overrides:
+            if not 1 <= k <= K:
+                raise ValueError(f"compute_delay.{k} names no worker of this problem (1..{K})")
+        for k, l in self.link_overrides:
+            if (k, l) not in edges:
+                raise ValueError(f"link_delay.{k}-{l} names no edge of this problem")
 
     def compute_spec(self, k: int) -> DelaySpec:
         return self.compute_overrides.get(k, self.compute)
@@ -259,6 +272,7 @@ class RunResult:
 
 class _Simulator:
     def __init__(self, problem, params, delays, stop, x0, descriptor):
+        delays.check(problem)
         self.problem = problem
         self.params = params
         self.delays = delays
@@ -291,6 +305,7 @@ class _Simulator:
         self.heap: list = []
         self.seq = 0
         self.waiting: set[int] = set()
+        self.closed = 0  # workers that have closed a cycle, so have a residue
         self.iteration_log: list[tuple] = []
         self.status = "running"
         self.error: SolveError | None = None
@@ -361,8 +376,7 @@ class _Simulator:
         self._try_close_cycle(k, t)
 
     def _try_close_cycle(self, k: int, t: float):
-        if not ready_to_update(len(self.problem.neighbors(k)), len(self.inbox[k]),
-                               self.params.p):
+        if not ready_to_update(len(self.links[k]), len(self.inbox[k]), self.params.p):
             self.waiting.add(k)
             return
         self.waiting.discard(k)
@@ -386,6 +400,8 @@ class _Simulator:
                 "edge": i, "with": sender, "sender_iter": sender_iter, "z": z_new.tolist(),
             })
         prev, state.z = state.z, self.problem.region_z(self.z_global, k)
+        if state.residue is None:  # this worker's first close
+            self.closed += 1
         state.residue = residue(state, prev)
         state.local_iter += 1
         self._record_iteration(t)
@@ -396,8 +412,10 @@ class _Simulator:
             self._start_compute(k, t)
 
     def _record_iteration(self, t: float):
-        residues = [s.residue for s in self.states]
-        max_res = math.inf if None in residues else max(residues)
+        # inf until every worker has a residue; the max and the objective sum
+        # stay O(K) per close, as convergence.csv keeps their exact floats
+        max_res = (max(s.residue for s in self.states)
+                   if self.closed == len(self.states) else math.inf)
         mismatch = max([s.constraint_violation for s in self.states])
         objective = float(sum(self.objectives))
         self.iteration_log.append(
@@ -466,7 +484,9 @@ def run(
     split is :func:`asyncadmm.analysis.timing_from_trace` of the trace's slicing.
     Identical arguments (including the seed) produce a bitwise-identical trace.
     A local solver failure ends the run ``aborted``, with the partial trace and
-    the failure as ``error``; a cap ends it with ``converged=False``.
+    the failure as ``error``; a cap ends it with ``converged=False``. A delay
+    override that names no worker or edge raises ``ValueError`` before the
+    run starts (:meth:`DelayModel.check`).
     """
     sim = _Simulator(problem, params, delays, stop, x0, problem_descriptor)
     return sim.run()

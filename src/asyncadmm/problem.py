@@ -131,10 +131,9 @@ class PartitionedProblem:
     regions: tuple[RegionSpec, ...]
     edges: tuple[CouplingEdge, ...]
     boundary_dim: int = field(init=False)
-    # topology tables, built once: z slice per edge; per region its
-    # neighbours and its (row block, z slice) pairs
+    # z tables, built once: z slice per edge; per region its (row block,
+    # z slice) pairs. A worker's neighbours are the simulator's link table.
     _edge_slices: tuple[slice, ...] = field(init=False, repr=False, compare=False)
-    _neighbors: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     _z_blocks: tuple[tuple[tuple[slice, slice], ...], ...] = field(
         init=False, repr=False, compare=False)
 
@@ -148,7 +147,6 @@ class PartitionedProblem:
             raise ValueError("a problem needs at least one region")
         seen = set()
         slices, z_start = [], 0
-        neighbors = [[] for _ in range(K)]
         blocks = [[] for _ in range(K)]
         for e in edges:
             if not (1 <= e.k <= K and 1 <= e.l <= K):
@@ -160,8 +158,6 @@ class PartitionedProblem:
             z_slice = slice(z_start, z_start + bk - ak)
             z_start = z_slice.stop
             slices.append(z_slice)
-            neighbors[e.k - 1].append(e.l)
-            neighbors[e.l - 1].append(e.k)
             blocks[e.k - 1].append((ak, bk, z_slice))
             blocks[e.l - 1].append((al, bl, z_slice))
         # every region's boundary rows must be exactly tiled by its edge blocks
@@ -180,7 +176,6 @@ class PartitionedProblem:
                 )
         object.__setattr__(self, "boundary_dim", z_start)
         object.__setattr__(self, "_edge_slices", tuple(slices))
-        object.__setattr__(self, "_neighbors", tuple(tuple(sorted(n)) for n in neighbors))
         object.__setattr__(self, "_z_blocks", tuple(
             tuple((slice(a, b), z_slice) for a, b, z_slice in region_blocks)
             for region_blocks in blocks
@@ -193,24 +188,17 @@ class PartitionedProblem:
     def region(self, k: int) -> RegionSpec:
         return self.regions[k - 1]
 
-    def _row(self, k: int) -> int:
-        """Row of region k in the per-region tables; k must be in 1..K."""
-        if not 1 <= k <= len(self.regions):
-            raise IndexError(f"region {k} is not in 1..{len(self.regions)}")
-        return k - 1
-
-    def neighbors(self, k: int) -> tuple[int, ...]:
-        return self._neighbors[self._row(k)]
-
     def edge_slice(self, edge_index: int) -> slice:
         """Slice of edge ``edge_index`` inside the global z vector."""
         return self._edge_slices[edge_index]
 
     def region_z(self, z_global: Array, k: int) -> Array:
-        """Assemble region k's boundary vector from the global edge blocks."""
-        row = self._row(k)
-        out = np.zeros(self.regions[row].boundary_rows)
-        for block, z_slice in self._z_blocks[row]:
+        """Assemble region k's boundary vector from the global edge blocks;
+        k must be in 1..K."""
+        if not 1 <= k <= len(self.regions):
+            raise IndexError(f"region {k} is not in 1..{len(self.regions)}")
+        out = np.zeros(self.regions[k - 1].boundary_rows)
+        for block, z_slice in self._z_blocks[k - 1]:
             out[block] = z_global[z_slice]
         return out
 

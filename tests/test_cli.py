@@ -14,7 +14,6 @@ import pytest
 import asyncadmm
 from asyncadmm import analysis, caseio, cli, engine, kernel, opf
 from asyncadmm.cli import (
-    ConfigError,
     build_run_config,
     main,
     parse_config_text,
@@ -90,16 +89,16 @@ class TestConfigParsing:
         assert entries["b"] == ("two", 3)
 
     def test_missing_equals_located(self):
-        with pytest.raises(ConfigError) as err:
+        with pytest.raises(caseio.ParseError) as err:
             parse_config_text("rho 5\n")
         assert err.value.line == 1
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError, match="unknown config key"):
+        with pytest.raises(caseio.ParseError, match="unknown config key"):
             build_run_config(parse_config_text("rho = 1\nwibble = 2\n"))
 
     def test_mode_validated(self):
-        with pytest.raises(ConfigError, match="sync or async"):
+        with pytest.raises(caseio.ParseError, match="sync or async"):
             build_run_config(parse_config_text("mode = turbo\n"))
 
     def test_sync_mode_forces_lockstep_threshold(self):
@@ -921,19 +920,11 @@ DIAGNOSTICS_PREFIXES = {
     # the one pinned run that drops messages overtaken on their edge
     ("toy_chain16_overtaking", "5bbd3cf149b7004f"),
 ])
-def test_shipped_trace_hashes(tmp_path, config, prefix):
+def test_shipped_trace_hashes(pinned_run, config, prefix):
     # a change that claims to preserve behaviour keeps these traces byte for
     # byte; the prefixes were recorded with Python 3.11.7 and numpy 2.4.6 on
     # x86-64 Linux, and another numpy or BLAS may round differently
-    extra = []
-    if config == "nine_sync_warm":
-        cfg = CASES_DIR / "nine_sync.cfg"
-        extra = ["--set", "start=warm"]
-    else:
-        cfg = config_path(config, tmp_path)
-    out = tmp_path / config
-    assert main(["run", str(cfg), "--set", f"outdir={out}", "--set", "baseline=false",
-                 *extra]) == 0
+    out = pinned_run(config)
     assert_trace_prefix(out, config, prefix)
     # so is the report, once the wall time (the one field that differs
     # between two runs of the same config) is removed

@@ -194,6 +194,21 @@ class TestAsyncRuns:
         # final states close every run but an aborted one, which keeps its error
         assert ("final" in kinds, res.error is None) == ((status != "aborted",) * 2)
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"compute_overrides": {7: DelaySpec.constant(5.0)}},
+         "compute_delay.7 names no worker of this problem (1..2)"),
+        ({"link_overrides": {(1, 9): DelaySpec.constant(5.0)}},
+         "link_delay.1-9 names no edge of this problem"),
+    ], ids=["worker", "edge"])
+    def test_override_of_no_worker_or_edge_is_rejected(self, overrides, message):
+        # the library run makes the CLI's check, with the CLI's text
+        delays = DelayModel(compute=DelaySpec.constant(1.0), link=DelaySpec.constant(0.0),
+                            **overrides)
+        with pytest.raises(ValueError) as err:
+            run(make_toy_consensus([0.0, 2.0]), AdmmParams(rho=5.0, p=1.0), delays,
+                StoppingRule(tol=1e-3, max_local_iters=500))
+        assert str(err.value) == message
+
 
 class TestTraceInvariants:
     def run_async(self, seed=21):

@@ -1,6 +1,6 @@
 """The simulator's precomputed tables against the definitions they replace:
 payload digests against the recursive reference in ``reference_digest``,
-the problem's topology lookups and the simulator's link table against
+the problem's z-slice lookups and the simulator's link table against
 edge-list scans, and the cached per-region objectives behind
 ``iteration_log`` against ``PartitionedProblem.total_objective``."""
 
@@ -20,7 +20,7 @@ from asyncadmm.opf import build_regional_subproblems
 from asyncadmm.problem import CouplingEdge, PartitionedProblem, RegionSpec, make_toy_consensus
 
 import reference_digest as reference
-from conftest import CASES_DIR, config_path
+from conftest import CASES_DIR
 
 
 # --------------------------------------------------------------------------
@@ -30,11 +30,8 @@ from conftest import CASES_DIR, config_path
 # between them these runs carry every payload kind the engine writes
 @pytest.mark.parametrize("config", ["toy_sync", "ring5_async", "nine_sync", "toy_chain16",
                                     "nonconvex"])
-def test_digest_matches_reference_on_shipped_runs(tmp_path, config):
-    out = tmp_path / config
-    assert main(["run", str(config_path(config, tmp_path)), "--set", f"outdir={out}",
-                 "--set", "baseline=false"]) == 0
-    _, *lines = (out / "trace.log").read_text().splitlines()
+def test_digest_matches_reference_on_shipped_runs(pinned_run, config):
+    _, *lines = (pinned_run(config) / "trace.log").read_text().splitlines()
     assert lines
     sent = {}  # a receive record carries the digest of its send's payload
     for line in lines:
@@ -103,10 +100,6 @@ def _scan_edges_of(problem, k):
     return [(i, e) for i, e in enumerate(problem.edges) if k in (e.k, e.l)]
 
 
-def _scan_neighbors(problem, k):
-    return tuple(sorted(e.k + e.l - k for e in problem.edges if k in (e.k, e.l)))
-
-
 def _scan_edge_slice(problem, i):
     start = sum(e.dim for e in problem.edges[:i])
     return slice(start, start + problem.edges[i].dim)
@@ -121,7 +114,7 @@ def _scan_region_z(problem, z_global, k):
 
 def _scrambled_problem():
     # four regions, edges listed out of (k, l) order and blocks out of row
-    # order, so edge order alone does not sort neighbours or blocks
+    # order, so edge order alone does not sort blocks
     edges = (CouplingEdge(3, 4, (1, 3), (0, 2)), CouplingEdge(1, 4, (0, 1), (2, 3)),
              CouplingEdge(2, 3, (0, 1), (0, 1)), CouplingEdge(1, 3, (1, 2), (3, 4)),
              CouplingEdge(1, 2, (2, 4), (1, 3)))
@@ -157,7 +150,6 @@ def test_topology_tables_equal_edge_scans(name):
     for i in range(len(problem.edges)):
         assert problem.edge_slice(i) == _scan_edge_slice(problem, i)
     for k in range(1, problem.num_regions + 1):
-        assert problem.neighbors(k) == _scan_neighbors(problem, k)
         # the simulator's outgoing links: (edge, neighbour, own block) in edge
         # order, each on its own child stream, K + 2i for the k->l side
         links = sim.links[k]
@@ -169,8 +161,6 @@ def test_topology_tables_equal_edge_scans(name):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     # a region index outside 1..K is an error, not another region's row
     for k in (0, -1, problem.num_regions + 1):
-        with pytest.raises(IndexError):
-            problem.neighbors(k)
         with pytest.raises(IndexError):
             problem.region_z(z, k)
 

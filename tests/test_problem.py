@@ -218,7 +218,6 @@ class TestToyConsensus:
     def test_chain_topology(self):
         problem = make_toy_consensus([0.0, 1.0, 2.0, 3.0])
         assert [(e.k, e.l) for e in problem.edges] == [(1, 2), (2, 3), (3, 4)]
-        assert problem.neighbors(2) == (1, 3)
         assert problem.region(2).boundary_rows == 2
 
     def test_needs_two_targets(self):
